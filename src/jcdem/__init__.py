@@ -2,57 +2,22 @@
 mutual-entropy degree of entanglement, with analytic cross-checks."""
 
 from .analysis import (
-    CONJECTURE_SLACK,
     LambdaScan,
     RevivalReport,
     TimeSeries,
     revival_analysis,
-    revival_period,
     scan_lambda,
     scan_time,
-    sliding_amplitude,
-    time_grid,
 )
-from .entropy import (
-    EntropyReport,
-    araki_lieb_check,
-    dem_closed_form,
-    dem_closed_form_spectral,
-    dem_exact,
-    relative_entropy,
-    von_neumann_entropy,
-)
-from .linalg import (
-    EigenSystem,
-    dagger,
-    hermitian_eigensystem,
-    partial_trace,
-    tensor_product,
-    validate_density_matrix,
-)
+from .entropy import EntropyReport, dem_closed_form, dem_exact, relative_entropy
 from .model import (
-    DEFAULT_G,
-    DEFAULT_LAMBDA0,
-    DEFAULT_MEAN_PHOTONS,
-    DEFAULT_OMEGA0,
-    DEFAULT_TAIL_TOL,
-    GUARD_LEVELS,
     AtomState,
     ClosedFormCoeffs,
-    DressedBlock,
     FieldConfig,
     ModelParams,
     closed_form_coeffs,
-    coherent_amplitudes,
-    coherent_state,
-    dressed_block,
     evolve,
-    initial_joint_state,
-    poisson_weights,
     propagator,
-    rabi_frequency,
-    transition_probability_closed,
-    truncation_dim,
 )
 
 __version__ = "0.1.0"
@@ -60,47 +25,19 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomState",
     "ClosedFormCoeffs",
-    "CONJECTURE_SLACK",
-    "DEFAULT_G",
-    "DEFAULT_LAMBDA0",
-    "DEFAULT_MEAN_PHOTONS",
-    "DEFAULT_OMEGA0",
-    "DEFAULT_TAIL_TOL",
-    "DressedBlock",
-    "EigenSystem",
     "EntropyReport",
     "FieldConfig",
-    "GUARD_LEVELS",
     "LambdaScan",
     "ModelParams",
     "RevivalReport",
     "TimeSeries",
-    "araki_lieb_check",
     "closed_form_coeffs",
-    "coherent_amplitudes",
-    "coherent_state",
-    "dagger",
     "dem_closed_form",
-    "dem_closed_form_spectral",
     "dem_exact",
-    "dressed_block",
     "evolve",
-    "hermitian_eigensystem",
-    "initial_joint_state",
-    "partial_trace",
-    "poisson_weights",
     "propagator",
-    "rabi_frequency",
     "relative_entropy",
     "revival_analysis",
-    "revival_period",
     "scan_lambda",
     "scan_time",
-    "sliding_amplitude",
-    "tensor_product",
-    "time_grid",
-    "transition_probability_closed",
-    "truncation_dim",
-    "validate_density_matrix",
-    "von_neumann_entropy",
 ]

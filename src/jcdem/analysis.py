@@ -121,18 +121,18 @@ def scan_time(
         AtomState(0.0, 1.0), field
     )
     cols = {name: np.empty(len(times)) for name in TIME_COLUMNS}
+    coeffs = closed_form_coeffs(times, atom, field, params)
+    cols["c_closed"] = coeffs.c
+    cols["dem_closed"] = dem_closed_form(coeffs, log_base)
     for i, t in enumerate(times):
         u = propagator(float(t), params, field.n_max)
         ud = dagger(u)
         joint = u @ rho0 @ ud
         joint = 0.5 * (joint + dagger(joint))
         report = dem_exact(joint, dims, log_base)
-        coeffs = closed_form_coeffs(float(t), atom, field, params)
         joint_exc = joint if excited_start else u @ rho0_exc @ ud
-        cols["c_closed"][i] = coeffs.c
         cols["c_exact"][i] = joint_exc.diagonal().real[field.n_max + 1 :].sum()
         cols["dem_exact"][i] = report.dem
-        cols["dem_closed"][i] = dem_closed_form(coeffs, log_base)
         cols["s_atom"][i] = report.s_atom
         cols["s_field"][i] = report.s_field
         cols["s_joint"][i] = report.s_joint

@@ -18,6 +18,7 @@ from .analysis import (
     revival_analysis,
     scan_lambda,
     scan_time,
+    time_grid,
 )
 from .model import (
     DEFAULT_G,
@@ -97,30 +98,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _model(config: RunConfig) -> tuple[ModelParams, FieldConfig]:
+    return (
+        ModelParams(g=config.g, omega0=config.omega0),
+        FieldConfig.from_mean_photons(config.mean_photons, config.tail_tol),
+    )
+
+
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    """Parse and validate flags; violations exit with code 2."""
+    """Parse flags and validate them by building the model objects.
+
+    Any ValueError those constructors raise becomes a usage error, which
+    exits with code 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not args.g > 0:
-        parser.error(f"--g must be positive, got {args.g}")
-    if args.omega0 < 0:
-        parser.error(f"--omega0 must be nonnegative, got {args.omega0}")
-    if args.mean_photons < 0:
-        parser.error(f"--mean-photons must be nonnegative, got {args.mean_photons}")
-    if not 0.0 <= args.lambda0 <= 1.0:
-        parser.error(f"--lambda0 must lie in [0, 1], got {args.lambda0}")
-    if args.dt <= 0:
-        parser.error(f"--dt must be positive, got {args.dt}")
-    if args.t_max <= args.dt:
-        parser.error(f"--t-max must exceed --dt, got {args.t_max}")
-    if not 0.0 < args.tail_tol < 1.0:
-        parser.error(f"--tail-tol must lie in (0, 1), got {args.tail_tol}")
     if args.lambda_points < 2:
         parser.error(f"--lambda-points must be at least 2, got {args.lambda_points}")
     out_csv = args.out_csv
     if out_csv is None:
         out_csv = f"jc_{args.command.replace('-', '_')}.csv"
-    return RunConfig(
+    config = RunConfig(
         command=args.command,
         g=args.g,
         omega0=args.omega0,
@@ -134,6 +132,13 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
         out_csv=out_csv,
         out_svg=args.out_svg,
     )
+    try:
+        _model(config)
+        AtomState.from_ground_weight(config.lambda0)
+        time_grid(config.t_max, config.dt)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return config
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
@@ -156,8 +161,7 @@ def _subset(series: TimeSeries, names: Sequence[str]) -> TimeSeries:
 
 def run(config: RunConfig) -> int:
     """Execute one command; raises on numerical or I/O failure."""
-    params = ModelParams(g=config.g, omega0=config.omega0)
-    field = FieldConfig.from_mean_photons(config.mean_photons, config.tail_tol)
+    params, field = _model(config)
 
     if config.command == "scan-lambda":
         scan = scan_lambda(

@@ -116,24 +116,20 @@ def dem_exact(joint, dims: tuple[int, int], log_base: str = "e") -> EntropyRepor
     )
 
 
-def araki_lieb_check(
-    joint, dims: tuple[int, int], log_base: str = "e"
-) -> tuple[bool, tuple[float, float]]:
-    """Both entropy triangle bounds with AL_SLACK tolerance."""
-    report = dem_exact(joint, dims, log_base)
-    return report.araki_lieb_ok, report.al_margins
+def _xlogx(x) -> np.ndarray:
+    """Elementwise x ln x, zero at or below EIG_CLIP."""
+    x = np.asarray(x, dtype=float)
+    live = x > EIG_CLIP
+    return np.where(live, x * np.log(np.where(live, x, 1.0)), 0.0)
 
 
-def _xlogx(x: float) -> float:
-    return x * math.log(x) if x > EIG_CLIP else 0.0
-
-
-def dem_closed_form(coeffs: ClosedFormCoeffs, log_base: str = "e") -> float:
+def dem_closed_form(coeffs: ClosedFormCoeffs, log_base: str = "e"):
     """Analytic degree of entanglement, magnitude reading.
 
     -e1 log e1 - e4 log e4 + |e2| log |e2| + |e3| log |e3|, with the
     off-diagonal terms entering by magnitude.  Reduces to the binary
-    entropy of (e1, e4) whenever the coherences vanish.
+    entropy of (e1, e4) whenever the coherences vanish.  Returns a float
+    for scalar coefficients and an array for coefficients over times.
     """
     val = (
         -_xlogx(coeffs.e1)
@@ -141,22 +137,5 @@ def dem_closed_form(coeffs: ClosedFormCoeffs, log_base: str = "e") -> float:
         + _xlogx(coeffs.e2_mag)
         + _xlogx(coeffs.e3_mag)
     )
-    return val * _log_scale(log_base)
-
-
-def dem_closed_form_spectral(coeffs: ClosedFormCoeffs, log_base: str = "e") -> float:
-    """Analytic degree of entanglement, eigenvalue reading.
-
-    Replaces the off-diagonal magnitude terms by the entropy of the full
-    2x2 coefficient matrix [[e1, e2], [e3, e4]], whose eigenvalues are
-    ((e1+e4) +- sqrt((e1-e4)^2 + 4|e2|^2))/2.  Diagnostic alternative to
-    dem_closed_form; the two agree only where the coherences vanish
-    together with one diagonal weight.
-    """
-    half_gap = 0.5 * math.sqrt(
-        (coeffs.e1 - coeffs.e4) ** 2 + 4.0 * coeffs.e2_mag**2
-    )
-    mid = 0.5 * (coeffs.e1 + coeffs.e4)
-    p_hi, p_lo = mid + half_gap, max(mid - half_gap, 0.0)
-    val = -_xlogx(coeffs.e1) - _xlogx(coeffs.e4) + _xlogx(p_hi) + _xlogx(p_lo)
-    return val * _log_scale(log_base)
+    # [()] unwraps a 0-d result to a scalar and leaves arrays as they are
+    return val[()] * _log_scale(log_base)

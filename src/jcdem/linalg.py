@@ -14,8 +14,6 @@ import numpy as np
 # Below this deviation a matrix is accepted as Hermitian and symmetrized;
 # above it the input is considered a genuine bug.
 HERMITICITY_ATOL = 1e-10
-TRACE_ATOL = 1e-10
-PSD_ATOL = 1e-10
 
 
 class EigenSystem(NamedTuple):
@@ -40,19 +38,6 @@ def as_complex_matrix(m) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
     return a
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product of two matrices.
-
-    The result has shape (a.rows*b.rows, a.cols*b.cols) with
-    entry[(i*b.rows + k), (j*b.cols + l)] = a[i, j] * b[k, l].
-    """
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("tensor_product requires non-empty operands")
-    return np.kron(a, b)
 
 
 def partial_trace(
@@ -96,30 +81,3 @@ def hermitian_eigensystem(m, atol: float = HERMITICITY_ATOL) -> EigenSystem:
         )
     w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
     return EigenSystem(w, v)
-
-
-def validate_density_matrix(
-    rho,
-    herm_atol: float = HERMITICITY_ATOL,
-    trace_atol: float = TRACE_ATOL,
-    psd_atol: float = PSD_ATOL,
-) -> np.ndarray:
-    """Check the density-matrix invariants and return the array.
-
-    Raises ValueError if the matrix is not Hermitian within ``herm_atol``,
-    not unit trace within ``trace_atol``, or has an eigenvalue below
-    ``-psd_atol``.
-    """
-    rho = as_complex_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    deviation = float(np.abs(rho - dagger(rho)).max())
-    if deviation > herm_atol:
-        raise ValueError(f"not Hermitian: max |M - M^dag| = {deviation:.3e}")
-    trace_err = abs(complex(np.trace(rho)) - 1.0)
-    if trace_err > trace_atol:
-        raise ValueError(f"trace deviates from 1 by {trace_err:.3e}")
-    smallest = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))[0])
-    if smallest < -psd_atol:
-        raise ValueError(f"not positive semidefinite: min eigenvalue {smallest:.3e}")
-    return rho

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import dagger, tensor_product
+from .linalg import dagger
 
 DEFAULT_G = 1.0
 DEFAULT_OMEGA0 = 1.0
@@ -29,6 +29,8 @@ DEFAULT_TAIL_TOL = 1e-12
 # Extra photon levels kept above the tail cutoff so the truncation edge
 # never touches populated levels.
 GUARD_LEVELS = 5
+# Log-weights below this round to zero in double precision.
+LOG_UNDERFLOW = math.log(math.ulp(0.0))
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,9 @@ class FieldConfig:
             raise ValueError(f"n_max must be at least 1, got {self.n_max}")
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
-        tail = 1.0 - math.fsum(poisson_weights(self.mean_photons, self.n_max))
-        if max(tail, 0.0) >= self.tail_tol:
+        tails = _poisson_tails(self.mean_photons)
+        tail = tails[min(self.n_max, len(tails) - 1)]
+        if tail >= self.tail_tol:
             raise ValueError(
                 f"photon tail beyond n_max={self.n_max} is {tail:.3e}, "
                 f"not below tail_tol={self.tail_tol:.1e}"
@@ -95,59 +98,66 @@ class FieldConfig:
         cls, mean_photons: float, tail_tol: float = DEFAULT_TAIL_TOL
     ) -> "FieldConfig":
         """Real-amplitude config sized by the tail tolerance."""
-        if mean_photons < 0:
-            raise ValueError(f"mean_photons must be nonnegative, got {mean_photons}")
-        return cls(
-            theta=complex(math.sqrt(mean_photons)),
-            n_max=truncation_dim(mean_photons, tail_tol),
-            tail_tol=tail_tol,
-        )
+        # truncation_dim validates both arguments before the square root
+        n_max = truncation_dim(mean_photons, tail_tol)
+        return cls(complex(math.sqrt(mean_photons)), n_max, tail_tol)
 
     @property
     def mean_photons(self) -> float:
         return abs(self.theta) ** 2
 
 
-class DressedBlock(NamedTuple):
-    """Eigen-data of one 2x2 excitation sector.
-
-    Components of ``vectors`` are ordered (|2,n>, |1,n+1>); column j is the
-    eigenvector whose phase rate is phases[j].
-    """
-
-    n: int
-    phases: tuple[float, float]
-    vectors: np.ndarray
-
-
 class ClosedFormCoeffs(NamedTuple):
-    """Analytic entangled-state scalars at one time.
+    """Analytic entangled-state scalars, at one time or over a time array.
 
     c and s are the excited- and ground-level occupation sums; e1 and e4
     the diagonal weights; e2_mag = e3_mag the magnitude of the (purely
-    imaginary, conjugate) off-diagonal pair.
+    imaginary, conjugate) off-diagonal pair.  Every field has the shape
+    of the times it was evaluated at.
     """
 
-    s: float
-    c: float
-    e1: float
-    e4: float
-    e2_mag: float
-    e3_mag: float
+    s: np.ndarray
+    c: np.ndarray
+    e1: np.ndarray
+    e4: np.ndarray
+    e2_mag: np.ndarray
+    e3_mag: np.ndarray
 
 
 def poisson_weights(mean_photons: float, n_max: int) -> np.ndarray:
-    """Poisson probabilities exp(-m) m^n / n! for n = 0..n_max."""
-    if mean_photons < 0:
-        raise ValueError(f"mean_photons must be nonnegative, got {mean_photons}")
-    w = np.zeros(n_max + 1)
-    if mean_photons == 0:
-        w[0] = 1.0
-        return w
+    """Poisson probabilities exp(-m) m^n / n! for n = 0..n_max.
+
+    Built in log space from math.lgamma, so large means neither overflow
+    n! nor underflow exp(-m) before the weights themselves are negligible.
+    Every Poisson weight in the package comes from here.
+    """
+    if not 0.0 <= mean_photons < math.inf:
+        raise ValueError(
+            f"mean_photons must be finite and nonnegative, got {mean_photons}"
+        )
     n = np.arange(n_max + 1)
-    # log-space keeps large means from overflowing the n! denominator
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_max + 1)))))
-    return np.exp(-mean_photons + n * math.log(mean_photons) - log_fact)
+    if mean_photons == 0:
+        return (n == 0).astype(float)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+    return np.exp(n * math.log(mean_photons) - mean_photons - log_fact)
+
+
+def _poisson_tails(mean_photons: float) -> np.ndarray:
+    """tails[k] = sum_{n>k} of the Poisson weights, for k = 0..horizon.
+
+    The horizon lies past the mode where the weights underflow to zero, so
+    tails[-1] = 0.  Each tail is summed directly from the far end; none is
+    formed as 1 - sum, which would cancel at small tolerances.
+    """
+    m = float(mean_photons)
+    horizon = 0
+    if 0.0 < m < math.inf:
+        horizon = math.ceil(m)
+        step = math.isqrt(horizon) + 1
+        while horizon * math.log(m) - m - math.lgamma(horizon + 1.0) > LOG_UNDERFLOW:
+            horizon += step
+    w = poisson_weights(m, horizon)
+    return np.append(np.cumsum(w[:0:-1])[::-1], 0.0)
 
 
 def truncation_dim(mean_photons: float, tail_tol: float) -> int:
@@ -156,39 +166,20 @@ def truncation_dim(mean_photons: float, tail_tol: float) -> int:
     Returns the smallest N such that sum_{n>N} exp(-m) m^n / n! < tail_tol,
     widened by GUARD_LEVELS so edge effects stay below the tolerance.
     """
-    if mean_photons < 0:
-        raise ValueError(f"mean_photons must be nonnegative, got {mean_photons}")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    if mean_photons == 0:
-        return GUARD_LEVELS
-    m = float(mean_photons)
-    terms = [math.exp(-m)]
-    n = 0
-    while True:
-        n += 1
-        terms.append(terms[-1] * m / n)
-        if n > m and terms[-1] < tail_tol * 1e-6:
-            break
-        if n > 100_000:
-            raise ValueError("photon tail summation failed to converge")
-    # suffix sums avoid the cancellation of 1 - cdf near tiny tolerances
-    tail = 0.0
-    cutoff = 0
-    for k in range(len(terms) - 1, 0, -1):
-        tail += terms[k]
-        if tail >= tail_tol:
-            cutoff = k
-            break
+    # tails never increase with the cutoff, so this counts the cutoffs
+    # whose tail is still at or above the tolerance
+    cutoff = int(np.count_nonzero(_poisson_tails(mean_photons) >= tail_tol))
     return cutoff + GUARD_LEVELS
 
 
 def coherent_amplitudes(theta: complex, n_max: int) -> np.ndarray:
     """Number-basis amplitudes of |theta>, renormalized after truncation."""
-    amps = np.zeros(n_max + 1, dtype=complex)
-    amps[0] = math.exp(-abs(theta) ** 2 / 2.0)
-    for n in range(1, n_max + 1):
-        amps[n] = amps[n - 1] * theta / math.sqrt(n)
+    n = np.arange(n_max + 1)
+    amps = np.sqrt(poisson_weights(abs(theta) ** 2, n_max)) * np.exp(
+        1j * np.angle(theta) * n
+    )
     return amps / np.linalg.norm(amps)
 
 
@@ -196,27 +187,6 @@ def coherent_state(theta: complex, n_max: int) -> np.ndarray:
     """Rank-1 density matrix of the truncated coherent state."""
     amps = coherent_amplitudes(theta, n_max)
     return np.outer(amps, amps.conj())
-
-
-def rabi_frequency(n: int, g: float) -> float:
-    """Excitation-exchange rate g*sqrt(n+1) in the n-photon sector."""
-    return g * math.sqrt(n + 1.0)
-
-
-def dressed_block(n: int, params: ModelParams) -> DressedBlock:
-    """Eigenphases and eigenvectors of the sector span{|2,n>, |1,n+1>}.
-
-    On resonance both basis states carry the same free rate omega0*(n+1/2),
-    so the eigenvectors are the equal superpositions (|2,n> +- |1,n+1>)/sqrt2
-    with phase rates omega0*(n+1/2) +- g*sqrt(n+1).
-    """
-    if n < 0:
-        raise ValueError(f"photon index must be nonnegative, got {n}")
-    free = params.omega0 * (n + 0.5)
-    omega_n = rabi_frequency(n, params.g)
-    inv = 1.0 / math.sqrt(2.0)
-    vectors = np.array([[inv, inv], [inv, -inv]], dtype=complex)
-    return DressedBlock(n=n, phases=(free + omega_n, free - omega_n), vectors=vectors)
 
 
 def propagator(t: float, params: ModelParams, n_max: int) -> np.ndarray:
@@ -248,7 +218,7 @@ def propagator(t: float, params: ModelParams, n_max: int) -> np.ndarray:
 
 def initial_joint_state(atom: AtomState, field: FieldConfig) -> np.ndarray:
     """Product state atom (x) field in the joint basis ordering."""
-    return tensor_product(atom.matrix(), coherent_state(field.theta, field.n_max))
+    return np.kron(atom.matrix(), coherent_state(field.theta, field.n_max))
 
 
 def evolve(
@@ -264,35 +234,26 @@ def evolve(
     return 0.5 * (out + dagger(out))
 
 
-def transition_probability_closed(t, mean_photons: float, g: float, n_max: int):
-    """Analytic excited-start survival probability c(t).
-
-    c(t) = exp(-m) sum_{n<=n_max} (m^n / n!) cos^2(g sqrt(n+1) t).
-    Accepts scalar or array t and returns the matching shape.
-    """
-    t = np.asarray(t, dtype=float)
-    w = poisson_weights(mean_photons, n_max)
-    omega = g * np.sqrt(np.arange(n_max + 1) + 1.0)
-    c = np.cos(omega * t[..., None]) ** 2 @ w
-    return float(c) if c.ndim == 0 else c
-
-
 def closed_form_coeffs(
-    t: float, atom: AtomState, field: FieldConfig, params: ModelParams
+    t, atom: AtomState, field: FieldConfig, params: ModelParams
 ) -> ClosedFormCoeffs:
-    """Analytic entangled-state coefficients at time t.
+    """Analytic entangled-state coefficients at a scalar or array of times.
 
+    With Omega_n = g sqrt(n+1) and the Poisson weights p_n,
+    c(t) = sum_n p_n cos^2(Omega_n t) is the excited-start survival
+    probability and s(t) = sum_n p_n sin^2(Omega_n t).
     e1 = lambda0*s + lambda1*c and e4 = lambda0*c + lambda1*s weight the
     excited and ground levels; the off-diagonal magnitude is
-    |e2| = |e3| = (1/2) exp(-m) |lambda1 - lambda0| |sum_n (m^n/n!) sin(2 Omega_n t)|.
+    |e2| = |e3| = (1/2) |lambda1 - lambda0| |sum_n p_n sin(2 Omega_n t)|.
     The Poisson sums are truncated at n_max, never renormalized.
     """
+    t = np.asarray(t, dtype=float)
     w = poisson_weights(field.mean_photons, field.n_max)
-    omega = params.g * np.sqrt(np.arange(field.n_max + 1) + 1.0)
-    c = float(w @ np.cos(omega * t) ** 2)
-    s = float(w @ np.sin(omega * t) ** 2)
-    coherence = 0.5 * abs(atom.lambda1 - atom.lambda0) * abs(
-        float(w @ np.sin(2.0 * omega * t))
+    phase = params.g * np.sqrt(np.arange(field.n_max + 1) + 1.0) * t[..., None]
+    c = np.cos(phase) ** 2 @ w
+    s = np.sin(phase) ** 2 @ w
+    coherence = 0.5 * abs(atom.lambda1 - atom.lambda0) * np.abs(
+        np.sin(2.0 * phase) @ w
     )
     return ClosedFormCoeffs(
         s=s,

@@ -38,13 +38,17 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write UTF-8 text with LF endings via a same-directory temp file.
 
     The rename is atomic, so a crash mid-write never leaves a partial file
-    at the destination.
+    at the destination.  The file gets the mode a plain open() would give
+    it (0o666 less the umask), not mkstemp's private 0o600.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,9 +1,12 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately built a different way than the package:
-the Hamiltonian from raw ladder operators instead of dressed blocks, and
-the exponential by scaling and squaring instead of analytic phases.
+the Hamiltonian from raw ladder operators instead of dressed blocks, the
+exponential by scaling and squaring instead of analytic phases, and Poisson
+terms by the product recursion instead of from log-space weights.
 """
+
+import math
 
 import numpy as np
 
@@ -43,3 +46,43 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def truncation_dim_by_recursion(mean_photons: float, tail_tol: float) -> int:
+    """Photon cutoff from the product recursion p_n = p_{n-1} m / n.
+
+    Starts from exp(-m), so it only works while that does not underflow
+    (m below about 745).  Returns the smallest N whose tail sum beyond N,
+    summed from the last computed term down, is below tail_tol, plus the
+    5-level guard band.
+    """
+    guard = 5
+    if mean_photons == 0:
+        return guard
+    m = float(mean_photons)
+    terms = [math.exp(-m)]
+    n = 0
+    while not (n > m and terms[-1] < tail_tol * 1e-6):
+        n += 1
+        terms.append(terms[-1] * m / n)
+    tail = 0.0
+    for k in range(len(terms) - 1, 0, -1):
+        tail += terms[k]
+        if tail >= tail_tol:
+            return k + guard
+    return guard
+
+
+def poisson_tail(mean_photons: float, n_max: int) -> float:
+    """sum_{n > n_max} exp(-m) m^n / n!, term by term outward from n_max + 1."""
+    if mean_photons == 0:
+        return 0.0
+    m = float(mean_photons)
+    n = n_max + 1
+    term = math.exp(n * math.log(m) - m - math.lgamma(n + 1.0))
+    total = 0.0
+    while term > 0.0 and (n <= m or term > 1e-18 * total):
+        total += term
+        n += 1
+        term *= m / n
+    return total

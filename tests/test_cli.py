@@ -1,6 +1,8 @@
 """Tests for argument parsing, the CLI commands, and plot rendering."""
 
 import math
+import os
+import stat
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -76,6 +78,11 @@ def test_parse_args_default_csv_name_follows_command():
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "usage" in capsys.readouterr().err.lower()
+
+
+def test_usage_errors_carry_the_model_message(capsys):
+    assert main(["scan-time", "--mean-photons", "nan"]) == 2
+    assert "mean_photons must be finite and nonnegative" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):
@@ -169,6 +176,24 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert code == 1
     assert "error" in capsys.readouterr().err.lower()
     assert not bad.exists()
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask022", "umask027"]
+)
+def test_output_files_follow_the_umask(tmp_path, umask, mode):
+    csv, svg = tmp_path / "tr.csv", tmp_path / "tr.svg"
+    argv = [
+        "transition", "--t-max", "2", "--dt", "0.5",
+        "--out-csv", str(csv), "--out-svg", str(svg),
+    ]
+    previous = os.umask(umask)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(previous)
+    for path in (csv, svg):
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_transition_svg_structure(tmp_path):

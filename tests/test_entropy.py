@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from jcdem.entropy import (
-    araki_lieb_check,
     dem_closed_form,
-    dem_closed_form_spectral,
     dem_exact,
     relative_entropy,
     von_neumann_entropy,
 )
-from jcdem.linalg import tensor_product
+from jcdem.linalg import partial_trace
 from jcdem.model import (
     AtomState,
     ClosedFormCoeffs,
@@ -113,7 +111,7 @@ def test_relative_entropy_rejects_dimension_mismatch():
 
 def test_dem_of_product_state_is_zero():
     rng = np.random.default_rng(24)
-    joint = tensor_product(random_density(rng, 2), random_density(rng, 3))
+    joint = np.kron(random_density(rng, 2), random_density(rng, 3))
     report = dem_exact(joint, (2, 3))
     assert abs(report.dem) <= 1e-10
     assert report.araki_lieb_ok
@@ -137,10 +135,8 @@ def test_dem_report_is_internally_consistent():
 
 def test_dem_equals_relative_entropy_to_marginal_product():
     rng = np.random.default_rng(26)
-    from jcdem.linalg import partial_trace
-
     joint = random_density(rng, 4)
-    product = tensor_product(
+    product = np.kron(
         partial_trace(joint, (2, 2), "atom"), partial_trace(joint, (2, 2), "field")
     )
     assert dem_exact(joint, (2, 2)).dem == pytest.approx(
@@ -157,25 +153,25 @@ def test_dem_invariant_under_local_phases():
 
 
 def test_araki_lieb_pure_state_has_equal_marginals():
-    ok, _ = araki_lieb_check(bell_state(), (2, 2))
     report = dem_exact(bell_state(), (2, 2))
-    assert ok
+    assert report.araki_lieb_ok
     assert abs(report.s_atom - report.s_field) <= 1e-9
 
 
 def test_araki_lieb_product_state_upper_bound_tight():
     rng = np.random.default_rng(27)
-    joint = tensor_product(random_density(rng, 2), random_density(rng, 2))
-    ok, (lower, upper) = araki_lieb_check(joint, (2, 2))
-    assert ok
+    joint = np.kron(random_density(rng, 2), random_density(rng, 2))
+    report = dem_exact(joint, (2, 2))
+    lower, upper = report.al_margins
+    assert report.araki_lieb_ok
     assert abs(upper) <= 1e-10  # s_joint = s_atom + s_field exactly
 
 
 def test_araki_lieb_holds_on_random_two_qubit_states():
     rng = np.random.default_rng(28)
     for _ in range(100):
-        ok, (lower, upper) = araki_lieb_check(random_density(rng, 4), (2, 2))
-        assert ok, (lower, upper)
+        report = dem_exact(random_density(rng, 4), (2, 2))
+        assert report.araki_lieb_ok, report.al_margins
 
 
 def test_closed_form_dem_at_t0_is_binary_entropy():
@@ -191,6 +187,17 @@ def test_closed_form_dem_balanced_atom_keeps_diagonal_terms():
     assert dem_closed_form(co) == pytest.approx(expected, abs=1e-12)
 
 
+def test_closed_form_dem_over_times_matches_pointwise():
+    field = FieldConfig.from_mean_photons(5.0)
+    atom = AtomState.from_ground_weight(0.7)
+    times = np.arange(0.0, 10.0, 0.5)
+    grid = dem_closed_form(closed_form_coeffs(times, atom, field, ModelParams()))
+    assert grid.shape == times.shape
+    for t, value in zip(times, grid):
+        co = closed_form_coeffs(float(t), atom, field, ModelParams())
+        assert abs(value - dem_closed_form(co)) <= 1e-14
+
+
 def test_closed_form_dem_base_covariance():
     co = ClosedFormCoeffs(s=0.3, c=0.7, e1=0.4, e4=0.6, e2_mag=0.1, e3_mag=0.1)
     assert dem_closed_form(co, log_base="2") == pytest.approx(
@@ -198,36 +205,11 @@ def test_closed_form_dem_base_covariance():
     )
 
 
-def test_spectral_reading_vanishes_without_coherence():
-    # with e2 = 0 the 2x2 eigenvalues are just (e1, e4), so the spectral
-    # reading cancels exactly while the magnitude reading keeps the
-    # binary-entropy part
-    co = ClosedFormCoeffs(s=0.2, c=0.8, e1=0.26, e4=0.74, e2_mag=0.0, e3_mag=0.0)
-    assert dem_closed_form_spectral(co) == pytest.approx(0.0, abs=1e-12)
-    assert dem_closed_form(co) > 0.5
-
-
-def test_magnitude_vs_spectral_gap_is_order_one():
-    # The two readings of the analytic formula disagree by ~0.69 at the
-    # first analytic peak (t ~ 3.15, defaults); the gap is reported as a
-    # diagnostic, never asserted away.
-    field = FieldConfig.from_mean_photons(5.0)
-    atom = AtomState.from_ground_weight(0.7)
-    params = ModelParams()
-    gap = 0.0
-    for t in np.arange(0.0, 30.0, 0.05):
-        co = closed_form_coeffs(float(t), atom, field, params)
-        gap = max(gap, abs(dem_closed_form(co) - dem_closed_form_spectral(co)))
-    assert 0.5 < gap < 0.75
-
-
 def test_dem_exact_on_evolved_state_matches_relative_entropy():
-    from jcdem.linalg import partial_trace
-
     field = FieldConfig.from_mean_photons(5.0)
     joint = evolve(AtomState.from_ground_weight(0.7), field, ModelParams(), 7.0)
     dims = (2, field.n_max + 1)
-    product = tensor_product(
+    product = np.kron(
         partial_trace(joint, dims, "atom"), partial_trace(joint, dims, "field")
     )
     report = dem_exact(joint, dims)

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from jcdem.linalg import (
-    EigenSystem,
-    dagger,
-    hermitian_eigensystem,
-    partial_trace,
-    tensor_product,
-    validate_density_matrix,
-)
+from jcdem.linalg import EigenSystem, dagger, hermitian_eigensystem, partial_trace
+from jcdem.model import AtomState, FieldConfig, coherent_state, initial_joint_state
 
 
 def random_density(rng, dim):
@@ -24,50 +18,37 @@ def random_hermitian(rng, dim):
     return 0.5 * (a + a.conj().T)
 
 
-def test_tensor_product_identity():
-    assert np.allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
+def test_tensor_product_matches_index_formula():
+    # the joint state puts the atom outermost, the layout partial_trace reads
+    atom = AtomState.from_ground_weight(0.7)
+    field = FieldConfig.from_mean_photons(1.0)
+    na = field.n_max + 1
+    omega = coherent_state(field.theta, field.n_max)
+    joint = initial_joint_state(atom, field)
+    expected = np.empty((2 * na, 2 * na), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            for k in range(na):
+                for l in range(na):
+                    expected[i * na + k, j * na + l] = atom.matrix()[i, j] * omega[k, l]
+    assert np.abs(joint - expected).max() <= 1e-15
+    assert np.allclose(partial_trace(joint, (2, na), "atom"), atom.matrix(), atol=1e-12)
 
 
 def test_tensor_product_projectors():
-    p = np.diag([1.0, 0.0])
-    assert np.allclose(tensor_product(p, p), np.diag([1.0, 0.0, 0.0, 0.0]))
-
-
-def test_tensor_product_matches_index_formula():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    out = tensor_product(a, b)
-    expected = np.empty((6, 6), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(3):
-                for l in range(3):
-                    expected[i * 3 + k, j * 3 + l] = a[i, j] * b[k, l]
-    # vectorized complex multiply may differ from the scalar one in the
-    # last bit, so exact equality is too strict
-    assert np.abs(out - expected).max() <= 1e-14
-
-
-def test_tensor_product_trace_multiplies():
-    rng = np.random.default_rng(12)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.isclose(
-        np.trace(tensor_product(a, b)), np.trace(a) * np.trace(b), atol=1e-12
-    )
-
-
-def test_tensor_product_rejects_empty():
-    with pytest.raises(ValueError):
-        tensor_product(np.zeros((0, 0)), np.eye(2))
+    # excited atom (x) vacuum is the projector onto |2,0>
+    field = FieldConfig.from_mean_photons(0.0)
+    joint = initial_joint_state(AtomState(0.0, 1.0), field)
+    expected = np.zeros_like(joint)
+    expected[field.n_max + 1, field.n_max + 1] = 1.0
+    assert np.array_equal(joint, expected)
 
 
 def test_partial_trace_product_state():
     rng = np.random.default_rng(13)
     rho_a = random_density(rng, 2)
     rho_f = random_density(rng, 3)
-    joint = tensor_product(rho_a, rho_f)
+    joint = np.kron(rho_a, rho_f)
     assert np.allclose(partial_trace(joint, (2, 3), "atom"), rho_a, atol=1e-12)
     assert np.allclose(partial_trace(joint, (2, 3), "field"), rho_f, atol=1e-12)
 
@@ -161,20 +142,3 @@ def test_eigensystem_symmetrizes_round_off():
 def test_dagger():
     m = np.array([[1.0 + 2.0j, 3.0], [4.0j, 5.0]])
     assert np.array_equal(dagger(m), m.conj().T)
-
-
-def test_validate_density_matrix_accepts_valid():
-    rng = np.random.default_rng(19)
-    rho = random_density(rng, 4)
-    assert validate_density_matrix(rho) is not None
-
-
-def test_validate_density_matrix_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
-    with pytest.raises(ValueError):
-        validate_density_matrix(np.zeros((2, 3)))  # not square

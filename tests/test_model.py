@@ -4,11 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_hamiltonian, expm_taylor
+from oracles import (
+    dense_hamiltonian,
+    expm_taylor,
+    poisson_tail,
+    truncation_dim_by_recursion,
+)
 
 from jcdem.entropy import von_neumann_entropy
-from jcdem.linalg import dagger, hermitian_eigensystem, partial_trace, tensor_product
+from jcdem.linalg import dagger, hermitian_eigensystem, partial_trace
 from jcdem.model import (
     DEFAULT_TAIL_TOL,
     GUARD_LEVELS,
@@ -18,13 +25,10 @@ from jcdem.model import (
     closed_form_coeffs,
     coherent_amplitudes,
     coherent_state,
-    dressed_block,
     evolve,
     initial_joint_state,
     poisson_weights,
     propagator,
-    rabi_frequency,
-    transition_probability_closed,
     truncation_dim,
 )
 
@@ -35,9 +39,27 @@ def default_field():
     return FieldConfig.from_mean_photons(5.0)
 
 
+def sector_block(u, n, n_max):
+    """2x2 block of a joint operator on (|2,n>, |1,n+1>)."""
+    idx = [(n_max + 1) + n, n + 1]
+    return u[np.ix_(idx, idx)]
+
+
 def test_truncation_dim_frozen_values():
     assert truncation_dim(5.0, 1e-12) == 32
     assert truncation_dim(5.0, 1e-9) == 28
+    assert truncation_dim(50.0, 1e-12) == 112
+    assert truncation_dim(200.0, 1e-12) == 312
+
+
+def test_truncation_dim_matches_product_recursion_up_to_m_272():
+    # the log-space cutoff reproduces the product-recursion cutoff wherever
+    # the recursion is still accurate
+    for tol in (1e-12, 1e-9, 1e-6):
+        for m in np.arange(0.0, 272.5, 0.5):
+            assert truncation_dim(float(m), tol) == truncation_dim_by_recursion(
+                float(m), tol
+            ), (m, tol)
 
 
 def test_truncation_dim_vacuum_is_guard_band():
@@ -48,8 +70,28 @@ def test_truncation_dim_vacuum_is_guard_band():
 def test_truncation_dim_tail_actually_below_tol():
     for tol in (1e-6, 1e-9, 1e-12):
         n = truncation_dim(5.0, tol)
-        tail = 1.0 - math.fsum(poisson_weights(5.0, n))
-        assert max(tail, 0.0) < tol
+        assert poisson_tail(5.0, n) < tol
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=st.floats(0.0, 1e5),
+    tol=st.floats(-15.0, -3.0).map(lambda e: 10.0**e),
+)
+@example(m=273.0, tol=1e-12)
+@example(m=746.0, tol=1e-9)
+@example(m=1500.0, tol=1e-12)
+@example(m=1e5, tol=1e-15)
+def test_truncation_holds_over_the_parameter_range(m, tol):
+    field = FieldConfig.from_mean_photons(m, tol)
+    assert poisson_tail(m, field.n_max) < tol
+    amps = coherent_amplitudes(field.theta, field.n_max)
+    assert np.all(np.isfinite(amps))
+    assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
+    c0 = closed_form_coeffs(0.0, AtomState(0.0, 1.0), field, ModelParams()).c
+    # c(0) is the kept Poisson mass, 1 - tail; the lgamma exponents of the
+    # weights carry an absolute error of order m * 1e-16
+    assert abs(c0 - 1.0) <= tol + 1e-14 * max(m, 1.0)
 
 
 def test_truncation_dim_monotone_in_tol():
@@ -122,6 +164,14 @@ def test_field_config_validation():
         FieldConfig.from_mean_photons(-1.0)
 
 
+@pytest.mark.parametrize("m", [math.inf, math.nan])
+def test_field_config_rejects_non_finite_mean(m):
+    with pytest.raises(ValueError, match="finite"):
+        FieldConfig.from_mean_photons(m)
+    with pytest.raises(ValueError, match="finite"):
+        FieldConfig(theta=complex(m), n_max=10)
+
+
 def test_atom_state():
     atom = AtomState.from_ground_weight(0.7)
     assert atom.lambda1 == pytest.approx(0.3)
@@ -142,51 +192,57 @@ def test_model_params_validation():
 
 
 def test_rabi_frequency():
-    assert rabi_frequency(0, 1.0) == pytest.approx(1.0)
-    assert rabi_frequency(4, 2.0) == pytest.approx(2.0 * math.sqrt(5.0))
+    # with omega0 = 0 the n-photon sector rotates at g*sqrt(n+1)
+    for n, g in ((0, 1.0), (4, 2.0)):
+        t = 0.37
+        block = sector_block(propagator(t, ModelParams(g=g, omega0=0.0), 6), n, 6)
+        omega = g * math.sqrt(n + 1.0)
+        assert abs(block[0, 0]) == pytest.approx(abs(math.cos(omega * t)), abs=1e-14)
+        assert abs(block[1, 0]) == pytest.approx(abs(math.sin(omega * t)), abs=1e-14)
+
+
+def dressed_phases(params, n, t, n_max=6):
+    """Phase rates of the propagator's sector block, read from its spectrum."""
+    block = sector_block(propagator(t, params, n_max), n, n_max)
+    return sorted(-np.angle(np.linalg.eigvals(block)) / t)
 
 
 def test_dressed_block_phases_vacuum_sector():
-    block = dressed_block(0, ModelParams(g=1.0, omega0=0.0))
-    assert block.phases == pytest.approx((1.0, -1.0))
+    assert dressed_phases(ModelParams(g=1.0, omega0=0.0), 0, 0.3) == pytest.approx(
+        [-1.0, 1.0]
+    )
 
 
 def test_dressed_block_phases_general():
     params = ModelParams(g=0.7, omega0=1.3)
-    block = dressed_block(4, params)
     free = 1.3 * 4.5
     omega = 0.7 * math.sqrt(5.0)
-    assert block.phases == pytest.approx((free + omega, free - omega))
+    assert dressed_phases(params, 4, 0.2) == pytest.approx([free - omega, free + omega])
 
 
 def test_dressed_block_vectors_solve_the_sector():
+    # the equal superpositions (|2,n> +- |1,n+1>)/sqrt2 are the eigenvectors,
+    # with phase rates omega0*(n+1/2) +- g*sqrt(n+1)
     params = ModelParams(g=0.9, omega0=1.1)
-    block = dressed_block(3, params)
-    v = block.vectors
-    assert np.abs(v.conj().T @ v - np.eye(2)).max() <= 1e-12
+    t = 1.7
+    block = sector_block(propagator(t, params, 6), 3, 6)
     free = 1.1 * 3.5
-    omega = rabi_frequency(3, 0.9)
-    sector = np.array([[free, omega], [omega, free]], dtype=complex)
-    for j in range(2):
-        assert np.allclose(sector @ v[:, j], block.phases[j] * v[:, j], atol=1e-12)
+    omega = 0.9 * 2.0
+    for sign in (1.0, -1.0):
+        v = np.array([1.0, sign]) / math.sqrt(2.0)
+        phase = np.exp(-1j * t * (free + sign * omega))
+        assert np.allclose(block @ v, phase * v, atol=1e-12)
 
 
 def test_dressed_block_matches_eigensystem_oracle():
     params = ModelParams(g=0.9, omega0=1.1)
-    block = dressed_block(3, params)
+    t = 2.9
     free = 1.1 * 3.5
-    omega = rabi_frequency(3, 0.9)
+    omega = 0.9 * 2.0
     w, v = hermitian_eigensystem(np.array([[free, omega], [omega, free]]))
-    assert np.allclose(sorted(block.phases), w, atol=1e-12)
-    # columns may differ by phase; overlap magnitude pins them
-    for j, phase in enumerate(block.phases):
-        k = int(np.argmin(np.abs(w - phase)))
-        assert abs(np.vdot(v[:, k], block.vectors[:, j])) == pytest.approx(1.0)
-
-
-def test_dressed_block_rejects_negative_index():
-    with pytest.raises(ValueError):
-        dressed_block(-1, ModelParams())
+    expected = v @ np.diag(np.exp(-1j * t * w)) @ v.conj().T
+    block = sector_block(propagator(t, params, 6), 3, 6)
+    assert np.abs(block - expected).max() <= 1e-12
 
 
 def test_propagator_identity_at_t0():
@@ -241,7 +297,7 @@ def test_evolve_t0_is_product_state():
     field = default_field()
     atom = AtomState.from_ground_weight(0.7)
     joint = evolve(atom, field, ModelParams(), 0.0)
-    expected = tensor_product(atom.matrix(), coherent_state(field.theta, field.n_max))
+    expected = np.kron(atom.matrix(), coherent_state(field.theta, field.n_max))
     assert np.abs(joint - expected).max() <= 1e-14
 
 
@@ -260,30 +316,55 @@ def test_evolve_entropy_is_time_invariant():
         assert abs(von_neumann_entropy(joint) - BINARY_ENTROPY_07) <= 1e-8
 
 
+EXCITED = AtomState(0.0, 1.0)
+
+
 def test_transition_probability_starts_at_one():
-    field = default_field()
-    assert abs(transition_probability_closed(0.0, 5.0, 1.0, field.n_max) - 1.0) <= 1e-12
+    c0 = closed_form_coeffs(0.0, EXCITED, default_field(), ModelParams()).c
+    assert abs(c0 - 1.0) <= 1e-12
 
 
 def test_transition_probability_shapes_and_range():
     field = default_field()
     t = np.linspace(0.0, 30.0, 121)
-    c = transition_probability_closed(t, 5.0, 1.0, field.n_max)
-    assert c.shape == t.shape
-    assert np.all(c >= 0.0) and np.all(c <= 1.0 + 1e-12)
-    assert isinstance(transition_probability_closed(1.0, 5.0, 1.0, field.n_max), float)
+    co = closed_form_coeffs(t, AtomState.from_ground_weight(0.7), field, ModelParams())
+    assert all(np.shape(value) == t.shape for value in co)
+    assert np.all(co.c >= 0.0) and np.all(co.c <= 1.0 + 1e-12)
+    assert isinstance(closed_form_coeffs(1.0, EXCITED, field, ModelParams()).c, float)
 
 
 def test_transition_probability_matches_exact_excited_start():
     field = default_field()
     params = ModelParams()
-    excited = AtomState(0.0, 1.0)
     na = field.n_max + 1
-    for t in np.linspace(0.0, 30.0, 61):
-        joint = evolve(excited, field, params, float(t))
+    times = np.linspace(0.0, 30.0, 61)
+    closed = closed_form_coeffs(times, EXCITED, field, params).c
+    for t, c in zip(times, closed):
+        joint = evolve(EXCITED, field, params, float(t))
+        assert abs(c - np.trace(joint[na:, na:]).real) <= 1e-8
+
+
+def test_transition_probability_matches_exact_at_large_m():
+    field = FieldConfig.from_mean_photons(300.0)
+    params = ModelParams()
+    na = field.n_max + 1
+    revival = 2.0 * math.pi * math.sqrt(300.0)
+    for t in (3.0, revival):
+        joint = evolve(EXCITED, field, params, t)
         exact = np.trace(joint[na:, na:]).real
-        closed = transition_probability_closed(float(t), 5.0, 1.0, field.n_max)
-        assert abs(closed - exact) <= 1e-8
+        closed = closed_form_coeffs(t, EXCITED, field, params).c
+        assert abs(closed - exact) <= 1e-10
+
+
+def test_closed_form_coeffs_vectorised_matches_scalar_calls():
+    field = default_field()
+    atom = AtomState.from_ground_weight(0.7)
+    times = np.array([0.0, 1.05, 7.0, 14.05])
+    grid = closed_form_coeffs(times, atom, field, ModelParams())
+    for i, t in enumerate(times):
+        point = closed_form_coeffs(float(t), atom, field, ModelParams())
+        for name in grid._fields:
+            assert abs(getattr(grid, name)[i] - getattr(point, name)) <= 1e-15
 
 
 def test_closed_form_coeffs_at_t0():
