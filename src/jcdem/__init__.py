@@ -8,6 +8,7 @@ from .analysis import (
     revival_analysis,
     scan_lambda,
     scan_time,
+    scan_transition,
 )
 from .entropy import EntropyReport, dem_closed_form, dem_exact, relative_entropy
 from .model import (
@@ -17,7 +18,6 @@ from .model import (
     ModelParams,
     closed_form_coeffs,
     evolve,
-    propagator,
 )
 
 __version__ = "0.1.0"
@@ -35,9 +35,9 @@ __all__ = [
     "dem_closed_form",
     "dem_exact",
     "evolve",
-    "propagator",
     "relative_entropy",
     "revival_analysis",
     "scan_lambda",
     "scan_time",
+    "scan_transition",
 ]

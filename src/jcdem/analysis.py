@@ -9,33 +9,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import dem_closed_form, dem_exact
-from .linalg import dagger
 from .model import (
     AtomState,
     FieldConfig,
     ModelParams,
     closed_form_coeffs,
-    initial_joint_state,
-    propagator,
+    evolve,
+    evolve_vectors,
+    time_chunks,
 )
 
 MAX_GRID_POINTS = 1_000_000
 # Numerical slack for the revival-time monotonicity comparison.
 CONJECTURE_SLACK = 1e-9
-# Window width (time units) used to quantify the oscillation amplitude
-# when checking for collapse; the revival detector sizes its own window
-# from the dominant Rabi period instead.
-COLLAPSE_WINDOW = 2.0
 
-TIME_COLUMNS = (
-    "c_closed",
-    "c_exact",
-    "dem_exact",
-    "dem_closed",
-    "s_atom",
-    "s_field",
-    "s_joint",
-)
+TIME_COLUMNS = ("c_closed", "c_exact", "dem_exact", "dem_closed",
+                "s_atom", "s_field", "s_joint")
 
 
 @dataclass(frozen=True)
@@ -111,32 +100,46 @@ def scan_time(
 
     The c columns always follow the excited-start convention: c_exact is
     the excited-level population evolved from lambda1 = 1 even when the
-    requested atom state is mixed, matching the analytic c_closed.
+    requested atom state is mixed, matching the analytic c_closed.  The
+    entropies come from the rank-2 joint state
+    lambda0 |psi_g><psi_g| + lambda1 |psi_e><psi_e| at each time.
     """
     times = time_grid(t_max, dt)
     dims = (2, field.n_max + 1)
-    rho0 = initial_joint_state(atom, field)
-    excited_start = atom.lambda1 == 1.0
-    rho0_exc = rho0 if excited_start else initial_joint_state(
-        AtomState(0.0, 1.0), field
-    )
     cols = {name: np.empty(len(times)) for name in TIME_COLUMNS}
     coeffs = closed_form_coeffs(times, atom, field, params)
     cols["c_closed"] = coeffs.c
     cols["dem_closed"] = dem_closed_form(coeffs, log_base)
-    for i, t in enumerate(times):
-        u = propagator(float(t), params, field.n_max)
-        ud = dagger(u)
-        joint = u @ rho0 @ ud
-        joint = 0.5 * (joint + dagger(joint))
-        report = dem_exact(joint, dims, log_base)
-        joint_exc = joint if excited_start else u @ rho0_exc @ ud
-        cols["c_exact"][i] = joint_exc.diagonal().real[field.n_max + 1 :].sum()
-        cols["dem_exact"][i] = report.dem
-        cols["s_atom"][i] = report.s_atom
-        cols["s_field"][i] = report.s_field
-        cols["s_joint"][i] = report.s_joint
+    for sl in time_chunks(len(times), field.n_max + 1):
+        psi_g, psi_e = evolve_vectors(field, params, times[sl])
+        cols["c_exact"][sl] = np.sum(np.abs(psi_e[:, dims[1] :]) ** 2, axis=1)
+        for i, g, e in zip(range(sl.start, sl.stop), psi_g, psi_e):
+            joint = atom.lambda0 * np.outer(g, g.conj()) + atom.lambda1 * np.outer(
+                e, e.conj()
+            )
+            report = dem_exact(joint, dims, log_base)
+            cols["dem_exact"][i] = report.dem
+            cols["s_atom"][i] = report.s_atom
+            cols["s_field"][i] = report.s_field
+            cols["s_joint"][i] = report.s_joint
     return TimeSeries(times=times, columns=cols)
+
+
+def scan_transition(
+    field: FieldConfig, params: ModelParams, t_max: float, dt: float
+) -> TimeSeries:
+    """Excited-start transition probability alone: c_closed and c_exact.
+
+    The same columns as scan_time's, without any entropy, evaluated in
+    time chunks so memory stays bounded on long grids.
+    """
+    times = time_grid(t_max, dt)
+    c_exact = np.empty(len(times))
+    for sl in time_chunks(len(times), field.n_max + 1):
+        psi_e = evolve_vectors(field, params, times[sl])[1]
+        c_exact[sl] = np.sum(np.abs(psi_e[:, field.n_max + 1 :]) ** 2, axis=1)
+    c_closed = closed_form_coeffs(times, AtomState(0.0, 1.0), field, params).c
+    return TimeSeries(times=times, columns={"c_closed": c_closed, "c_exact": c_exact})
 
 
 def sliding_amplitude(times, values, width: float) -> np.ndarray:
@@ -214,15 +217,15 @@ def scan_lambda(
         raise ValueError(f"k_list must be strictly increasing positive, got {k_list}")
     t1 = revival_period(field, params)
     dims = (2, field.n_max + 1)
-    units = {k: propagator(k * t1, params, field.n_max) for k in k_list}
+    # the joint state at T_k is lambda0 G_k + lambda1 E_k, with G_k and E_k
+    # the evolved ground- and excited-start states
+    pure = (AtomState(1.0, 0.0), AtomState(0.0, 1.0))
+    projectors = {k: [evolve(a, field, params, k * t1) for a in pure] for k in k_list}
     dem_at_T = {k: np.empty(len(lambdas)) for k in k_list}
     for i, lam in enumerate(lambdas):
         atom = AtomState.from_ground_weight(float(lam))
-        rho0 = initial_joint_state(atom, field)
-        for k in k_list:
-            u = units[k]
-            joint = u @ rho0 @ dagger(u)
-            joint = 0.5 * (joint + dagger(joint))
+        for k, (ground, excited) in projectors.items():
+            joint = atom.lambda0 * ground + atom.lambda1 * excited
             dem_at_T[k][i] = dem_exact(joint, dims, log_base).dem
     holds = np.ones(len(lambdas), dtype=bool)
     for k_prev, k_next in zip(k_list, k_list[1:]):

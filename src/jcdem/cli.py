@@ -13,11 +13,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import (
-    TIME_COLUMNS,
     TimeSeries,
     revival_analysis,
     scan_lambda,
     scan_time,
+    scan_transition,
     time_grid,
 )
 from .model import (
@@ -115,23 +115,10 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     args = parser.parse_args(argv)
     if args.lambda_points < 2:
         parser.error(f"--lambda-points must be at least 2, got {args.lambda_points}")
-    out_csv = args.out_csv
-    if out_csv is None:
-        out_csv = f"jc_{args.command.replace('-', '_')}.csv"
-    config = RunConfig(
-        command=args.command,
-        g=args.g,
-        omega0=args.omega0,
-        mean_photons=args.mean_photons,
-        lambda0=args.lambda0,
-        t_max=args.t_max,
-        dt=args.dt,
-        tail_tol=args.tail_tol,
-        log_base=args.log_base,
-        lambda_points=args.lambda_points,
-        out_csv=out_csv,
-        out_svg=args.out_svg,
-    )
+    if args.out_csv is None:
+        args.out_csv = f"jc_{args.command.replace('-', '_')}.csv"
+    # the parser's destinations are exactly RunConfig's fields
+    config = RunConfig(**vars(args))
     try:
         _model(config)
         AtomState.from_ground_weight(config.lambda0)
@@ -147,16 +134,9 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _series_rows(series: TimeSeries, names: Sequence[str]):
+def _series_rows(series: TimeSeries):
     for i, t in enumerate(series.times):
-        yield [f"{t:.12e}"] + [f"{series.columns[name][i]:.12e}" for name in names]
-
-
-def _subset(series: TimeSeries, names: Sequence[str]) -> TimeSeries:
-    return TimeSeries(
-        times=series.times,
-        columns={name: series.columns[name] for name in names},
-    )
+        yield [f"{t:.12e}"] + [f"{col[i]:.12e}" for col in series.columns.values()]
 
 
 def run(config: RunConfig) -> int:
@@ -190,23 +170,16 @@ def run(config: RunConfig) -> int:
         print(f"wrote {config.out_csv}")
         return 0
 
-    # the remaining commands all start from the time scan
     if config.command == "scan-time":
         atom = AtomState.from_ground_weight(config.lambda0)
+        series = scan_time(
+            atom, field, params, config.t_max, config.dt, log_base=config.log_base
+        )
     else:
         # transition probability and revival detection follow the
-        # excited-start convention regardless of --lambda0
-        atom = AtomState(0.0, 1.0)
-    series = scan_time(
-        atom, field, params, config.t_max, config.dt, log_base=config.log_base
-    )
-
-    if config.command == "scan-time":
-        out = series
-        names = list(TIME_COLUMNS)
-    else:
-        names = ["c_closed", "c_exact"]
-        out = _subset(series, names)
+        # excited-start convention regardless of --lambda0, and need no
+        # entropies
+        series = scan_transition(field, params, config.t_max, config.dt)
 
     if config.command == "revival":
         report = revival_analysis(field, params, 3, series)
@@ -215,9 +188,9 @@ def run(config: RunConfig) -> int:
             print(f"T{k}={t_k:.4f}")
         print(f"detected_revival={report.detected_revival:.4f}")
 
-    _write_csv(config.out_csv, ["t"] + names, _series_rows(series, names))
+    _write_csv(config.out_csv, ["t", *series.columns], _series_rows(series))
     if config.out_svg:
-        render_plot(out, config.out_svg, config.command)
+        render_plot(series, config.out_svg, config.command)
         print(f"wrote {config.out_svg}")
     print(f"wrote {config.out_csv}")
     return 0

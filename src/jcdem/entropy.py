@@ -1,6 +1,7 @@
 """Entropy functionals and the mutual-entropy degree of entanglement.
 
-All entropies are computed spectrally from Hermitian eigendecompositions.
+Von Neumann entropies read only the spectrum of a state; the relative
+entropy also needs the eigenvectors of both arguments.
 Natural log is the default; base 2 is selectable everywhere through the
 ``log_base`` argument ("e" or "2").
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigensystem, partial_trace
+from .linalg import hermitian_eigensystem, hermitian_eigenvalues, partial_trace
 from .model import ClosedFormCoeffs
 
 # Eigenvalues at or below EIG_CLIP contribute nothing to entropy sums;
@@ -33,24 +34,19 @@ def _log_scale(log_base: str) -> float:
     raise ValueError(f"log_base must be 'e' or '2', got {log_base!r}")
 
 
-def _checked_spectrum(rho) -> np.ndarray:
-    """Eigenvalues of a state, rejecting genuinely negative ones."""
-    eigs = hermitian_eigensystem(rho).eigenvalues
-    if eigs[0] < -NEGATIVE_EIG_TOL:
-        raise ValueError(f"state has negative eigenvalue {eigs[0]:.3e}")
-    return eigs
-
-
-def _xlogx_sum(p: np.ndarray) -> float:
-    """sum p_k ln p_k with the 0 ln 0 = 0 convention."""
-    live = p > EIG_CLIP
-    return float(np.sum(p[live] * np.log(p[live])))
+def _xlogx(x) -> np.ndarray:
+    """Elementwise x ln x, zero at or below EIG_CLIP."""
+    x = np.asarray(x, dtype=float)
+    live = x > EIG_CLIP
+    return np.where(live, x * np.log(np.where(live, x, 1.0)), 0.0)
 
 
 def von_neumann_entropy(rho, log_base: str = "e") -> float:
-    """-tr(rho log rho); zero exactly on pure states."""
-    s = -_xlogx_sum(_checked_spectrum(rho))
-    return max(s, 0.0) * _log_scale(log_base)
+    """-tr(rho log rho) from the spectrum alone; zero exactly on pure states."""
+    eigs = hermitian_eigenvalues(rho)
+    if eigs[0] < -NEGATIVE_EIG_TOL:
+        raise ValueError(f"state has negative eigenvalue {eigs[0]:.3e}")
+    return max(-float(np.sum(_xlogx(eigs))), 0.0) * _log_scale(log_base)
 
 
 def relative_entropy(sigma, rho, log_base: str = "e") -> float:
@@ -79,7 +75,7 @@ def relative_entropy(sigma, rho, log_base: str = "e") -> float:
         @ overlaps[np.ix_(lam_live, ~mu_dead)]
         @ np.log(mu[~mu_dead])
     )
-    return (_xlogx_sum(lam) - cross) * _log_scale(log_base)
+    return (float(np.sum(_xlogx(lam))) - cross) * _log_scale(log_base)
 
 
 @dataclass(frozen=True)
@@ -114,13 +110,6 @@ def dem_exact(joint, dims: tuple[int, int], log_base: str = "e") -> EntropyRepor
         araki_lieb_ok=(lower >= -AL_SLACK and upper >= -AL_SLACK),
         al_margins=(lower, upper),
     )
-
-
-def _xlogx(x) -> np.ndarray:
-    """Elementwise x ln x, zero at or below EIG_CLIP."""
-    x = np.asarray(x, dtype=float)
-    live = x > EIG_CLIP
-    return np.where(live, x * np.log(np.where(live, x, 1.0)), 0.0)
 
 
 def dem_closed_form(coeffs: ClosedFormCoeffs, log_base: str = "e"):

@@ -1,14 +1,19 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately built a different way than the package:
-the Hamiltonian from raw ladder operators instead of dressed blocks, the
+Most of this is deliberately built a different way than the package: the
+Hamiltonian from raw ladder operators instead of dressed blocks, the
 exponential by scaling and squaring instead of analytic phases, and Poisson
-terms by the product recursion instead of from log-space weights.
+terms by the product recursion instead of from log-space weights.  The
+dense joint-space path (the block-diagonal propagator conjugating the full
+product density matrix) is the package's former evolution path, kept here
+as the reference for the two-vector kernel.
 """
 
 import math
 
 import numpy as np
+
+from jcdem.model import coherent_amplitudes
 
 
 def dense_hamiltonian(g: float, omega0: float, n_max: int) -> np.ndarray:
@@ -86,3 +91,47 @@ def poisson_tail(mean_photons: float, n_max: int) -> float:
         n += 1
         term *= m / n
     return total
+
+
+def coherent_state(theta: complex, n_max: int) -> np.ndarray:
+    """Rank-1 density matrix of the truncated coherent state."""
+    amps = coherent_amplitudes(theta, n_max)
+    return np.outer(amps, amps.conj())
+
+
+def atom_matrix(atom) -> np.ndarray:
+    """2x2 density matrix of a diagonal atom state, ground level first."""
+    return np.diag([atom.lambda0, atom.lambda1]).astype(complex)
+
+
+def initial_joint_state(atom, field) -> np.ndarray:
+    """Product state atom (x) field in the joint basis ordering."""
+    return np.kron(atom_matrix(atom), coherent_state(field.theta, field.n_max))
+
+
+def propagator(t: float, params, n_max: int) -> np.ndarray:
+    """Dense unitary exp(-itH) on the truncated joint space.
+
+    Block-diagonal by excitation number: |1,0> picks up exp(+i omega0 t/2),
+    each sector span{|2,n>, |1,n+1>} rotates at its own Rabi frequency, and
+    the edge state |2,n_max> (whose partner lies outside the truncation)
+    advances with its free phase only, keeping the matrix exactly unitary.
+    """
+    d = 2 * (n_max + 1)
+    u = np.zeros((d, d), dtype=complex)
+    w0, g = params.omega0, params.g
+    u[0, 0] = np.exp(1j * w0 * t / 2.0)
+    u[d - 1, d - 1] = np.exp(-1j * w0 * (n_max + 0.5) * t)
+    n = np.arange(n_max)
+    omega = g * np.sqrt(n + 1.0)
+    phase = np.exp(-1j * w0 * (n + 0.5) * t)
+    diag = np.cos(omega * t) * phase
+    off = -1j * np.sin(omega * t) * phase
+    i_exc = (n_max + 1) + n
+    i_gnd = n + 1
+    u[i_exc, i_exc] = diag
+    u[i_gnd, i_gnd] = diag
+    u[i_exc, i_gnd] = off
+    u[i_gnd, i_exc] = off
+    return u
+

@@ -19,7 +19,14 @@ from jcdem.analysis import revival_analysis, scan_lambda, scan_time, sliding_amp
 from jcdem.cli import main
 from jcdem.entropy import dem_exact, relative_entropy
 from jcdem.linalg import partial_trace
-from jcdem.model import AtomState, FieldConfig, ModelParams, evolve, propagator
+from jcdem.model import (
+    AtomState,
+    FieldConfig,
+    ModelParams,
+    coherent_amplitudes,
+    evolve,
+    evolve_vectors,
+)
 
 FIELD = FieldConfig.from_mean_photons(5.0)
 PARAMS = ModelParams()
@@ -179,12 +186,15 @@ def test_criterion_08_entropy_triangle_inequalities(scans):
 
 
 def test_criterion_09_oracle_equivalences(scans):
+    # a field that fills every level up to the edge n_max = 3
+    small = FieldConfig(theta=0.6 + 0.8j, n_max=3, tail_tol=0.5)
     h = dense_hamiltonian(1.0, 1.0, 3)
+    amps = coherent_amplitudes(small.theta, 3)
+    starts = (np.kron([1.0, 0.0], amps), np.kron([0.0, 1.0], amps))
     prop_gap = max(
-        np.abs(
-            propagator(t, ModelParams(), 3) - expm_taylor(-1j * t * h)
-        ).max()
+        np.abs(psi - expm_taylor(-1j * t * h) @ start).max()
         for t in (0.7, 2.3, 5.0)
+        for psi, start in zip(evolve_vectors(small, ModelParams(), t), starts)
     )
 
     rng = np.random.default_rng(909)
@@ -208,7 +218,7 @@ def test_criterion_09_oracle_equivalences(scans):
     check(
         9,
         ok,
-        f"propagator vs expm {prop_gap:.1e}, partial trace vs brute force "
+        f"evolved states vs expm {prop_gap:.1e}, partial trace vs brute force "
         f"{trace_gap:.1e}, dem vs relative entropy {dem_gap:.1e}",
     )
 

@@ -1,10 +1,12 @@
 """Tests for time scans, revival detection, and the lambda sweep."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import jcdem.analysis
 from jcdem.analysis import (
     CONJECTURE_SLACK,
     MAX_GRID_POINTS,
@@ -15,9 +17,11 @@ from jcdem.analysis import (
     revival_period,
     scan_lambda,
     scan_time,
+    scan_transition,
     sliding_amplitude,
     time_grid,
 )
+from jcdem.cli import main
 from jcdem.entropy import dem_closed_form
 from jcdem.model import AtomState, FieldConfig, ModelParams, closed_form_coeffs
 
@@ -94,6 +98,37 @@ def test_scan_time_closed_form_matches_exact_transition(excited_series):
         excited_series.columns["c_closed"] - excited_series.columns["c_exact"]
     ).max()
     assert gap <= 1e-12
+
+
+def test_scan_transition_equals_the_scan_time_c_columns(mixed_series):
+    series = scan_transition(FIELD, PARAMS, 10.0, 0.05)
+    assert np.array_equal(series.times, mixed_series.times)
+    assert tuple(series.columns) == ("c_closed", "c_exact")
+    for name, col in series.columns.items():
+        assert np.array_equal(col, mixed_series.columns[name])
+
+
+def test_transition_and_revival_compute_no_entropies(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dem_exact called")
+
+    monkeypatch.setattr(jcdem.analysis, "dem_exact", refuse)
+    series = scan_transition(FIELD, PARAMS, 22.0, 0.05)
+    revival_analysis(FIELD, PARAMS, 3, series)
+    for command in ("transition", "revival"):
+        assert main([command, "--out-csv", str(tmp_path / f"{command}.csv")]) == 0
+
+
+def test_scan_transition_memory_is_bounded_on_long_grids():
+    field = FieldConfig.from_mean_photons(200.0)
+    tracemalloc.start()
+    try:
+        series = scan_transition(field, PARAMS, 1000.0, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(series.times) == 100_001
+    assert peak < 64 * 2**20
 
 
 def test_scan_time_joint_entropy_constant(mixed_series):

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from jcdem.linalg import EigenSystem, dagger, hermitian_eigensystem, partial_trace
-from jcdem.model import AtomState, FieldConfig, coherent_state, initial_joint_state
+from oracles import atom_matrix, coherent_state, initial_joint_state
+
+from jcdem.linalg import (
+    EigenSystem,
+    dagger,
+    hermitian_eigensystem,
+    hermitian_eigenvalues,
+    partial_trace,
+)
+from jcdem.model import AtomState, FieldConfig
 
 
 def random_density(rng, dim):
@@ -23,6 +31,7 @@ def test_tensor_product_matches_index_formula():
     atom = AtomState.from_ground_weight(0.7)
     field = FieldConfig.from_mean_photons(1.0)
     na = field.n_max + 1
+    rho_a = atom_matrix(atom)
     omega = coherent_state(field.theta, field.n_max)
     joint = initial_joint_state(atom, field)
     expected = np.empty((2 * na, 2 * na), dtype=complex)
@@ -30,9 +39,9 @@ def test_tensor_product_matches_index_formula():
         for j in range(2):
             for k in range(na):
                 for l in range(na):
-                    expected[i * na + k, j * na + l] = atom.matrix()[i, j] * omega[k, l]
+                    expected[i * na + k, j * na + l] = rho_a[i, j] * omega[k, l]
     assert np.abs(joint - expected).max() <= 1e-15
-    assert np.allclose(partial_trace(joint, (2, na), "atom"), atom.matrix(), atol=1e-12)
+    assert np.allclose(partial_trace(joint, (2, na), "atom"), rho_a, atol=1e-12)
 
 
 def test_tensor_product_projectors():
@@ -129,6 +138,17 @@ def test_eigensystem_rejects_non_hermitian():
 def test_eigensystem_rejects_non_square():
     with pytest.raises(ValueError):
         hermitian_eigensystem(np.zeros((2, 3)))
+
+
+def test_eigenvalues_match_eigensystem_and_share_its_checks():
+    rng = np.random.default_rng(19)
+    for dim in (1, 4, 33):
+        m = random_hermitian(rng, dim)
+        w = hermitian_eigenvalues(m)
+        assert np.abs(w - hermitian_eigensystem(m).eigenvalues).max() <= 1e-12
+    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 3))):
+        with pytest.raises(ValueError):
+            hermitian_eigenvalues(bad)
 
 
 def test_eigensystem_symmetrizes_round_off():

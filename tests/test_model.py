@@ -8,9 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    atom_matrix,
+    coherent_state,
     dense_hamiltonian,
     expm_taylor,
+    initial_joint_state,
     poisson_tail,
+    propagator,
     truncation_dim_by_recursion,
 )
 
@@ -19,16 +23,15 @@ from jcdem.linalg import dagger, hermitian_eigensystem, partial_trace
 from jcdem.model import (
     DEFAULT_TAIL_TOL,
     GUARD_LEVELS,
+    _poisson_tails,
     AtomState,
     FieldConfig,
     ModelParams,
     closed_form_coeffs,
     coherent_amplitudes,
-    coherent_state,
     evolve,
-    initial_joint_state,
+    evolve_vectors,
     poisson_weights,
-    propagator,
     truncation_dim,
 )
 
@@ -92,6 +95,16 @@ def test_truncation_holds_over_the_parameter_range(m, tol):
     # c(0) is the kept Poisson mass, 1 - tail; the lgamma exponents of the
     # weights carry an absolute error of order m * 1e-16
     assert abs(c0 - 1.0) <= tol + 1e-14 * max(m, 1.0)
+
+
+def test_poisson_tails_are_computed_once_per_mean():
+    _poisson_tails.cache_clear()
+    field = FieldConfig.from_mean_photons(1e5)
+    # sizing and validation read the same cached tails
+    assert _poisson_tails.cache_info().misses == 1
+    FieldConfig.from_mean_photons(1e5)
+    assert _poisson_tails.cache_info().misses == 1
+    assert not _poisson_tails(field.mean_photons).flags.writeable
 
 
 def test_truncation_dim_monotone_in_tol():
@@ -175,7 +188,6 @@ def test_field_config_rejects_non_finite_mean(m):
 def test_atom_state():
     atom = AtomState.from_ground_weight(0.7)
     assert atom.lambda1 == pytest.approx(0.3)
-    assert np.allclose(atom.matrix(), np.diag([0.7, 0.3]))
     with pytest.raises(ValueError):
         AtomState(1.2, -0.2)
     with pytest.raises(ValueError):
@@ -284,6 +296,42 @@ def test_propagator_exact_block_structure():
     assert np.all(u[~allowed] == 0.0)
 
 
+@pytest.mark.parametrize("omega0", [0.0, 1.0, 5.0])
+def test_evolve_vectors_match_the_dense_propagator(omega0):
+    # m = 3 on levels 0..6 puts real weight on the edge level |2,6>
+    field = FieldConfig(theta=math.sqrt(3.0) * np.exp(0.4j), n_max=6, tail_tol=0.5)
+    params = ModelParams(g=0.9, omega0=omega0)
+    amps = coherent_amplitudes(field.theta, 6)
+    starts = (np.kron([1.0, 0.0], amps), np.kron([0.0, 1.0], amps))
+    times = np.array([0.0, 0.37, 5.0, 17.7, 50.0])
+    vectors = evolve_vectors(field, params, times)
+    assert all(psi.shape == (5, 14) for psi in vectors)
+    assert abs(vectors[1][-1, -1]) > 0.1
+    for i, t in enumerate(times):
+        u = propagator(float(t), params, 6)
+        for psi, start in zip(vectors, starts):
+            assert np.abs(psi[i] - u @ start).max() <= 1e-13
+
+
+def test_evolve_vectors_over_time_arrays_match_scalar_calls():
+    field = FieldConfig.from_mean_photons(200.0)
+    times = np.linspace(0.0, 100.0, 1000).reshape(10, 100)
+    psi_g, psi_e = evolve_vectors(field, ModelParams(), times)
+    assert psi_g.shape == psi_e.shape == (10, 100, 2 * (field.n_max + 1))
+    for idx in ((0, 0), (4, 17), (9, 99)):
+        g, e = evolve_vectors(field, ModelParams(), times[idx])
+        assert np.array_equal(psi_g[idx], g) and np.array_equal(psi_e[idx], e)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.floats(0.0, 300.0), t=st.floats(0.0, 500.0))
+def test_evolved_states_stay_orthonormal(m, t):
+    psi_g, psi_e = evolve_vectors(FieldConfig.from_mean_photons(m), ModelParams(), t)
+    assert abs(np.vdot(psi_g, psi_g).real - 1.0) <= 1e-13
+    assert abs(np.vdot(psi_e, psi_e).real - 1.0) <= 1e-13
+    assert abs(np.vdot(psi_g, psi_e)) <= 1e-13
+
+
 def test_initial_joint_state_ordering():
     # excited-start support must sit entirely in the upper atom block
     field = FieldConfig.from_mean_photons(2.0)
@@ -297,7 +345,7 @@ def test_evolve_t0_is_product_state():
     field = default_field()
     atom = AtomState.from_ground_weight(0.7)
     joint = evolve(atom, field, ModelParams(), 0.0)
-    expected = np.kron(atom.matrix(), coherent_state(field.theta, field.n_max))
+    expected = np.kron(atom_matrix(atom), coherent_state(field.theta, field.n_max))
     assert np.abs(joint - expected).max() <= 1e-14
 
 
@@ -363,6 +411,18 @@ def test_closed_form_coeffs_vectorised_matches_scalar_calls():
     grid = closed_form_coeffs(times, atom, field, ModelParams())
     for i, t in enumerate(times):
         point = closed_form_coeffs(float(t), atom, field, ModelParams())
+        for name in grid._fields:
+            assert abs(getattr(grid, name)[i] - getattr(point, name)) <= 1e-15
+
+
+def test_closed_form_coeffs_over_chunks_match_scalar_calls():
+    # 313 levels split 1000 times into several chunks
+    field = FieldConfig.from_mean_photons(200.0)
+    atom = AtomState.from_ground_weight(0.7)
+    times = np.linspace(0.0, 100.0, 1000)
+    grid = closed_form_coeffs(times, atom, field, ModelParams())
+    for i in (0, 417, 418, 999):
+        point = closed_form_coeffs(times[i], atom, field, ModelParams())
         for name in grid._fields:
             assert abs(getattr(grid, name)[i] - getattr(point, name)) <= 1e-15
 
