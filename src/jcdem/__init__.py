@@ -10,14 +10,13 @@ from .analysis import (
     scan_time,
     scan_transition,
 )
-from .entropy import EntropyReport, dem_closed_form, dem_exact, relative_entropy
+from .entropy import EntropyReport, dem_closed_form, entropies_at
 from .model import (
     AtomState,
     ClosedFormCoeffs,
     FieldConfig,
     ModelParams,
     closed_form_coeffs,
-    evolve,
 )
 
 __version__ = "0.1.0"
@@ -33,9 +32,7 @@ __all__ = [
     "TimeSeries",
     "closed_form_coeffs",
     "dem_closed_form",
-    "dem_exact",
-    "evolve",
-    "relative_entropy",
+    "entropies_at",
     "revival_analysis",
     "scan_lambda",
     "scan_time",

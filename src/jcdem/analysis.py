@@ -8,13 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import dem_closed_form, dem_exact
+from .entropy import dem_closed_form, entropies_at
 from .model import (
     AtomState,
     FieldConfig,
     ModelParams,
     closed_form_coeffs,
-    evolve,
     evolve_vectors,
     time_chunks,
 )
@@ -72,6 +71,8 @@ class RevivalReport:
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
     """Grid {0, dt, 2dt, ...} up to and including floor(t_max/dt)*dt."""
+    if not (math.isfinite(t_max) and math.isfinite(dt)):
+        raise ValueError(f"t_max and dt must be finite, got t_max={t_max}, dt={dt}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_max <= dt:
@@ -88,6 +89,17 @@ def revival_period(field: FieldConfig, params: ModelParams) -> float:
     return 2.0 * math.pi * math.sqrt(field.mean_photons) / params.g
 
 
+def _excited_population(
+    field: FieldConfig, params: ModelParams, times: np.ndarray
+) -> np.ndarray:
+    """Excited-level weight of the excited-start state, in time chunks."""
+    c_exact = np.empty(len(times))
+    for sl in time_chunks(len(times), field.n_max + 1):
+        psi_e = evolve_vectors(field, params, times[sl])[1]
+        c_exact[sl] = np.sum(np.abs(psi_e[:, field.n_max + 1 :]) ** 2, axis=1)
+    return c_exact
+
+
 def scan_time(
     atom: AtomState,
     field: FieldConfig,
@@ -101,28 +113,15 @@ def scan_time(
     The c columns always follow the excited-start convention: c_exact is
     the excited-level population evolved from lambda1 = 1 even when the
     requested atom state is mixed, matching the analytic c_closed.  The
-    entropies come from the rank-2 joint state
-    lambda0 |psi_g><psi_g| + lambda1 |psi_e><psi_e| at each time.
+    entropies are entropies_at's over the grid.
     """
     times = time_grid(t_max, dt)
-    dims = (2, field.n_max + 1)
-    cols = {name: np.empty(len(times)) for name in TIME_COLUMNS}
     coeffs = closed_form_coeffs(times, atom, field, params)
-    cols["c_closed"] = coeffs.c
-    cols["dem_closed"] = dem_closed_form(coeffs, log_base)
-    for sl in time_chunks(len(times), field.n_max + 1):
-        psi_g, psi_e = evolve_vectors(field, params, times[sl])
-        cols["c_exact"][sl] = np.sum(np.abs(psi_e[:, dims[1] :]) ** 2, axis=1)
-        for i, g, e in zip(range(sl.start, sl.stop), psi_g, psi_e):
-            joint = atom.lambda0 * np.outer(g, g.conj()) + atom.lambda1 * np.outer(
-                e, e.conj()
-            )
-            report = dem_exact(joint, dims, log_base)
-            cols["dem_exact"][i] = report.dem
-            cols["s_atom"][i] = report.s_atom
-            cols["s_field"][i] = report.s_field
-            cols["s_joint"][i] = report.s_joint
-    return TimeSeries(times=times, columns=cols)
+    report = entropies_at(atom, field, params, times, log_base)
+    columns = (coeffs.c, _excited_population(field, params, times), report.dem,
+               dem_closed_form(coeffs, log_base), report.s_atom, report.s_field,
+               report.s_joint)
+    return TimeSeries(times=times, columns=dict(zip(TIME_COLUMNS, columns)))
 
 
 def scan_transition(
@@ -134,11 +133,8 @@ def scan_transition(
     time chunks so memory stays bounded on long grids.
     """
     times = time_grid(t_max, dt)
-    c_exact = np.empty(len(times))
-    for sl in time_chunks(len(times), field.n_max + 1):
-        psi_e = evolve_vectors(field, params, times[sl])[1]
-        c_exact[sl] = np.sum(np.abs(psi_e[:, field.n_max + 1 :]) ** 2, axis=1)
     c_closed = closed_form_coeffs(times, AtomState(0.0, 1.0), field, params).c
+    c_exact = _excited_population(field, params, times)
     return TimeSeries(times=times, columns={"c_closed": c_closed, "c_exact": c_exact})
 
 
@@ -215,18 +211,14 @@ def scan_lambda(
         raise ValueError("lambda grid must be nonempty and lie in [0, 1]")
     if list(k_list) != sorted(set(k_list)) or min(k_list) < 1:
         raise ValueError(f"k_list must be strictly increasing positive, got {k_list}")
-    t1 = revival_period(field, params)
-    dims = (2, field.n_max + 1)
-    # the joint state at T_k is lambda0 G_k + lambda1 E_k, with G_k and E_k
-    # the evolved ground- and excited-start states
-    pure = (AtomState(1.0, 0.0), AtomState(0.0, 1.0))
-    projectors = {k: [evolve(a, field, params, k * t1) for a in pure] for k in k_list}
-    dem_at_T = {k: np.empty(len(lambdas)) for k in k_list}
-    for i, lam in enumerate(lambdas):
-        atom = AtomState.from_ground_weight(float(lam))
-        for k, (ground, excited) in projectors.items():
-            joint = atom.lambda0 * ground + atom.lambda1 * excited
-            dem_at_T[k][i] = dem_exact(joint, dims, log_base).dem
+    times = revival_period(field, params) * np.asarray(k_list, dtype=float)
+    dem = np.array([
+        entropies_at(
+            AtomState.from_ground_weight(float(lam)), field, params, times, log_base
+        ).dem
+        for lam in lambdas
+    ])
+    dem_at_T = {k: dem[:, j] for j, k in enumerate(k_list)}
     holds = np.ones(len(lambdas), dtype=bool)
     for k_prev, k_next in zip(k_list, k_list[1:]):
         holds &= dem_at_T[k_prev] <= dem_at_T[k_next] + CONJECTURE_SLACK

@@ -1,7 +1,7 @@
 """Entropy functionals and the mutual-entropy degree of entanglement.
 
-Von Neumann entropies read only the spectrum of a state; the relative
-entropy also needs the eigenvectors of both arguments.
+Von Neumann entropies read only the spectrum of a state.  entropies_at is
+the one place the evolved joint density matrix is formed.
 Natural log is the default; base 2 is selectable everywhere through the
 ``log_base`` argument ("e" or "2").
 """
@@ -13,16 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigensystem, hermitian_eigenvalues, partial_trace
-from .model import ClosedFormCoeffs
+from .linalg import hermitian_eigenvalues, partial_trace
+from .model import (
+    AtomState,
+    ClosedFormCoeffs,
+    FieldConfig,
+    ModelParams,
+    evolve_vectors,
+    time_chunks,
+)
 
 # Eigenvalues at or below EIG_CLIP contribute nothing to entropy sums;
 # below -NEGATIVE_EIG_TOL the state itself is invalid.
 EIG_CLIP = 1e-12
 NEGATIVE_EIG_TOL = 1e-10
-# Probability mass sigma may place outside rho's support before the
-# relative entropy is declared infinite.
-SUPPORT_TOL = 1e-9
 AL_SLACK = 1e-8
 
 
@@ -49,38 +53,13 @@ def von_neumann_entropy(rho, log_base: str = "e") -> float:
     return max(-float(np.sum(_xlogx(eigs))), 0.0) * _log_scale(log_base)
 
 
-def relative_entropy(sigma, rho, log_base: str = "e") -> float:
-    """tr sigma (log sigma - log rho), or +inf outside rho's support.
-
-    Evaluated from both eigensystems as
-    sum_i lam_i log lam_i - sum_ij lam_i |<v_i|w_j>|^2 log mu_j,
-    where (lam, v) and (mu, w) diagonalize sigma and rho.
-    """
-    lam, v = hermitian_eigensystem(sigma)
-    mu, w = hermitian_eigensystem(rho)
-    if lam.shape != mu.shape:
-        raise ValueError(
-            f"dimension mismatch: {lam.shape[0]} vs {mu.shape[0]}"
-        )
-    if lam[0] < -NEGATIVE_EIG_TOL or mu[0] < -NEGATIVE_EIG_TOL:
-        raise ValueError("negative eigenvalue in relative entropy argument")
-    overlaps = np.abs(v.conj().T @ w) ** 2
-    lam_live = lam > EIG_CLIP
-    mu_dead = mu <= EIG_CLIP
-    stray = float(lam[lam_live] @ overlaps[np.ix_(lam_live, mu_dead)].sum(axis=1))
-    if stray > SUPPORT_TOL:
-        return math.inf
-    cross = float(
-        lam[lam_live]
-        @ overlaps[np.ix_(lam_live, ~mu_dead)]
-        @ np.log(mu[~mu_dead])
-    )
-    return (float(np.sum(_xlogx(lam))) - cross) * _log_scale(log_base)
-
-
 @dataclass(frozen=True)
 class EntropyReport:
-    """Marginal and joint entropies of a bipartite state, with the DEM."""
+    """Marginal and joint entropies of a bipartite state, with the DEM.
+
+    dem_exact fills it with floats for one state; entropies_at with arrays
+    shaped like its times.
+    """
 
     s_atom: float
     s_field: float
@@ -90,16 +69,10 @@ class EntropyReport:
     al_margins: tuple[float, float]
 
 
-def dem_exact(joint, dims: tuple[int, int], log_base: str = "e") -> EntropyReport:
-    """Degree of entanglement S(rho_A) + S(rho_F) - S(joint).
-
-    Also evaluates both triangle-inequality bounds: al_margins holds
-    (s_joint - |s_atom - s_field|, s_atom + s_field - s_joint), each
-    nonnegative up to AL_SLACK on a valid state.
-    """
-    s_atom = von_neumann_entropy(partial_trace(joint, dims, "atom"), log_base)
-    s_field = von_neumann_entropy(partial_trace(joint, dims, "field"), log_base)
-    s_joint = von_neumann_entropy(joint, log_base)
+def _report(s_atom, s_field, s_joint) -> EntropyReport:
+    """The DEM and the triangle-inequality margins (s_joint - |s_atom -
+    s_field|, s_atom + s_field - s_joint), each nonnegative up to AL_SLACK
+    on a valid state.  Works alike on floats and on arrays of them."""
     lower = s_joint - abs(s_atom - s_field)
     upper = s_atom + s_field - s_joint
     return EntropyReport(
@@ -107,9 +80,43 @@ def dem_exact(joint, dims: tuple[int, int], log_base: str = "e") -> EntropyRepor
         s_field=s_field,
         s_joint=s_joint,
         dem=upper,
-        araki_lieb_ok=(lower >= -AL_SLACK and upper >= -AL_SLACK),
+        araki_lieb_ok=(lower >= -AL_SLACK) & (upper >= -AL_SLACK),
         al_margins=(lower, upper),
     )
+
+
+def dem_exact(joint, dims: tuple[int, int], log_base: str = "e") -> EntropyReport:
+    """Degree of entanglement S(rho_A) + S(rho_F) - S(joint), with margins."""
+    return _report(
+        von_neumann_entropy(partial_trace(joint, dims, "atom"), log_base),
+        von_neumann_entropy(partial_trace(joint, dims, "field"), log_base),
+        von_neumann_entropy(joint, log_base),
+    )
+
+
+def entropies_at(
+    atom: AtomState, field: FieldConfig, params: ModelParams, t, log_base: str = "e"
+) -> EntropyReport:
+    """Entropies and DEM of the evolved joint state at a scalar or array of times.
+
+    At each time the rank-2 joint state lambda0 |psi_g><psi_g| +
+    lambda1 |psi_e><psi_e| of the evolve_vectors states goes through
+    dem_exact.  Every field of the report has the shape of t, and
+    al_margins holds two such arrays; a scalar t gives scalars.
+    """
+    t = np.asarray(t, dtype=float)
+    dims = (2, field.n_max + 1)
+    entropies = np.empty((3, t.size))
+    for sl in time_chunks(t.size, dims[1]):
+        psi_g, psi_e = evolve_vectors(field, params, t.reshape(-1)[sl])
+        for i, g, e in zip(range(sl.start, sl.stop), psi_g, psi_e):
+            joint = atom.lambda0 * np.outer(g, g.conj()) + atom.lambda1 * np.outer(
+                e, e.conj()
+            )
+            report = dem_exact(joint, dims, log_base)
+            entropies[:, i] = report.s_atom, report.s_field, report.s_joint
+    # [()] unwraps a scalar time's 0-d results to numpy floats
+    return _report(*(row.reshape(t.shape)[()] for row in entropies))
 
 
 def dem_closed_form(coeffs: ClosedFormCoeffs, log_base: str = "e"):

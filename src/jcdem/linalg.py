@@ -7,24 +7,13 @@ row-major and all algorithms are direct.
 
 from __future__ import annotations
 
-from typing import Literal, NamedTuple
+from typing import Literal
 
 import numpy as np
 
 # Below this deviation a matrix is accepted as Hermitian and symmetrized;
 # above it the input is considered a genuine bug.
 HERMITICITY_ATOL = 1e-10
-
-
-class EigenSystem(NamedTuple):
-    """Spectral decomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -64,8 +53,12 @@ def partial_trace(
     raise ValueError(f"keep must be 'atom' or 'field', got {keep!r}")
 
 
-def _symmetrized(m, atol: float) -> np.ndarray:
-    """(M + M^dag)/2 of a square M within ``atol`` of Hermitian; else ValueError."""
+def hermitian_eigenvalues(m, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
+
+    Inputs within ``atol`` of Hermitian are symmetrized as (M + M^dag)/2
+    first; larger deviations and non-square inputs raise ValueError.
+    """
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
@@ -74,22 +67,4 @@ def _symmetrized(m, atol: float) -> np.ndarray:
         raise ValueError(
             f"matrix is not Hermitian: max |M - M^dag| = {deviation:.3e} > {atol:.1e}"
         )
-    return 0.5 * (m + dagger(m))
-
-
-def hermitian_eigensystem(m, atol: float = HERMITICITY_ATOL) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Inputs within ``atol`` of Hermitian are symmetrized as (M + M^dag)/2
-    before diagonalizing; larger deviations raise ValueError.
-    """
-    w, v = np.linalg.eigh(_symmetrized(m, atol))
-    return EigenSystem(w, v)
-
-
-def hermitian_eigenvalues(m, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
-
-    Same checks as hermitian_eigensystem, at a fraction of eigh's cost.
-    """
-    return np.linalg.eigvalsh(_symmetrized(m, atol))
+    return np.linalg.eigvalsh(0.5 * (m + dagger(m)))

@@ -38,16 +38,21 @@ CHUNK_ELEMENTS = 1 << 17
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coupling strength and resonance frequency, both in units of 1/time."""
+    """Coupling strength and resonance frequency, both in units of 1/time.
+
+    omega0 sets only the free phases, which no output depends on.
+    """
 
     g: float = DEFAULT_G
     omega0: float = DEFAULT_OMEGA0
 
     def __post_init__(self) -> None:
-        if not self.g > 0:
-            raise ValueError(f"g must be positive, got {self.g}")
-        if not self.omega0 >= 0:
-            raise ValueError(f"omega0 must be nonnegative, got {self.omega0}")
+        if not 0.0 < self.g < math.inf:
+            raise ValueError(f"g must be finite and positive, got {self.g}")
+        if not 0.0 <= self.omega0 < math.inf:
+            raise ValueError(
+                f"omega0 must be finite and nonnegative, got {self.omega0}"
+            )
 
 
 @dataclass(frozen=True)
@@ -202,47 +207,31 @@ def coherent_amplitudes(theta: complex, n_max: int) -> np.ndarray:
 def evolve_vectors(
     field: FieldConfig, params: ModelParams, t
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evolved product states U(t)|1,theta> and U(t)|2,theta>.
+    """exp(+i t H0) U(t) |1,theta> and |2,theta>: interaction-picture states.
 
-    t is a scalar or an array of times; each state comes back shaped
-    t.shape + (2 (n_max + 1),) in the module's basis order, so callers bound
-    memory on long grids by passing time_chunks of them.  Each doublet
-    {|2,n>, |1,n+1>} rotates at Omega_n = g sqrt(n+1) under the common free
-    phase exp(-i omega0 (n + 1/2) t); |1,0> only picks up exp(+i omega0 t/2),
-    and the edge |2,n_max>, whose partner lies outside the truncation,
-    advances with its free phase alone, so the evolution is exactly unitary.
+    The free Hamiltonian H0 commutes with the coupling on resonance, so its
+    phases are a local unitary that no entropy or population can see, and
+    they are left out.  t is a scalar or an array of times; each state is
+    shaped t.shape + (2 (n_max + 1),) in the module's basis order, so
+    callers bound memory by passing time_chunks of a long grid.  Each
+    doublet {|2,n>, |1,n+1>} rotates at Omega_n = g sqrt(n+1); |1,0> and the
+    edge |2,n_max>, whose partner lies outside the truncation, stay put.
     """
     t = np.asarray(t, dtype=float)
-    n_max, w0 = field.n_max, params.omega0
+    n_max = field.n_max
     amps = coherent_amplitudes(field.theta, n_max)
-    n = np.arange(n_max)
-    rabi_t = params.g * np.sqrt(n + 1.0) * t[..., None]
-    phase = np.exp(-1j * (w0 * (n + 0.5) * t[..., None]))
-    diag = np.cos(rabi_t) * phase
-    off = -1j * np.sin(rabi_t) * phase
+    rabi_t = params.g * np.sqrt(np.arange(1.0, n_max + 1)) * t[..., None]
+    diag = np.cos(rabi_t)
+    off = -1j * np.sin(rabi_t)
     psi_g = np.zeros(t.shape + (2 * (n_max + 1),), dtype=complex)
     psi_e = np.zeros_like(psi_g)
-    psi_g[..., 0] = amps[0] * np.exp(1j * w0 * t / 2.0)
+    psi_g[..., 0] = amps[0]
     psi_g[..., 1 : n_max + 1] = diag * amps[1:]
     psi_g[..., n_max + 1 : -1] = off * amps[1:]
     psi_e[..., 1 : n_max + 1] = off * amps[:-1]
     psi_e[..., n_max + 1 : -1] = diag * amps[:-1]
-    psi_e[..., -1] = amps[-1] * np.exp(-1j * w0 * (n_max + 0.5) * t)
+    psi_e[..., -1] = amps[-1]
     return psi_g, psi_e
-
-
-def evolve(
-    atom: AtomState, field: FieldConfig, params: ModelParams, t: float
-) -> np.ndarray:
-    """Joint state U_t (rho (x) omega) U_t^dag at time t.
-
-    For the diagonal atom rho this is lambda0 |psi_g><psi_g| +
-    lambda1 |psi_e><psi_e| of the evolve_vectors states, exactly Hermitian.
-    """
-    psi_g, psi_e = evolve_vectors(field, params, float(t))
-    return atom.lambda0 * np.outer(psi_g, psi_g.conj()) + atom.lambda1 * np.outer(
-        psi_e, psi_e.conj()
-    )
 
 
 def closed_form_coeffs(

@@ -6,14 +6,24 @@ exponential by scaling and squaring instead of analytic phases, and Poisson
 terms by the product recursion instead of from log-space weights.  The
 dense joint-space path (the block-diagonal propagator conjugating the full
 product density matrix) is the package's former evolution path, kept here
-as the reference for the two-vector kernel.
+as the reference for the two-vector kernel, together with the full
+eigensystem and the relative entropy that only these checks need.
+vector_joint alone is not independent: it assembles the dense joint state
+from the package's own evolved vectors, for tests of those vectors.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from jcdem.model import coherent_amplitudes
+from jcdem.entropy import EIG_CLIP, NEGATIVE_EIG_TOL, _log_scale, _xlogx
+from jcdem.linalg import partial_trace
+from jcdem.model import coherent_amplitudes, evolve_vectors
+
+# Probability mass sigma may place outside rho's support before the
+# relative entropy is declared infinite.
+SUPPORT_TOL = 1e-9
 
 
 def dense_hamiltonian(g: float, omega0: float, n_max: int) -> np.ndarray:
@@ -36,6 +46,16 @@ def dense_hamiltonian(g: float, omega0: float, n_max: int) -> np.ndarray:
         + np.kron(raise_atom.conj().T, lower.conj().T)
     )
     return h
+
+
+def free_evolution(t: float, omega0: float, n_max: int) -> np.ndarray:
+    """exp(+i t H0) for the free Hamiltonian H0 = dense_hamiltonian(0, omega0, n_max).
+
+    H0 is diagonal, so its exponential is taken entry by entry.  It takes
+    a Schroedinger-picture state to the interaction picture the package's
+    evolve_vectors works in.
+    """
+    return np.diag(np.exp(1j * t * np.diag(dense_hamiltonian(0.0, omega0, n_max)).real))
 
 
 def expm_taylor(m: np.ndarray) -> np.ndarray:
@@ -135,3 +155,79 @@ def propagator(t: float, params, n_max: int) -> np.ndarray:
     u[i_gnd, i_exc] = off
     return u
 
+
+
+def propagated_joint(atom, field, params, t: float) -> np.ndarray:
+    """U(t) (rho (x) omega) U(t)^dag from the dense propagator."""
+    u = propagator(t, params, field.n_max)
+    return u @ initial_joint_state(atom, field) @ u.conj().T
+
+
+def vector_joint(atom, field, params, t: float) -> np.ndarray:
+    """lambda0 |psi_g><psi_g| + lambda1 |psi_e><psi_e| of the package's
+    evolve_vectors states at one time, as a dense matrix."""
+    psi_g, psi_e = evolve_vectors(field, params, float(t))
+    return atom.lambda0 * np.outer(psi_g, psi_g.conj()) + atom.lambda1 * np.outer(
+        psi_e, psi_e.conj()
+    )
+
+
+def marginal_product(joint, dims) -> np.ndarray:
+    """rho_A (x) rho_F of a bipartite joint state."""
+    return np.kron(
+        partial_trace(joint, dims, "atom"), partial_trace(joint, dims, "field")
+    )
+
+
+class EigenSystem(NamedTuple):
+    """Spectral decomposition of a Hermitian matrix.
+
+    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
+    matching orthonormal eigenvectors as columns.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def hermitian_eigensystem(m, atol: float = 1e-10) -> EigenSystem:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+
+    Square inputs within ``atol`` of Hermitian are symmetrized as
+    (M + M^dag)/2 before diagonalizing; anything else raises ValueError.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.size and np.abs(m - m.conj().T).max() > atol:
+        raise ValueError("matrix is not Hermitian")
+    return EigenSystem(*np.linalg.eigh(0.5 * (m + m.conj().T)))
+
+
+def relative_entropy(sigma, rho, log_base: str = "e") -> float:
+    """tr sigma (log sigma - log rho), or +inf outside rho's support.
+
+    Evaluated from both eigensystems as
+    sum_i lam_i log lam_i - sum_ij lam_i |<v_i|w_j>|^2 log mu_j,
+    where (lam, v) and (mu, w) diagonalize sigma and rho.
+    """
+    lam, v = hermitian_eigensystem(sigma)
+    mu, w = hermitian_eigensystem(rho)
+    if lam.shape != mu.shape:
+        raise ValueError(
+            f"dimension mismatch: {lam.shape[0]} vs {mu.shape[0]}"
+        )
+    if lam[0] < -NEGATIVE_EIG_TOL or mu[0] < -NEGATIVE_EIG_TOL:
+        raise ValueError("negative eigenvalue in relative entropy argument")
+    overlaps = np.abs(v.conj().T @ w) ** 2
+    lam_live = lam > EIG_CLIP
+    mu_dead = mu <= EIG_CLIP
+    stray = float(lam[lam_live] @ overlaps[np.ix_(lam_live, mu_dead)].sum(axis=1))
+    if stray > SUPPORT_TOL:
+        return math.inf
+    cross = float(
+        lam[lam_live]
+        @ overlaps[np.ix_(lam_live, ~mu_dead)]
+        @ np.log(mu[~mu_dead])
+    )
+    return (float(np.sum(_xlogx(lam))) - cross) * _log_scale(log_base)

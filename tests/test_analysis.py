@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import jcdem.analysis
+from oracles import marginal_product, propagated_joint, relative_entropy
+
+import jcdem.entropy
 from jcdem.analysis import (
     CONJECTURE_SLACK,
     MAX_GRID_POINTS,
@@ -112,7 +114,7 @@ def test_transition_and_revival_compute_no_entropies(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dem_exact called")
 
-    monkeypatch.setattr(jcdem.analysis, "dem_exact", refuse)
+    monkeypatch.setattr(jcdem.entropy, "dem_exact", refuse)
     series = scan_transition(FIELD, PARAMS, 22.0, 0.05)
     revival_analysis(FIELD, PARAMS, 3, series)
     for command in ("transition", "revival"):
@@ -231,6 +233,19 @@ def test_scan_lambda_shapes_and_flags():
         assert np.all(np.isfinite(col))
     expected = scan.dem_at_T[1] <= scan.dem_at_T[2] + CONJECTURE_SLACK
     assert np.array_equal(scan.conjecture_holds, expected)
+
+
+def test_scan_lambda_matches_the_dense_oracle_at_revival_times():
+    lambdas = [0.0, 0.3, 0.7, 1.0]
+    scan = scan_lambda(FIELD, PARAMS, lambdas)
+    dims = (2, FIELD.n_max + 1)
+    for i, lam in enumerate(lambdas):
+        for k in (1, 2, 3):
+            joint = propagated_joint(
+                AtomState.from_ground_weight(lam), FIELD, PARAMS, k * T1_FROZEN
+            )
+            oracle = relative_entropy(joint, marginal_product(joint, dims))
+            assert abs(scan.dem_at_T[k][i] - oracle) <= 1e-10, (lam, k)
 
 
 def test_scan_lambda_validation():

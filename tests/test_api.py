@@ -13,3 +13,11 @@ def test_every_public_name_is_documented():
     assert sorted(set(jcdem.__all__) - documented) == []
     for name in jcdem.__all__:
         assert getattr(jcdem, name) is not None
+
+
+def test_readme_quick_start_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md quick start", "exec"), {})
+    assert capsys.readouterr().out.strip()

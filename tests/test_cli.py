@@ -73,6 +73,9 @@ def test_parse_args_default_csv_name_follows_command():
         ["scan-time", "--no-such-flag"],
         ["no-such-command"],
         [],
+        ["transition", "--g", "inf"],
+        ["transition", "--omega0", "inf"],
+        ["transition", "--t-max", "inf"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import marginal_product, propagated_joint, relative_entropy
 
 from jcdem.entropy import (
     dem_closed_form,
     dem_exact,
-    relative_entropy,
+    entropies_at,
     von_neumann_entropy,
 )
 from jcdem.linalg import partial_trace
@@ -18,7 +22,6 @@ from jcdem.model import (
     FieldConfig,
     ModelParams,
     closed_form_coeffs,
-    evolve,
 )
 
 KL_FROZEN = 0.0945818719775651  # sum p ln(p/q) for the pair below
@@ -207,11 +210,50 @@ def test_closed_form_dem_base_covariance():
 
 def test_dem_exact_on_evolved_state_matches_relative_entropy():
     field = FieldConfig.from_mean_photons(5.0)
-    joint = evolve(AtomState.from_ground_weight(0.7), field, ModelParams(), 7.0)
+    atom = AtomState.from_ground_weight(0.7)
+    joint = propagated_joint(atom, field, ModelParams(), 7.0)
     dims = (2, field.n_max + 1)
-    product = np.kron(
-        partial_trace(joint, dims, "atom"), partial_trace(joint, dims, "field")
-    )
     report = dem_exact(joint, dims)
-    assert report.dem == pytest.approx(relative_entropy(joint, product), abs=1e-8)
+    assert report.dem == pytest.approx(
+        relative_entropy(joint, marginal_product(joint, dims)), abs=1e-8
+    )
     assert report.dem >= -1e-9
+
+
+def test_entropies_at_keeps_the_shape_of_t():
+    field = FieldConfig.from_mean_photons(2.0)
+    atom = AtomState.from_ground_weight(0.7)
+    times = np.linspace(0.0, 9.0, 6).reshape(2, 3)
+    grid = entropies_at(atom, field, ModelParams(), times)
+    for value in (grid.s_atom, grid.s_field, grid.s_joint, grid.dem,
+                  grid.araki_lieb_ok, *grid.al_margins):
+        assert np.shape(value) == times.shape
+    point = entropies_at(atom, field, ModelParams(), times[1, 2])
+    assert np.ndim(point.dem) == 0 and point.araki_lieb_ok
+    joint = propagated_joint(atom, field, ModelParams(), times[1, 2])
+    assert abs(point.dem - dem_exact(joint, (2, field.n_max + 1)).dem) <= 1e-12
+    assert grid.dem[1, 2] == point.dem
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=st.floats(0.0, 40.0),
+    lam=st.floats(0.0, 1.0),
+    t=st.floats(0.0, 60.0),
+)
+@example(m=40.0, lam=0.0, t=60.0)
+@example(m=5.0, lam=1.0, t=7.0)
+def test_entropies_at_match_the_dense_oracle(m, lam, t):
+    field = FieldConfig.from_mean_photons(m)
+    atom = AtomState.from_ground_weight(lam)
+    report = entropies_at(atom, field, ModelParams(), t)
+    joint = propagated_joint(atom, field, ModelParams(), t)
+    dims = (2, field.n_max + 1)
+    oracle_dem = relative_entropy(joint, marginal_product(joint, dims))
+    assert abs(report.dem - oracle_dem) <= 1e-8
+    binary = -sum(p * math.log(p) for p in (atom.lambda0, atom.lambda1) if p > 0)
+    assert abs(report.s_joint - binary) <= 1e-10
+    assert min(report.al_margins) >= -1e-8
+    if lam in (0.0, 1.0):
+        # a pure joint state: both marginals share one spectrum
+        assert abs(report.s_atom - report.s_field) <= 1e-8

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from oracles import atom_matrix, coherent_state, initial_joint_state
-
-from jcdem.linalg import (
+from oracles import (
     EigenSystem,
-    dagger,
+    atom_matrix,
+    coherent_state,
     hermitian_eigensystem,
-    hermitian_eigenvalues,
-    partial_trace,
+    initial_joint_state,
 )
+
+from jcdem.linalg import dagger, hermitian_eigenvalues, partial_trace
 from jcdem.model import AtomState, FieldConfig
 
 

@@ -12,14 +12,17 @@ from oracles import (
     coherent_state,
     dense_hamiltonian,
     expm_taylor,
+    free_evolution,
+    hermitian_eigensystem,
     initial_joint_state,
     poisson_tail,
     propagator,
     truncation_dim_by_recursion,
+    vector_joint,
 )
 
-from jcdem.entropy import von_neumann_entropy
-from jcdem.linalg import dagger, hermitian_eigensystem, partial_trace
+from jcdem.entropy import entropies_at
+from jcdem.linalg import dagger, partial_trace
 from jcdem.model import (
     DEFAULT_TAIL_TOL,
     GUARD_LEVELS,
@@ -29,7 +32,6 @@ from jcdem.model import (
     ModelParams,
     closed_form_coeffs,
     coherent_amplitudes,
-    evolve,
     evolve_vectors,
     poisson_weights,
     truncation_dim,
@@ -201,6 +203,11 @@ def test_model_params_validation():
         ModelParams(g=0.0)
     with pytest.raises(ValueError):
         ModelParams(omega0=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(g=bad)
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(omega0=bad)
 
 
 def test_rabi_frequency():
@@ -308,7 +315,8 @@ def test_evolve_vectors_match_the_dense_propagator(omega0):
     assert all(psi.shape == (5, 14) for psi in vectors)
     assert abs(vectors[1][-1, -1]) > 0.1
     for i, t in enumerate(times):
-        u = propagator(float(t), params, 6)
+        # the vectors live in the interaction picture, exp(+i t H0) U(t)
+        u = free_evolution(float(t), omega0, 6) @ propagator(float(t), params, 6)
         for psi, start in zip(vectors, starts):
             assert np.abs(psi[i] - u @ start).max() <= 1e-13
 
@@ -344,14 +352,14 @@ def test_initial_joint_state_ordering():
 def test_evolve_t0_is_product_state():
     field = default_field()
     atom = AtomState.from_ground_weight(0.7)
-    joint = evolve(atom, field, ModelParams(), 0.0)
+    joint = vector_joint(atom, field, ModelParams(), 0.0)
     expected = np.kron(atom_matrix(atom), coherent_state(field.theta, field.n_max))
     assert np.abs(joint - expected).max() <= 1e-14
 
 
 def test_evolve_preserves_trace():
     field = default_field()
-    joint = evolve(AtomState.from_ground_weight(0.7), field, ModelParams(), 5.0)
+    joint = vector_joint(AtomState.from_ground_weight(0.7), field, ModelParams(), 5.0)
     assert abs(np.trace(joint).real - 1.0) <= 1e-10
     assert np.abs(joint - dagger(joint)).max() <= 1e-12
 
@@ -359,9 +367,8 @@ def test_evolve_preserves_trace():
 def test_evolve_entropy_is_time_invariant():
     field = default_field()
     atom = AtomState.from_ground_weight(0.7)
-    for t in (1.0, 5.0, 14.0):
-        joint = evolve(atom, field, ModelParams(), t)
-        assert abs(von_neumann_entropy(joint) - BINARY_ENTROPY_07) <= 1e-8
+    s_joint = entropies_at(atom, field, ModelParams(), [1.0, 5.0, 14.0]).s_joint
+    assert np.abs(s_joint - BINARY_ENTROPY_07).max() <= 1e-8
 
 
 EXCITED = AtomState(0.0, 1.0)
@@ -387,9 +394,9 @@ def test_transition_probability_matches_exact_excited_start():
     na = field.n_max + 1
     times = np.linspace(0.0, 30.0, 61)
     closed = closed_form_coeffs(times, EXCITED, field, params).c
-    for t, c in zip(times, closed):
-        joint = evolve(EXCITED, field, params, float(t))
-        assert abs(c - np.trace(joint[na:, na:]).real) <= 1e-8
+    psi_e = evolve_vectors(field, params, times)[1]
+    exact = np.sum(np.abs(psi_e[:, na:]) ** 2, axis=1)
+    assert np.abs(closed - exact).max() <= 1e-8
 
 
 def test_transition_probability_matches_exact_at_large_m():
@@ -398,8 +405,8 @@ def test_transition_probability_matches_exact_at_large_m():
     na = field.n_max + 1
     revival = 2.0 * math.pi * math.sqrt(300.0)
     for t in (3.0, revival):
-        joint = evolve(EXCITED, field, params, t)
-        exact = np.trace(joint[na:, na:]).real
+        psi_e = evolve_vectors(field, params, t)[1]
+        exact = np.sum(np.abs(psi_e[na:]) ** 2)
         closed = closed_form_coeffs(t, EXCITED, field, params).c
         assert abs(closed - exact) <= 1e-10
 
@@ -464,12 +471,11 @@ def test_closed_form_ground_start_carries_index_shift():
     field = default_field()
     params = ModelParams()
     ground = AtomState(1.0, 0.0)
-    worst = 0.0
-    for t in np.arange(0.0, 10.0, 0.05):
-        co = closed_form_coeffs(float(t), ground, field, params)
-        joint = evolve(ground, field, params, float(t))
-        p_ground = partial_trace(joint, (2, field.n_max + 1), "atom")[0, 0].real
-        worst = max(worst, abs(co.e4 - p_ground))
+    times = np.arange(0.0, 10.0, 0.05)
+    co = closed_form_coeffs(times, ground, field, params)
+    psi_g = evolve_vectors(field, params, times)[0]
+    p_ground = np.sum(np.abs(psi_g[:, : field.n_max + 1]) ** 2, axis=1)
+    worst = np.abs(co.e4 - p_ground).max()
     assert 0.1 < worst < 0.2
 
 
@@ -481,11 +487,14 @@ def test_atom_marginal_develops_real_coherence():
     params = ModelParams()
     atom = AtomState.from_ground_weight(0.7)
     t = 6.45
-    joint = evolve(atom, field, params, t)
+    joint = vector_joint(atom, field, params, t)
     marginal = partial_trace(joint, (2, field.n_max + 1), "atom")
     assert abs(marginal[0, 1]) > 0.4
 
-    u = expm_taylor(-1j * t * dense_hamiltonian(1.0, 1.0, field.n_max))
+    # the evolved vectors live in the interaction picture, exp(+i t H0) U(t)
+    u = free_evolution(t, 1.0, field.n_max) @ expm_taylor(
+        -1j * t * dense_hamiltonian(1.0, 1.0, field.n_max)
+    )
     oracle_joint = u @ initial_joint_state(atom, field) @ dagger(u)
     oracle = partial_trace(oracle_joint, (2, field.n_max + 1), "atom")
     assert abs(marginal[0, 1] - oracle[0, 1]) <= 1e-9
