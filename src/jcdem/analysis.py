@@ -139,24 +139,30 @@ def scan_transition(
 
 
 def sliding_amplitude(times, values, width: float) -> np.ndarray:
-    """max - min of values within a centered window of the given width."""
+    """max - min of values within a centered window of the given width.
+
+    times must be a uniform grid, as time_grid builds, so the window is a
+    fixed number of samples either side; windows that reach past an end
+    are clipped to the series.
+    """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if width <= 0:
         raise ValueError(f"window width must be positive, got {width}")
-    half = width / 2.0
-    out = np.empty(len(values))
-    lo = 0
-    hi = -1
-    for i in range(len(values)):
-        while times[i] - times[lo] > half:
-            lo += 1
-        hi = max(hi, i)
-        while hi + 1 < len(values) and times[hi + 1] - times[i] <= half:
-            hi += 1
-        window = values[lo : hi + 1]
-        out[i] = window.max() - window.min()
-    return out
+    if len(times) != len(values):
+        raise ValueError(f"{len(times)} times for {len(values)} values")
+    if len(times) < 2:
+        return np.zeros(len(values))
+    step = (times[-1] - times[0]) / (len(times) - 1)
+    uniform = times[0] + step * np.arange(len(times))
+    if not (step > 0 and np.allclose(times, uniform, rtol=0.0, atol=1e-6 * step)):
+        raise ValueError("times must be a uniform, strictly increasing grid")
+    # the epsilon keeps a half-width of exactly k steps from losing sample k
+    half = min(int(math.floor(width / 2.0 / step + 1e-9)), len(values) - 1)
+    # repeating the end values leaves each clipped window's max and min as is
+    padded = np.pad(values, half, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
+    return windows.max(axis=1) - windows.min(axis=1)
 
 
 def revival_analysis(
@@ -209,7 +215,7 @@ def scan_lambda(
     lambdas = np.asarray(lambda_grid, dtype=float)
     if len(lambdas) == 0 or lambdas.min() < 0.0 or lambdas.max() > 1.0:
         raise ValueError("lambda grid must be nonempty and lie in [0, 1]")
-    if list(k_list) != sorted(set(k_list)) or min(k_list) < 1:
+    if list(k_list) != sorted(set(k_list)) or min(k_list, default=0) < 1:
         raise ValueError(f"k_list must be strictly increasing positive, got {k_list}")
     times = revival_period(field, params) * np.asarray(k_list, dtype=float)
     dem = np.array([

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime or I/O failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -13,7 +14,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import (
-    TimeSeries,
     revival_analysis,
     scan_lambda,
     scan_time,
@@ -117,6 +117,8 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
         parser.error(f"--lambda-points must be at least 2, got {args.lambda_points}")
     if args.out_csv is None:
         args.out_csv = f"jc_{args.command.replace('-', '_')}.csv"
+    if args.out_svg and os.path.abspath(args.out_svg) == os.path.abspath(args.out_csv):
+        parser.error(f"--out-csv and --out-svg name the same file: {args.out_csv}")
     # the parser's destinations are exactly RunConfig's fields
     config = RunConfig(**vars(args))
     try:
@@ -128,69 +130,52 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     return config
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+def _write_csv(path: str, x_name: str, x, columns: dict) -> None:
+    """One row per x value: bool columns print as 0/1, all else as .12e."""
+    cells = [
+        [f"{v:d}" for v in col.astype(int)] if col.dtype == bool
+        else [f"{v:.12e}" for v in col]
+        for col in map(np.asarray, (x, *columns.values()))
+    ]
+    lines = [",".join([x_name, *columns]), *map(",".join, zip(*cells))]
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _series_rows(series: TimeSeries):
-    for i, t in enumerate(series.times):
-        yield [f"{t:.12e}"] + [f"{col[i]:.12e}" for col in series.columns.values()]
 
 
 def run(config: RunConfig) -> int:
     """Execute one command; raises on numerical or I/O failure."""
     params, field = _model(config)
+    flags = {}
 
     if config.command == "scan-lambda":
-        scan = scan_lambda(
-            field,
-            params,
-            np.linspace(0.0, 1.0, config.lambda_points),
-            k_list=(1, 2, 3),
-            log_base=config.log_base,
-        )
-        rows = (
-            [f"{lam:.12e}"]
-            + [f"{scan.dem_at_T[k][i]:.12e}" for k in (1, 2, 3)]
-            + [f"{int(scan.conjecture_holds[i]):d}"]
-            for i, lam in enumerate(scan.lambdas)
-        )
-        _write_csv(
-            config.out_csv,
-            ["lambda0", "dem_T1", "dem_T2", "dem_T3", "conjecture_holds"],
-            rows,
-        )
+        lambdas = np.linspace(0.0, 1.0, config.lambda_points)
+        scan = scan_lambda(field, params, lambdas, (1, 2, 3), config.log_base)
+        x_name, x = "lambda0", scan.lambdas
+        columns = {f"dem_T{k}": col for k, col in scan.dem_at_T.items()}
+        flags = {"conjecture_holds": scan.conjecture_holds}
         held = int(scan.conjecture_holds.sum())
         print(f"conjecture holds at {held}/{len(scan.lambdas)} grid points")
-        if config.out_svg:
-            render_plot(scan, config.out_svg, config.command)
-            print(f"wrote {config.out_svg}")
-        print(f"wrote {config.out_csv}")
-        return 0
-
-    if config.command == "scan-time":
-        atom = AtomState.from_ground_weight(config.lambda0)
-        series = scan_time(
-            atom, field, params, config.t_max, config.dt, log_base=config.log_base
-        )
     else:
-        # transition probability and revival detection follow the
-        # excited-start convention regardless of --lambda0, and need no
-        # entropies
-        series = scan_transition(field, params, config.t_max, config.dt)
+        if config.command == "scan-time":
+            atom = AtomState.from_ground_weight(config.lambda0)
+            series = scan_time(
+                atom, field, params, config.t_max, config.dt, log_base=config.log_base
+            )
+        else:
+            # transition probability and revival detection follow the
+            # excited-start convention regardless of --lambda0, and need no
+            # entropies
+            series = scan_transition(field, params, config.t_max, config.dt)
+        if config.command == "revival":
+            report = revival_analysis(field, params, 3, series)
+            print(f"t_collapse={report.t_collapse:.4f}")
+            for k, t_k in enumerate(report.revival_times, start=1):
+                print(f"T{k}={t_k:.4f}")
+            print(f"detected_revival={report.detected_revival:.4f}")
+        x_name, x, columns = "t", series.times, series.columns
 
-    if config.command == "revival":
-        report = revival_analysis(field, params, 3, series)
-        print(f"t_collapse={report.t_collapse:.4f}")
-        for k, t_k in enumerate(report.revival_times, start=1):
-            print(f"T{k}={t_k:.4f}")
-        print(f"detected_revival={report.detected_revival:.4f}")
-
-    _write_csv(config.out_csv, ["t", *series.columns], _series_rows(series))
+    _write_csv(config.out_csv, x_name, x, {**columns, **flags})
     if config.out_svg:
-        render_plot(series, config.out_svg, config.command)
+        render_plot(x, columns, x_name, config.out_svg, config.command)
         print(f"wrote {config.out_svg}")
     print(f"wrote {config.out_csv}")
     return 0

@@ -53,18 +53,20 @@ def partial_trace(
     raise ValueError(f"keep must be 'atom' or 'field', got {keep!r}")
 
 
-def hermitian_eigenvalues(m, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
 
-    Inputs within ``atol`` of Hermitian are symmetrized as (M + M^dag)/2
-    first; larger deviations and non-square inputs raise ValueError.
+    Inputs within ``HERMITICITY_ATOL`` of Hermitian are symmetrized as
+    (M + M^dag)/2 first; larger deviations and non-square inputs raise
+    ValueError.
     """
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     deviation = float(np.abs(m - dagger(m)).max()) if m.size else 0.0
-    if deviation > atol:
+    if deviation > HERMITICITY_ATOL:
         raise ValueError(
-            f"matrix is not Hermitian: max |M - M^dag| = {deviation:.3e} > {atol:.1e}"
+            f"matrix is not Hermitian: max |M - M^dag| = {deviation:.3e} "
+            f"> {HERMITICITY_ATOL:.1e}"
         )
     return np.linalg.eigvalsh(0.5 * (m + dagger(m)))

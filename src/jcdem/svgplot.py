@@ -13,8 +13,6 @@ import tempfile
 
 import numpy as np
 
-from .analysis import LambdaScan, TimeSeries
-
 WIDTH = 800
 HEIGHT = 500
 MARGIN_LEFT = 70
@@ -82,26 +80,19 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _plot_data(series) -> tuple[np.ndarray, dict[str, np.ndarray], str]:
-    """Extract (x, named y columns, x-axis label) from either series kind."""
-    if isinstance(series, TimeSeries):
-        return np.asarray(series.times), dict(series.columns), "t"
-    if isinstance(series, LambdaScan):
-        cols = {f"dem_T{k}": np.asarray(v) for k, v in series.dem_at_T.items()}
-        return np.asarray(series.lambdas), cols, "lambda0"
-    raise TypeError(f"cannot plot object of type {type(series).__name__}")
-
-
-def render_plot(series, path: str, title: str) -> None:
-    """Write the series as a standalone SVG line plot.
+def render_plot(x, columns, x_label: str, path: str, title: str) -> None:
+    """Write the named columns against x as a standalone SVG line plot.
 
     The y-range snaps to [0, 1] when every value fits there, and pads the
-    data range by 5 percent otherwise.  Empty or non-finite input raises
-    ValueError before anything is written.
+    data range by 5 percent otherwise.  Empty, misaligned or non-finite
+    input raises ValueError before anything is written.
     """
-    x, cols, x_label = _plot_data(series)
+    x = np.asarray(x)
+    cols = {name: np.asarray(col) for name, col in columns.items()}
     if len(x) == 0 or not cols:
         raise ValueError("nothing to plot: empty series")
+    if any(len(col) != len(x) for col in cols.values()):
+        raise ValueError("every column needs one value per x value")
     values = np.concatenate(list(cols.values()))
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(values))):
         raise ValueError("cannot plot non-finite values")

@@ -36,7 +36,7 @@ def dense_hamiltonian(g: float, omega0: float, n_max: int) -> np.ndarray:
     lower = np.zeros((na, na), dtype=complex)
     for n in range(1, na):
         lower[n - 1, n] = np.sqrt(n)
-    number = lower.conj().T @ lower
+    number = np.diag(np.arange(na))
     sigma_z = np.diag([-1.0, 1.0]).astype(complex)
     raise_atom = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     h = 0.5 * omega0 * np.kron(sigma_z, np.eye(na))

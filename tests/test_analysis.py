@@ -162,6 +162,37 @@ def test_sliding_amplitude_validation():
         sliding_amplitude(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.0)
 
 
+@pytest.mark.parametrize(
+    "times, values",
+    [
+        ([0.0, 1.0, 2.0], [0.0, 1.0]),  # one value short
+        ([0.0, 1.0, 3.0], [0.0, 1.0, 2.0]),  # non-uniform
+        ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]),  # not increasing
+        ([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]),  # zero step
+    ],
+)
+def test_sliding_amplitude_rejects_misaligned_or_non_uniform_times(times, values):
+    with pytest.raises(ValueError):
+        sliding_amplitude(np.array(times), np.array(values), 1.0)
+
+
+@pytest.mark.parametrize("dt, width", [(0.05, 2.565), (0.1, 1.3), (0.02, 0.77)])
+def test_sliding_amplitude_matches_a_brute_force_window(dt, width):
+    times = time_grid(12.0, dt)
+    values = np.sin(3.0 * times) * np.exp(-0.1 * times)
+    expected = [
+        np.ptp(values[np.abs(times - t) <= width / 2.0]) for t in times
+    ]
+    assert np.array_equal(sliding_amplitude(times, values, width), expected)
+
+
+def test_sliding_amplitude_accepts_the_largest_time_grid():
+    times = time_grid(0.01 * (MAX_GRID_POINTS - 1), 0.01)
+    assert len(times) == MAX_GRID_POINTS
+    amp = sliding_amplitude(times, np.zeros(len(times)), 0.1)
+    assert amp.shape == times.shape and not amp.any()
+
+
 def test_revival_report_analytic_times(excited_series):
     report = revival_analysis(FIELD, PARAMS, 3, excited_series)
     assert report.t_collapse == pytest.approx(1.0)
@@ -257,6 +288,11 @@ def test_scan_lambda_validation():
         scan_lambda(FIELD, PARAMS, [0.0, 1.0], k_list=(2, 1))
     with pytest.raises(ValueError):
         scan_lambda(FIELD, PARAMS, [0.0, 1.0], k_list=(0, 1))
+
+
+def test_scan_lambda_rejects_an_empty_k_list():
+    with pytest.raises(ValueError, match="k_list must be strictly increasing positive"):
+        scan_lambda(FIELD, PARAMS, [0.0, 1.0], k_list=())
 
 
 def test_lambda_scan_validation():

@@ -8,7 +8,6 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from jcdem.analysis import TimeSeries
 from jcdem.cli import RunConfig, main, parse_args
 from jcdem.svgplot import render_plot
 
@@ -76,6 +75,7 @@ def test_parse_args_default_csv_name_follows_command():
         ["transition", "--g", "inf"],
         ["transition", "--omega0", "inf"],
         ["transition", "--t-max", "inf"],
+        ["transition", "--out-csv", "same.out", "--out-svg", "./same.out"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -236,9 +236,9 @@ def _y_ticks(path):
 
 def test_svg_y_range_snaps_to_unit_interval(tmp_path):
     times = np.array([0.0, 1.0, 2.0, 3.0])
-    within = TimeSeries(times=times, columns={"y": np.array([0.2, 0.8, 0.5, 0.6])})
+    within = {"y": np.array([0.2, 0.8, 0.5, 0.6])}
     target = tmp_path / "within.svg"
-    render_plot(within, str(target), "within")
+    render_plot(times, within, "t", str(target), "within")
     # data inside the unit interval snaps the axis to exactly [0, 1]
     assert min(_y_ticks(target)) == pytest.approx(0.0)
     assert max(_y_ticks(target)) == pytest.approx(1.0)
@@ -246,29 +246,60 @@ def test_svg_y_range_snaps_to_unit_interval(tmp_path):
 
 def test_svg_y_range_widens_beyond_unit_interval(tmp_path):
     times = np.array([0.0, 1.0, 2.0, 3.0])
-    beyond = TimeSeries(times=times, columns={"y": np.array([0.0, 2.0, 1.0, 0.5])})
+    beyond = {"y": np.array([0.0, 2.0, 1.0, 0.5])}
     target = tmp_path / "beyond.svg"
-    render_plot(beyond, str(target), "beyond")
+    render_plot(times, beyond, "t", str(target), "beyond")
     assert max(_y_ticks(target)) > 1.0
 
 
 def test_render_plot_rejects_empty_series(tmp_path):
     target = tmp_path / "empty.svg"
     with pytest.raises(ValueError):
-        render_plot(TimeSeries(times=np.array([]), columns={}), str(target), "x")
+        render_plot(np.array([]), {}, "t", str(target), "x")
     assert not target.exists()
 
 
 def test_render_plot_rejects_non_finite_values(tmp_path):
     target = tmp_path / "nan.svg"
-    series = TimeSeries(
-        times=np.array([0.0, 1.0]), columns={"y": np.array([0.0, math.nan])}
-    )
+    columns = {"y": np.array([0.0, math.nan])}
     with pytest.raises(ValueError):
-        render_plot(series, str(target), "x")
+        render_plot(np.array([0.0, 1.0]), columns, "t", str(target), "x")
     assert not target.exists()
 
 
-def test_render_plot_rejects_unknown_types(tmp_path):
-    with pytest.raises(TypeError):
-        render_plot([1, 2, 3], str(tmp_path / "x.svg"), "x")
+def test_render_plot_rejects_misaligned_columns(tmp_path):
+    target = tmp_path / "short.svg"
+    columns = {"y": np.array([0.2, 0.8, 0.5]), "short": np.array([0.1, 0.2])}
+    with pytest.raises(ValueError):
+        render_plot(np.array([0.0, 1.0, 2.0]), columns, "t", str(target), "x")
+    assert not target.exists()
+
+
+def _csv_columns(path):
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+
+@pytest.mark.parametrize(
+    "command, entropies",
+    [
+        ("scan-time", ("dem_exact", "dem_closed", "s_atom", "s_field", "s_joint")),
+        ("scan-lambda", ("dem_T1", "dem_T2", "dem_T3")),
+    ],
+)
+def test_log_base_2_writes_entropies_in_bits(tmp_path, command, entropies):
+    argv = [command, "--t-max", "4", "--dt", "0.1", "--lambda-points", "5"]
+    nats, bits = tmp_path / "nats.csv", tmp_path / "bits.csv"
+    assert main([*argv, "--out-csv", str(nats)]) == 0
+    assert main([*argv, "--log-base", "2", "--out-csv", str(bits)]) == 0
+    in_nats, in_bits = _csv_columns(nats), _csv_columns(bits)
+    assert list(in_nats) == list(in_bits)
+    # each cell carries 13 significant digits, so the two roundings may
+    # differ by 1e-12 relative once a value exceeds one bit
+    for name in entropies:
+        expected = np.array(in_nats[name], dtype=float) / math.log(2.0)
+        assert np.allclose(np.array(in_bits[name], dtype=float), expected,
+                           rtol=1e-12, atol=1e-12)
+    # the grid and the transition probabilities do not depend on the base
+    for name in set(in_nats) & {"t", "lambda0", "c_closed", "c_exact"}:
+        assert in_bits[name] == in_nats[name]
