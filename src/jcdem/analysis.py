@@ -93,10 +93,11 @@ def _excited_population(
     field: FieldConfig, params: ModelParams, times: np.ndarray
 ) -> np.ndarray:
     """Excited-level weight of the excited-start state, in time chunks."""
+    width = field.n_max - field.n_lo + 1
     c_exact = np.empty(len(times))
-    for sl in time_chunks(len(times), field.n_max + 1):
+    for sl in time_chunks(len(times), width):
         psi_e = evolve_vectors(field, params, times[sl])[1]
-        c_exact[sl] = np.sum(np.abs(psi_e[:, field.n_max + 1 :]) ** 2, axis=1)
+        c_exact[sl] = np.sum(np.abs(psi_e[:, width:]) ** 2, axis=1)
     return c_exact
 
 
@@ -159,10 +160,21 @@ def sliding_amplitude(times, values, width: float) -> np.ndarray:
         raise ValueError("times must be a uniform, strictly increasing grid")
     # the epsilon keeps a half-width of exactly k steps from losing sample k
     half = min(int(math.floor(width / 2.0 / step + 1e-9)), len(values) - 1)
-    # repeating the end values leaves each clipped window's max and min as is
-    padded = np.pad(values, half, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
-    return windows.max(axis=1) - windows.min(axis=1)
+    span = 2 * half + 1
+    # repeating the end values leaves each clipped window's max and min as
+    # is; the padding is cut into blocks of one window span (van Herk /
+    # Gil-Werman), so each window is a block suffix followed by a prefix of
+    # the next block, and max and min cost O(n) whatever the width
+    blocks = -(-(len(values) + 2 * half) // span)
+    padded = np.pad(values, (half, blocks * span - len(values) - half), mode="edge")
+    padded = padded.reshape(blocks, span)
+
+    def extreme(ufunc) -> np.ndarray:
+        prefix = ufunc.accumulate(padded, axis=1).ravel()
+        suffix = ufunc.accumulate(padded[:, ::-1], axis=1)[:, ::-1].ravel()
+        return ufunc(suffix[: len(values)], prefix[span - 1 : span - 1 + len(values)])
+
+    return extreme(np.maximum) - extreme(np.minimum)
 
 
 def revival_analysis(
@@ -175,23 +187,34 @@ def revival_analysis(
 
     The detector slides a window one dominant Rabi period wide over the
     excited-population oscillation amplitude and picks the maximizing
-    center within [0.5, 1.5] revival periods.
+    center within [0.5, 1.5] revival periods.  A vacuum field (m = 0) has
+    no revival, and a grid with no point in that window cannot place one;
+    both raise ValueError.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     t1 = revival_period(field, params)
     times = np.asarray(series.times)
+    step = times[1] - times[0] if len(times) > 1 else 0.0
+    if t1 == 0.0:
+        raise ValueError(
+            f"mean photon number m = 0 has no revival to detect (dt={step:g})"
+        )
     if len(times) == 0 or times[-1] < t1:
         raise ValueError(
             f"series ends at t={times[-1] if len(times) else 0}, "
             f"before the first revival at {t1:.4f}"
         )
+    mask = (times >= 0.5 * t1) & (times <= 1.5 * t1)
+    if not mask.any():
+        raise ValueError(
+            f"no grid point in the revival window [{0.5 * t1:.4f}, "
+            f"{1.5 * t1:.4f}] at dt={step:g}"
+        )
     dominant_n = int(math.floor(field.mean_photons))
     width = 2.0 * math.pi / (params.g * math.sqrt(dominant_n + 1.0))
     amp = sliding_amplitude(times, series.columns["c_exact"], width)
-    mask = (times >= 0.5 * t1) & (times <= 1.5 * t1)
-    centers = times[mask]
-    detected = float(centers[np.argmax(amp[mask])])
+    detected = float(times[mask][np.argmax(amp[mask])])
     return RevivalReport(
         t_collapse=1.0 / params.g,
         revival_times=tuple(k * t1 for k in range(1, k_max + 1)),

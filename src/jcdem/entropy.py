@@ -100,12 +100,13 @@ def entropies_at(
     """Entropies and DEM of the evolved joint state at a scalar or array of times.
 
     At each time the rank-2 joint state lambda0 |psi_g><psi_g| +
-    lambda1 |psi_e><psi_e| of the evolve_vectors states goes through
-    dem_exact.  Every field of the report has the shape of t, and
-    al_margins holds two such arrays; a scalar t gives scalars.
+    lambda1 |psi_e><psi_e| of the evolve_vectors states, on the kept
+    photon levels n_lo..n_max, goes through dem_exact.  Every field of the
+    report has the shape of t, and al_margins holds two such arrays; a
+    scalar t gives scalars.
     """
     t = np.asarray(t, dtype=float)
-    dims = (2, field.n_max + 1)
+    dims = (2, field.n_max - field.n_lo + 1)
     entropies = np.empty((3, t.size))
     for sl in time_chunks(t.size, dims[1]):
         psi_g, psi_e = evolve_vectors(field, params, t.reshape(-1)[sl])

@@ -6,10 +6,13 @@ mixture of two evolved product vectors, |1,theta> and |2,theta>, and each is
 evolved analytically per 2x2 dressed doublet, so evolution is exact up to
 the photon-space truncation, which is controlled by a Poisson tail tolerance.
 
+Only the photon levels n_lo..n_max that the coherent field occupies above
+the tail tolerance are kept; both edges are fixed by FieldConfig.
+
 Basis ordering (single source of truth for every joint operator):
-    index = atom_index * (n_max + 1) + n
+    index = atom_index * W + (n - n_lo),   W = n_max - n_lo + 1
 with atom_index 0 the ground level |1> and 1 the excited level |2>,
-and n = 0..n_max the photon number.
+and n = n_lo..n_max the photon number.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ DEFAULT_OMEGA0 = 1.0
 DEFAULT_MEAN_PHOTONS = 5.0
 DEFAULT_LAMBDA0 = 0.7
 DEFAULT_TAIL_TOL = 1e-12
-# Extra photon levels kept above the tail cutoff so the truncation edge
-# never touches populated levels.
+# Extra photon levels kept beyond each tail cutoff so neither truncation
+# edge touches populated levels.
 GUARD_LEVELS = 5
 # Log-weights below this round to zero in double precision.
 LOG_UNDERFLOW = math.log(math.ulp(0.0))
@@ -78,7 +81,11 @@ class AtomState:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Coherent field amplitude with its truncation bookkeeping."""
+    """Coherent field amplitude with its truncation bookkeeping.
+
+    The kept photon levels are n_lo..n_max: n_max is given (and validated
+    against the upper tail), n_lo is derived from the lower tail.
+    """
 
     theta: complex
     n_max: int
@@ -89,8 +96,8 @@ class FieldConfig:
             raise ValueError(f"n_max must be at least 1, got {self.n_max}")
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
-        tails = _poisson_tails(self.mean_photons)
-        tail = tails[min(self.n_max, len(tails) - 1)]
+        upper = _poisson_tails(self.mean_photons)[1]
+        tail = upper[min(self.n_max, len(upper) - 1)]
         if tail >= self.tail_tol:
             raise ValueError(
                 f"photon tail beyond n_max={self.n_max} is {tail:.3e}, "
@@ -110,6 +117,19 @@ class FieldConfig:
     @property
     def mean_photons(self) -> float:
         return abs(self.theta) ** 2
+
+    @functools.cached_property
+    def n_lo(self) -> int:
+        """Lowest kept photon level: the largest k whose lower Poisson tail
+        sum_{n<k} p_n is below tail_tol, less GUARD_LEVELS, at least 0.
+
+        Read from the same cached tails that size and validate n_max.
+        """
+        lower = _poisson_tails(self.mean_photons)[0]
+        # lower tails never decrease with k, so this counts the cutoffs k
+        # whose lower tail is still below the tolerance, k = 0 among them
+        below = int(np.count_nonzero(lower < self.tail_tol))
+        return min(max(below - 1 - GUARD_LEVELS, 0), self.n_max)
 
 
 class ClosedFormCoeffs(NamedTuple):
@@ -143,30 +163,32 @@ def time_chunks(n_times: int, n_levels: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n_times, step)]
 
 
-def poisson_weights(mean_photons: float, n_max: int) -> np.ndarray:
-    """Poisson probabilities exp(-m) m^n / n! for n = 0..n_max.
+def poisson_weights(mean_photons: float, n_max: int, n_lo: int = 0) -> np.ndarray:
+    """Poisson probabilities exp(-m) m^n / n! for n = n_lo..n_max.
 
     Built in log space from math.lgamma, so large means neither overflow
     n! nor underflow exp(-m) before the weights themselves are negligible.
     Every Poisson weight in the package comes from here.
     """
     mean_photons = _checked_mean(mean_photons)
-    n = np.arange(n_max + 1)
+    n = np.arange(n_lo, n_max + 1)
     if mean_photons == 0:
         return (n == 0).astype(float)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_lo, n_max + 1)])
     return np.exp(n * math.log(mean_photons) - mean_photons - log_fact)
 
 
 @functools.lru_cache(maxsize=8)
 def _poisson_tails(mean_photons: float) -> np.ndarray:
-    """tails[k] = sum_{n>k} of the Poisson weights, for k = 0..horizon.
+    """Both Poisson tails of each cutoff k = 0..horizon, as two rows:
+    tails[0, k] = sum_{n<k} p_n and tails[1, k] = sum_{n>k} p_n.
 
     The horizon lies past the mode where the weights underflow to zero, so
-    tails[-1] = 0.  Each tail is summed directly from the far end; none is
-    formed as 1 - sum, which would cancel at small tolerances.  Cached per
-    mean and read-only, because every FieldConfig sizes and validates from
-    the same tails (about 0.1 s at m = 1e5).
+    tails[1, -1] = 0.  Each tail is summed directly from its own end, the
+    lower one upward from n = 0 and the upper one down from the horizon;
+    neither is formed as 1 - sum, which would cancel at small tolerances.
+    Cached per mean and read-only, because every FieldConfig sizes,
+    validates and windows from the same tails (about 0.1 s at m = 1e5).
     """
     m = float(mean_photons)
     horizon = 0
@@ -176,7 +198,10 @@ def _poisson_tails(mean_photons: float) -> np.ndarray:
         while horizon * math.log(m) - m - math.lgamma(horizon + 1.0) > LOG_UNDERFLOW:
             horizon += step
     w = poisson_weights(m, horizon)
-    tails = np.append(np.cumsum(w[:0:-1])[::-1], 0.0)
+    tails = np.stack((
+        np.append(0.0, np.cumsum(w[:-1])),
+        np.append(np.cumsum(w[:0:-1])[::-1], 0.0),
+    ))
     tails.flags.writeable = False
     return tails
 
@@ -191,14 +216,14 @@ def truncation_dim(mean_photons: float, tail_tol: float) -> int:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     # tails never increase with the cutoff, so this counts the cutoffs
     # whose tail is still at or above the tolerance
-    cutoff = int(np.count_nonzero(_poisson_tails(mean_photons) >= tail_tol))
+    cutoff = int(np.count_nonzero(_poisson_tails(mean_photons)[1] >= tail_tol))
     return cutoff + GUARD_LEVELS
 
 
-def coherent_amplitudes(theta: complex, n_max: int) -> np.ndarray:
-    """Number-basis amplitudes of |theta>, renormalized after truncation."""
-    n = np.arange(n_max + 1)
-    amps = np.sqrt(poisson_weights(abs(theta) ** 2, n_max)) * np.exp(
+def coherent_amplitudes(theta: complex, n_max: int, n_lo: int = 0) -> np.ndarray:
+    """Amplitudes of |theta> on levels n_lo..n_max, renormalized there."""
+    n = np.arange(n_lo, n_max + 1)
+    amps = np.sqrt(poisson_weights(abs(theta) ** 2, n_max, n_lo)) * np.exp(
         1j * np.angle(theta) * n
     )
     return amps / np.linalg.norm(amps)
@@ -212,24 +237,26 @@ def evolve_vectors(
     The free Hamiltonian H0 commutes with the coupling on resonance, so its
     phases are a local unitary that no entropy or population can see, and
     they are left out.  t is a scalar or an array of times; each state is
-    shaped t.shape + (2 (n_max + 1),) in the module's basis order, so
-    callers bound memory by passing time_chunks of a long grid.  Each
-    doublet {|2,n>, |1,n+1>} rotates at Omega_n = g sqrt(n+1); |1,0> and the
-    edge |2,n_max>, whose partner lies outside the truncation, stay put.
+    shaped t.shape + (2 W,), W = n_max - n_lo + 1, in the module's basis
+    order, so callers bound memory by passing time_chunks of a long grid.
+    Each doublet {|2,n>, |1,n+1>} rotates at Omega_n = g sqrt(n+1); the two
+    edges |1,n_lo> and |2,n_max>, whose partners lie outside the window,
+    stay put (at n_lo = 0 the lower edge |1,0> is exact).
     """
     t = np.asarray(t, dtype=float)
-    n_max = field.n_max
-    amps = coherent_amplitudes(field.theta, n_max)
-    rabi_t = params.g * np.sqrt(np.arange(1.0, n_max + 1)) * t[..., None]
+    n_lo, n_max = field.n_lo, field.n_max
+    width = n_max - n_lo + 1
+    amps = coherent_amplitudes(field.theta, n_max, n_lo)
+    rabi_t = params.g * np.sqrt(np.arange(n_lo + 1.0, n_max + 1)) * t[..., None]
     diag = np.cos(rabi_t)
     off = -1j * np.sin(rabi_t)
-    psi_g = np.zeros(t.shape + (2 * (n_max + 1),), dtype=complex)
+    psi_g = np.zeros(t.shape + (2 * width,), dtype=complex)
     psi_e = np.zeros_like(psi_g)
     psi_g[..., 0] = amps[0]
-    psi_g[..., 1 : n_max + 1] = diag * amps[1:]
-    psi_g[..., n_max + 1 : -1] = off * amps[1:]
-    psi_e[..., 1 : n_max + 1] = off * amps[:-1]
-    psi_e[..., n_max + 1 : -1] = diag * amps[:-1]
+    psi_g[..., 1:width] = diag * amps[1:]
+    psi_g[..., width:-1] = off * amps[1:]
+    psi_e[..., 1:width] = off * amps[:-1]
+    psi_e[..., width:-1] = diag * amps[:-1]
     psi_e[..., -1] = amps[-1]
     return psi_g, psi_e
 
@@ -245,11 +272,12 @@ def closed_form_coeffs(
     e1 = lambda0*s + lambda1*c and e4 = lambda0*c + lambda1*s weight the
     excited and ground levels; the off-diagonal magnitude is
     |e2| = |e3| = (1/2) |lambda1 - lambda0| |sum_n p_n sin(2 Omega_n t)|.
-    The Poisson sums are truncated at n_max, never renormalized.
+    The Poisson sums run over the kept levels n_lo..n_max, never
+    renormalized.
     """
     t = np.asarray(t, dtype=float)
-    w = poisson_weights(field.mean_photons, field.n_max)
-    omega = params.g * np.sqrt(np.arange(field.n_max + 1) + 1.0)
+    w = poisson_weights(field.mean_photons, field.n_max, field.n_lo)
+    omega = params.g * np.sqrt(np.arange(field.n_lo, field.n_max + 1) + 1.0)
     flat = t.reshape(-1)
     sums = np.empty((3, flat.size))
     for sl in time_chunks(flat.size, len(w)):

@@ -10,6 +10,8 @@ as the reference for the two-vector kernel, together with the full
 eigensystem and the relative entropy that only these checks need.
 vector_joint alone is not independent: it assembles the dense joint state
 from the package's own evolved vectors, for tests of those vectors.
+full_range_vectors is the two-vector kernel on every level 0..n_max, the
+reference for the package's photon window n_lo..n_max.
 """
 
 import math
@@ -113,6 +115,23 @@ def poisson_tail(mean_photons: float, n_max: int) -> float:
     return total
 
 
+def poisson_lower_tail(mean_photons: float, n_lo: int) -> float:
+    """sum_{n < n_lo} exp(-m) m^n / n!, term by term downward from n_lo - 1."""
+    if n_lo <= 0:
+        return 0.0
+    if mean_photons == 0:
+        return 1.0
+    m = float(mean_photons)
+    n = n_lo - 1
+    term = math.exp(n * math.log(m) - m - math.lgamma(n + 1.0))
+    total = 0.0
+    while n >= 0 and term > 1e-18 * total:
+        total += term
+        term *= n / m
+        n -= 1
+    return total
+
+
 def coherent_state(theta: complex, n_max: int) -> np.ndarray:
     """Rank-1 density matrix of the truncated coherent state."""
     amps = coherent_amplitudes(theta, n_max)
@@ -161,6 +180,29 @@ def propagated_joint(atom, field, params, t: float) -> np.ndarray:
     """U(t) (rho (x) omega) U(t)^dag from the dense propagator."""
     u = propagator(t, params, field.n_max)
     return u @ initial_joint_state(atom, field) @ u.conj().T
+
+
+def full_range_vectors(field, params, t) -> tuple[np.ndarray, np.ndarray]:
+    """evolve_vectors on every photon level 0..n_max, ignoring field.n_lo.
+
+    Each state is shaped t.shape + (2 (n_max + 1),), index
+    atom * (n_max + 1) + n; |1,0> and the edge |2,n_max> stay put.
+    """
+    t = np.asarray(t, dtype=float)
+    n_max = field.n_max
+    amps = coherent_amplitudes(field.theta, n_max)
+    rabi_t = params.g * np.sqrt(np.arange(1.0, n_max + 1)) * t[..., None]
+    diag = np.cos(rabi_t)
+    off = -1j * np.sin(rabi_t)
+    psi_g = np.zeros(t.shape + (2 * (n_max + 1),), dtype=complex)
+    psi_e = np.zeros_like(psi_g)
+    psi_g[..., 0] = amps[0]
+    psi_g[..., 1 : n_max + 1] = diag * amps[1:]
+    psi_g[..., n_max + 1 : -1] = off * amps[1:]
+    psi_e[..., 1 : n_max + 1] = off * amps[:-1]
+    psi_e[..., n_max + 1 : -1] = diag * amps[:-1]
+    psi_e[..., -1] = amps[-1]
+    return psi_g, psi_e
 
 
 def vector_joint(atom, field, params, t: float) -> np.ndarray:

@@ -176,7 +176,11 @@ def test_sliding_amplitude_rejects_misaligned_or_non_uniform_times(times, values
         sliding_amplitude(np.array(times), np.array(values), 1.0)
 
 
-@pytest.mark.parametrize("dt, width", [(0.05, 2.565), (0.1, 1.3), (0.02, 0.77)])
+@pytest.mark.parametrize(
+    "dt, width",
+    # the last case has a half-window of 1000 samples on a 2401-point grid
+    [(0.05, 2.565), (0.1, 1.3), (0.02, 0.77), (0.005, 10.0075)],
+)
 def test_sliding_amplitude_matches_a_brute_force_window(dt, width):
     times = time_grid(12.0, dt)
     values = np.sin(3.0 * times) * np.exp(-0.1 * times)
@@ -224,6 +228,44 @@ def test_revival_requires_series_through_first_revival():
         revival_analysis(FIELD, PARAMS, 3, short)
     with pytest.raises(ValueError):
         revival_analysis(FIELD, PARAMS, 0, short)
+
+
+def test_sliding_amplitude_of_noise_matches_a_brute_force_window():
+    # windows from 1 sample up to wider than the series (clipped to it),
+    # on values with no smooth structure
+    rng = np.random.default_rng(3)
+    times = time_grid(1.0, 0.01)
+    values = rng.standard_normal(len(times))
+    for half in (0, 1, 2, 7, 33, 50, 100, 150):
+        expected = [
+            np.ptp(values[max(0, i - half) : i + half + 1]) for i in range(len(times))
+        ]
+        got = sliding_amplitude(times, values, (2 * half + 0.5) * 0.01)
+        assert np.array_equal(got, expected), half
+
+
+def test_revival_rejects_a_grid_with_no_point_in_the_window():
+    # dt = 22 leaves only t = 0 and 22, both outside [0.5, 1.5] T1
+    series = scan_transition(FIELD, PARAMS, 23.0, 22.0)
+    with pytest.raises(ValueError, match=r"revival window \[7\.0248, 21\.0744\] at dt=22"):
+        revival_analysis(FIELD, PARAMS, 3, series)
+
+
+def test_revival_rejects_a_vacuum_field():
+    vacuum = FieldConfig.from_mean_photons(0.0)
+    series = scan_transition(vacuum, PARAMS, 10.0, 0.05)
+    with pytest.raises(ValueError, match=r"m = 0 has no revival to detect \(dt=0\.05\)"):
+        revival_analysis(vacuum, PARAMS, 3, series)
+
+
+def test_revival_cli_reports_the_empty_window(tmp_path, capsys):
+    argv = ["revival", "--t-max", "23", "--dt", "22",
+            "--out-csv", str(tmp_path / "r.csv")]
+    assert main(argv) == 1
+    assert "revival window" in capsys.readouterr().err
+    assert main(["revival", "--mean-photons", "0",
+                 "--out-csv", str(tmp_path / "r.csv")]) == 1
+    assert "m = 0" in capsys.readouterr().err
 
 
 def test_collapse_amplitude_profile(excited_series):

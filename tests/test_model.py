@@ -94,9 +94,12 @@ def test_truncation_holds_over_the_parameter_range(m, tol):
     assert np.all(np.isfinite(amps))
     assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
     c0 = closed_form_coeffs(0.0, AtomState(0.0, 1.0), field, ModelParams()).c
-    # c(0) is the kept Poisson mass, 1 - tail; the lgamma exponents of the
-    # weights carry an absolute error of order m * 1e-16
-    assert abs(c0 - 1.0) <= tol + 1e-14 * max(m, 1.0)
+    # c(0) is the kept Poisson mass, 1 less the tails below n_lo and above
+    # n_max; the lgamma exponents of the weights carry an absolute error of
+    # order m * 1e-16
+    lower = math.fsum(poisson_weights(m, field.n_lo - 1))
+    kept = 1.0 - lower - poisson_tail(m, field.n_max)
+    assert abs(c0 - kept) <= 1e-14 * max(m, 1.0)
 
 
 def test_poisson_tails_are_computed_once_per_mean():
@@ -325,7 +328,7 @@ def test_evolve_vectors_over_time_arrays_match_scalar_calls():
     field = FieldConfig.from_mean_photons(200.0)
     times = np.linspace(0.0, 100.0, 1000).reshape(10, 100)
     psi_g, psi_e = evolve_vectors(field, ModelParams(), times)
-    assert psi_g.shape == psi_e.shape == (10, 100, 2 * (field.n_max + 1))
+    assert psi_g.shape == psi_e.shape == (10, 100, 2 * (field.n_max - field.n_lo + 1))
     for idx in ((0, 0), (4, 17), (9, 99)):
         g, e = evolve_vectors(field, ModelParams(), times[idx])
         assert np.array_equal(psi_g[idx], g) and np.array_equal(psi_e[idx], e)
@@ -402,7 +405,7 @@ def test_transition_probability_matches_exact_excited_start():
 def test_transition_probability_matches_exact_at_large_m():
     field = FieldConfig.from_mean_photons(300.0)
     params = ModelParams()
-    na = field.n_max + 1
+    na = field.n_max - field.n_lo + 1
     revival = 2.0 * math.pi * math.sqrt(300.0)
     for t in (3.0, revival):
         psi_e = evolve_vectors(field, params, t)[1]
@@ -423,12 +426,12 @@ def test_closed_form_coeffs_vectorised_matches_scalar_calls():
 
 
 def test_closed_form_coeffs_over_chunks_match_scalar_calls():
-    # 313 levels split 1000 times into several chunks
+    # 209 kept levels split 1000 times into chunks of 627
     field = FieldConfig.from_mean_photons(200.0)
     atom = AtomState.from_ground_weight(0.7)
     times = np.linspace(0.0, 100.0, 1000)
     grid = closed_form_coeffs(times, atom, field, ModelParams())
-    for i in (0, 417, 418, 999):
+    for i in (0, 626, 627, 999):
         point = closed_form_coeffs(times[i], atom, field, ModelParams())
         for name in grid._fields:
             assert abs(getattr(grid, name)[i] - getattr(point, name)) <= 1e-15
