@@ -93,7 +93,7 @@ def _excited_population(
     field: FieldConfig, params: ModelParams, times: np.ndarray
 ) -> np.ndarray:
     """Excited-level weight of the excited-start state, in time chunks."""
-    width = field.n_max - field.n_lo + 1
+    width = field.n_levels
     c_exact = np.empty(len(times))
     for sl in time_chunks(len(times), width):
         psi_e = evolve_vectors(field, params, times[sl])[1]
@@ -160,21 +160,10 @@ def sliding_amplitude(times, values, width: float) -> np.ndarray:
         raise ValueError("times must be a uniform, strictly increasing grid")
     # the epsilon keeps a half-width of exactly k steps from losing sample k
     half = min(int(math.floor(width / 2.0 / step + 1e-9)), len(values) - 1)
-    span = 2 * half + 1
-    # repeating the end values leaves each clipped window's max and min as
-    # is; the padding is cut into blocks of one window span (van Herk /
-    # Gil-Werman), so each window is a block suffix followed by a prefix of
-    # the next block, and max and min cost O(n) whatever the width
-    blocks = -(-(len(values) + 2 * half) // span)
-    padded = np.pad(values, (half, blocks * span - len(values) - half), mode="edge")
-    padded = padded.reshape(blocks, span)
-
-    def extreme(ufunc) -> np.ndarray:
-        prefix = ufunc.accumulate(padded, axis=1).ravel()
-        suffix = ufunc.accumulate(padded[:, ::-1], axis=1)[:, ::-1].ravel()
-        return ufunc(suffix[: len(values)], prefix[span - 1 : span - 1 + len(values)])
-
-    return extreme(np.maximum) - extreme(np.minimum)
+    # repeating the end values leaves each clipped window's max and min as is
+    padded = np.pad(values, half, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
+    return windows.max(axis=1) - windows.min(axis=1)
 
 
 def revival_analysis(

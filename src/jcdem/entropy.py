@@ -106,7 +106,7 @@ def entropies_at(
     scalar t gives scalars.
     """
     t = np.asarray(t, dtype=float)
-    dims = (2, field.n_max - field.n_lo + 1)
+    dims = (2, field.n_levels)
     entropies = np.empty((3, t.size))
     for sl in time_chunks(t.size, dims[1]):
         psi_g, psi_e = evolve_vectors(field, params, t.reshape(-1)[sl])

@@ -121,15 +121,24 @@ class FieldConfig:
     @functools.cached_property
     def n_lo(self) -> int:
         """Lowest kept photon level: the largest k whose lower Poisson tail
-        sum_{n<k} p_n is below tail_tol, less GUARD_LEVELS, at least 0.
+        sum_{n<k} p_n is below tail_tol less the upper tail beyond n_max,
+        less GUARD_LEVELS, at least 0.
 
-        Read from the same cached tails that size and validate n_max.
+        The two tails the window drops thus sum to less than tail_tol, and
+        since tail_tol < 1, n_lo never passes n_max.  Read from the same
+        cached tails that size and validate n_max.
         """
-        lower = _poisson_tails(self.mean_photons)[0]
+        lower, upper = _poisson_tails(self.mean_photons)
+        budget = self.tail_tol - upper[min(self.n_max, len(upper) - 1)]
         # lower tails never decrease with k, so this counts the cutoffs k
-        # whose lower tail is still below the tolerance, k = 0 among them
-        below = int(np.count_nonzero(lower < self.tail_tol))
-        return min(max(below - 1 - GUARD_LEVELS, 0), self.n_max)
+        # whose lower tail is still within the budget, k = 0 among them
+        below = int(np.count_nonzero(lower < budget))
+        return max(below - 1 - GUARD_LEVELS, 0)
+
+    @property
+    def n_levels(self) -> int:
+        """Number of kept photon levels, W = n_max - n_lo + 1."""
+        return self.n_max - self.n_lo + 1
 
 
 class ClosedFormCoeffs(NamedTuple):
@@ -244,8 +253,7 @@ def evolve_vectors(
     stay put (at n_lo = 0 the lower edge |1,0> is exact).
     """
     t = np.asarray(t, dtype=float)
-    n_lo, n_max = field.n_lo, field.n_max
-    width = n_max - n_lo + 1
+    n_lo, n_max, width = field.n_lo, field.n_max, field.n_levels
     amps = coherent_amplitudes(field.theta, n_max, n_lo)
     rabi_t = params.g * np.sqrt(np.arange(n_lo + 1.0, n_max + 1)) * t[..., None]
     diag = np.cos(rabi_t)

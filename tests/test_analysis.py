@@ -230,20 +230,6 @@ def test_revival_requires_series_through_first_revival():
         revival_analysis(FIELD, PARAMS, 0, short)
 
 
-def test_sliding_amplitude_of_noise_matches_a_brute_force_window():
-    # windows from 1 sample up to wider than the series (clipped to it),
-    # on values with no smooth structure
-    rng = np.random.default_rng(3)
-    times = time_grid(1.0, 0.01)
-    values = rng.standard_normal(len(times))
-    for half in (0, 1, 2, 7, 33, 50, 100, 150):
-        expected = [
-            np.ptp(values[max(0, i - half) : i + half + 1]) for i in range(len(times))
-        ]
-        got = sliding_amplitude(times, values, (2 * half + 0.5) * 0.01)
-        assert np.array_equal(got, expected), half
-
-
 def test_revival_rejects_a_grid_with_no_point_in_the_window():
     # dt = 22 leaves only t = 0 and 22, both outside [0.5, 1.5] T1
     series = scan_transition(FIELD, PARAMS, 23.0, 22.0)

@@ -15,6 +15,7 @@ from oracles import (
     free_evolution,
     hermitian_eigensystem,
     initial_joint_state,
+    poisson_lower_tail,
     poisson_tail,
     propagator,
     truncation_dim_by_recursion,
@@ -87,6 +88,7 @@ def test_truncation_dim_tail_actually_below_tol():
 @example(m=746.0, tol=1e-9)
 @example(m=1500.0, tol=1e-12)
 @example(m=1e5, tol=1e-15)
+@example(m=732.0, tol=1e-3)
 def test_truncation_holds_over_the_parameter_range(m, tol):
     field = FieldConfig.from_mean_photons(m, tol)
     assert poisson_tail(m, field.n_max) < tol
@@ -94,12 +96,14 @@ def test_truncation_holds_over_the_parameter_range(m, tol):
     assert np.all(np.isfinite(amps))
     assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
     c0 = closed_form_coeffs(0.0, AtomState(0.0, 1.0), field, ModelParams()).c
-    # c(0) is the kept Poisson mass, 1 less the tails below n_lo and above
-    # n_max; the lgamma exponents of the weights carry an absolute error of
-    # order m * 1e-16
-    lower = math.fsum(poisson_weights(m, field.n_lo - 1))
-    kept = 1.0 - lower - poisson_tail(m, field.n_max)
+    # c(0) is the kept Poisson mass, 1 - tail; the lgamma exponents of the
+    # weights carry an absolute error of order m * 1e-16
+    assert abs(c0 - 1.0) <= tol + 1e-14 * max(m, 1.0)
+    # the tail is the sum of the two the window drops, below n_lo and
+    # above n_max
+    kept = 1.0 - poisson_lower_tail(m, field.n_lo) - poisson_tail(m, field.n_max)
     assert abs(c0 - kept) <= 1e-14 * max(m, 1.0)
+    assert 0 <= field.n_lo <= field.n_max
 
 
 def test_poisson_tails_are_computed_once_per_mean():
@@ -328,7 +332,7 @@ def test_evolve_vectors_over_time_arrays_match_scalar_calls():
     field = FieldConfig.from_mean_photons(200.0)
     times = np.linspace(0.0, 100.0, 1000).reshape(10, 100)
     psi_g, psi_e = evolve_vectors(field, ModelParams(), times)
-    assert psi_g.shape == psi_e.shape == (10, 100, 2 * (field.n_max - field.n_lo + 1))
+    assert psi_g.shape == psi_e.shape == (10, 100, 2 * field.n_levels)
     for idx in ((0, 0), (4, 17), (9, 99)):
         g, e = evolve_vectors(field, ModelParams(), times[idx])
         assert np.array_equal(psi_g[idx], g) and np.array_equal(psi_e[idx], e)
@@ -405,7 +409,7 @@ def test_transition_probability_matches_exact_excited_start():
 def test_transition_probability_matches_exact_at_large_m():
     field = FieldConfig.from_mean_photons(300.0)
     params = ModelParams()
-    na = field.n_max - field.n_lo + 1
+    na = field.n_levels
     revival = 2.0 * math.pi * math.sqrt(300.0)
     for t in (3.0, revival):
         psi_e = evolve_vectors(field, params, t)[1]

@@ -40,13 +40,13 @@ def full_range_point(atom, field, t):
 def excited_weight(field, t):
     """c_exact of the windowed evolution at one time."""
     psi_e = evolve_vectors(field, PARAMS, t)[1]
-    return np.sum(np.abs(psi_e[field.n_max - field.n_lo + 1 :]) ** 2)
+    return np.sum(np.abs(psi_e[field.n_levels :]) ** 2)
 
 
 @pytest.mark.parametrize(
     "m, n_lo, n_max",
-    [(5.0, 0, 32), (50.0, 4, 112), (200.0, 104, 312), (1e3, 781, 1235),
-     (1e4, 9300, 10716), (1e5, 97779, 102238)],
+    [(5.0, 0, 32), (50.0, 4, 112), (200.0, 104, 312), (1e3, 779, 1235),
+     (1e4, 9283, 10716), (1e5, 97689, 102238)],
 )
 def test_window_frozen_values(m, n_lo, n_max):
     field = FieldConfig.from_mean_photons(m)
@@ -71,13 +71,16 @@ def test_n_lo_is_derived_and_read_only():
         FieldConfig(theta=field.theta, n_max=field.n_max, n_lo=0)
 
 
-def test_n_lo_never_passes_n_max():
-    # at a loose tolerance the lower-tail cutoff (k = 13 at m = 9) lies
-    # above a valid n_max, and the window shrinks to the single level n_max
+def test_window_drops_less_than_tail_tol_in_all():
+    # at a loose tolerance the upper tail beyond n_max = 5 (0.884 at m = 9)
+    # leaves the lower tail a budget of 0.016 only, so the window keeps
+    # every level down to 0; the lower tail alone, below tail_tol up to
+    # k = 13, would have put n_lo at 8, past n_max
     field = FieldConfig(theta=3.0, n_max=5, tail_tol=0.9)
-    assert field.n_lo == 5
-    psi_g, psi_e = evolve_vectors(field, PARAMS, 2.0)
-    assert np.array_equal(psi_g, [1.0, 0.0]) and np.array_equal(psi_e, [0.0, 1.0])
+    assert field.n_lo == 0
+    assert poisson_lower_tail(9.0, 13) < 0.9
+    dropped = poisson_lower_tail(9.0, field.n_lo) + poisson_tail(9.0, field.n_max)
+    assert dropped < field.tail_tol
 
 
 @pytest.mark.parametrize("m", [50.0, 200.0])
@@ -129,7 +132,7 @@ def test_window_holds_over_the_parameter_range(m):
     assert poisson_tail(m, field.n_max) < DEFAULT_TAIL_TOL
     assert 0 <= field.n_lo <= math.floor(m) <= field.n_max
     amps = coherent_amplitudes(field.theta, field.n_max, field.n_lo)
-    assert len(amps) == field.n_max - field.n_lo + 1
+    assert len(amps) == field.n_levels
     assert abs(np.linalg.norm(amps) - 1.0) <= 1e-13
     psi_g, psi_e = evolve_vectors(field, PARAMS, 0.0)
     assert abs(np.linalg.norm(psi_g) - 1.0) <= 1e-13
@@ -140,7 +143,7 @@ def test_entropies_diagonalise_only_the_window(monkeypatch):
     # a cost guard: at m = 200 the window keeps 209 of the 313 levels, so
     # the matrices diagonalised are 2W, W and 2 wide, not 626 and 313
     field = FieldConfig.from_mean_photons(200.0)
-    width = field.n_max - field.n_lo + 1
+    width = field.n_levels
     assert width == 209
     sizes = []
     original = jcdem.entropy.hermitian_eigenvalues
