@@ -19,6 +19,9 @@ from .model import (
 )
 
 MAX_GRID_POINTS = 1_000_000
+# Revival times T1..T{REVIVALS} that revival_analysis reports and
+# scan_lambda samples by default.
+REVIVALS = 3
 # Numerical slack for the revival-time monotonicity comparison.
 CONJECTURE_SLACK = 1e-9
 
@@ -107,7 +110,6 @@ def scan_time(
     params: ModelParams,
     t_max: float,
     dt: float,
-    log_base: str = "e",
 ) -> TimeSeries:
     """Exact pipeline and closed forms sampled on a uniform time grid.
 
@@ -118,9 +120,9 @@ def scan_time(
     """
     times = time_grid(t_max, dt)
     coeffs = closed_form_coeffs(times, atom, field, params)
-    report = entropies_at(atom, field, params, times, log_base)
+    report = entropies_at(atom, field, params, times)
     columns = (coeffs.c, _excited_population(field, params, times), report.dem,
-               dem_closed_form(coeffs, log_base), report.s_atom, report.s_field,
+               dem_closed_form(coeffs), report.s_atom, report.s_field,
                report.s_joint)
     return TimeSeries(times=times, columns=dict(zip(TIME_COLUMNS, columns)))
 
@@ -167,12 +169,10 @@ def sliding_amplitude(times, values, width: float) -> np.ndarray:
 
 
 def revival_analysis(
-    field: FieldConfig,
-    params: ModelParams,
-    k_max: int,
-    series: TimeSeries,
+    field: FieldConfig, params: ModelParams, series: TimeSeries
 ) -> RevivalReport:
-    """Analytic collapse/revival times and a data-driven revival locator.
+    """The collapse time, revival times T1..T{REVIVALS} and a data-driven
+    revival locator.
 
     The detector slides a window one dominant Rabi period wide over the
     excited-population oscillation amplitude and picks the maximizing
@@ -180,8 +180,6 @@ def revival_analysis(
     no revival, and a grid with no point in that window cannot place one;
     both raise ValueError.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
     t1 = revival_period(field, params)
     times = np.asarray(series.times)
     step = times[1] - times[0] if len(times) > 1 else 0.0
@@ -206,7 +204,7 @@ def revival_analysis(
     detected = float(times[mask][np.argmax(amp[mask])])
     return RevivalReport(
         t_collapse=1.0 / params.g,
-        revival_times=tuple(k * t1 for k in range(1, k_max + 1)),
+        revival_times=tuple(k * t1 for k in range(1, REVIVALS + 1)),
         detected_revival=detected,
     )
 
@@ -215,8 +213,7 @@ def scan_lambda(
     field: FieldConfig,
     params: ModelParams,
     lambda_grid,
-    k_list: tuple[int, ...] = (1, 2, 3),
-    log_base: str = "e",
+    k_list: tuple[int, ...] = tuple(range(1, REVIVALS + 1)),
 ) -> LambdaScan:
     """Entanglement degree at the revival times T_k over a lambda0 grid.
 
@@ -231,9 +228,7 @@ def scan_lambda(
         raise ValueError(f"k_list must be strictly increasing positive, got {k_list}")
     times = revival_period(field, params) * np.asarray(k_list, dtype=float)
     dem = np.array([
-        entropies_at(
-            AtomState.from_ground_weight(float(lam)), field, params, times, log_base
-        ).dem
+        entropies_at(AtomState.from_ground_weight(float(lam)), field, params, times).dem
         for lam in lambdas
     ])
     dem_at_T = {k: dem[:, j] for j, k in enumerate(k_list)}

@@ -1,14 +1,12 @@
 """Entropy functionals and the mutual-entropy degree of entanglement.
 
 Von Neumann entropies read only the spectrum of a state.  entropies_at is
-the one place the evolved joint density matrix is formed.
-Natural log is the default; base 2 is selectable everywhere through the
-``log_base`` argument ("e" or "2").
+the one place the evolved joint density matrix is formed.  All entropies
+are in nats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +28,6 @@ NEGATIVE_EIG_TOL = 1e-10
 AL_SLACK = 1e-8
 
 
-def _log_scale(log_base: str) -> float:
-    if log_base == "e":
-        return 1.0
-    if log_base == "2":
-        return 1.0 / math.log(2.0)
-    raise ValueError(f"log_base must be 'e' or '2', got {log_base!r}")
-
-
 def _xlogx(x) -> np.ndarray:
     """Elementwise x ln x, zero at or below EIG_CLIP."""
     x = np.asarray(x, dtype=float)
@@ -45,12 +35,12 @@ def _xlogx(x) -> np.ndarray:
     return np.where(live, x * np.log(np.where(live, x, 1.0)), 0.0)
 
 
-def von_neumann_entropy(rho, log_base: str = "e") -> float:
+def von_neumann_entropy(rho) -> float:
     """-tr(rho log rho) from the spectrum alone; zero exactly on pure states."""
     eigs = hermitian_eigenvalues(rho)
     if eigs[0] < -NEGATIVE_EIG_TOL:
         raise ValueError(f"state has negative eigenvalue {eigs[0]:.3e}")
-    return max(-float(np.sum(_xlogx(eigs))), 0.0) * _log_scale(log_base)
+    return max(-float(np.sum(_xlogx(eigs))), 0.0)
 
 
 @dataclass(frozen=True)
@@ -85,17 +75,17 @@ def _report(s_atom, s_field, s_joint) -> EntropyReport:
     )
 
 
-def dem_exact(joint, dims: tuple[int, int], log_base: str = "e") -> EntropyReport:
+def dem_exact(joint, dims: tuple[int, int]) -> EntropyReport:
     """Degree of entanglement S(rho_A) + S(rho_F) - S(joint), with margins."""
     return _report(
-        von_neumann_entropy(partial_trace(joint, dims, "atom"), log_base),
-        von_neumann_entropy(partial_trace(joint, dims, "field"), log_base),
-        von_neumann_entropy(joint, log_base),
+        von_neumann_entropy(partial_trace(joint, dims, "atom")),
+        von_neumann_entropy(partial_trace(joint, dims, "field")),
+        von_neumann_entropy(joint),
     )
 
 
 def entropies_at(
-    atom: AtomState, field: FieldConfig, params: ModelParams, t, log_base: str = "e"
+    atom: AtomState, field: FieldConfig, params: ModelParams, t
 ) -> EntropyReport:
     """Entropies and DEM of the evolved joint state at a scalar or array of times.
 
@@ -114,13 +104,13 @@ def entropies_at(
             joint = atom.lambda0 * np.outer(g, g.conj()) + atom.lambda1 * np.outer(
                 e, e.conj()
             )
-            report = dem_exact(joint, dims, log_base)
+            report = dem_exact(joint, dims)
             entropies[:, i] = report.s_atom, report.s_field, report.s_joint
     # [()] unwraps a scalar time's 0-d results to numpy floats
     return _report(*(row.reshape(t.shape)[()] for row in entropies))
 
 
-def dem_closed_form(coeffs: ClosedFormCoeffs, log_base: str = "e"):
+def dem_closed_form(coeffs: ClosedFormCoeffs):
     """Analytic degree of entanglement, magnitude reading.
 
     -e1 log e1 - e4 log e4 + |e2| log |e2| + |e3| log |e3|, with the
@@ -135,4 +125,4 @@ def dem_closed_form(coeffs: ClosedFormCoeffs, log_base: str = "e"):
         + _xlogx(coeffs.e3_mag)
     )
     # [()] unwraps a 0-d result to a scalar and leaves arrays as they are
-    return val[()] * _log_scale(log_base)
+    return val[()]

@@ -26,8 +26,6 @@ import numpy as np
 
 DEFAULT_G = 1.0
 DEFAULT_OMEGA0 = 1.0
-DEFAULT_MEAN_PHOTONS = 5.0
-DEFAULT_LAMBDA0 = 0.7
 DEFAULT_TAIL_TOL = 1e-12
 # Extra photon levels kept beyond each tail cutoff so neither truncation
 # edge touches populated levels.

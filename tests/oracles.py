@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from jcdem.entropy import EIG_CLIP, NEGATIVE_EIG_TOL, _log_scale, _xlogx
+from jcdem.entropy import EIG_CLIP, NEGATIVE_EIG_TOL, _xlogx
 from jcdem.linalg import partial_trace
 from jcdem.model import coherent_amplitudes, evolve_vectors
 
@@ -246,8 +246,8 @@ def hermitian_eigensystem(m, atol: float = 1e-10) -> EigenSystem:
     return EigenSystem(*np.linalg.eigh(0.5 * (m + m.conj().T)))
 
 
-def relative_entropy(sigma, rho, log_base: str = "e") -> float:
-    """tr sigma (log sigma - log rho), or +inf outside rho's support.
+def relative_entropy(sigma, rho) -> float:
+    """tr sigma (log sigma - log rho) in nats, or +inf outside rho's support.
 
     Evaluated from both eigensystems as
     sum_i lam_i log lam_i - sum_ij lam_i |<v_i|w_j>|^2 log mu_j,
@@ -272,4 +272,4 @@ def relative_entropy(sigma, rho, log_base: str = "e") -> float:
         @ overlaps[np.ix_(lam_live, ~mu_dead)]
         @ np.log(mu[~mu_dead])
     )
-    return (float(np.sum(_xlogx(lam))) - cross) * _log_scale(log_base)
+    return float(np.sum(_xlogx(lam))) - cross

@@ -123,7 +123,7 @@ def test_criterion_05_collapse_and_revival(scans):
     times = series.times
     early = amp[(times >= 0.0) & (times <= 1.0)].max()
     quiet = amp[(times >= 4.0) & (times <= 6.0)].max()
-    detected = revival_analysis(FIELD, PARAMS, 3, series).detected_revival
+    detected = revival_analysis(FIELD, PARAMS, series).detected_revival
     ok = early > 0.4 and quiet < 0.1 and abs(detected - 14.05) <= 2.0
     check(
         5,

@@ -116,7 +116,7 @@ def test_transition_and_revival_compute_no_entropies(tmp_path, monkeypatch):
 
     monkeypatch.setattr(jcdem.entropy, "dem_exact", refuse)
     series = scan_transition(FIELD, PARAMS, 22.0, 0.05)
-    revival_analysis(FIELD, PARAMS, 3, series)
+    revival_analysis(FIELD, PARAMS, series)
     for command in ("transition", "revival"):
         assert main([command, "--out-csv", str(tmp_path / f"{command}.csv")]) == 0
 
@@ -198,7 +198,7 @@ def test_sliding_amplitude_accepts_the_largest_time_grid():
 
 
 def test_revival_report_analytic_times(excited_series):
-    report = revival_analysis(FIELD, PARAMS, 3, excited_series)
+    report = revival_analysis(FIELD, PARAMS, excited_series)
     assert report.t_collapse == pytest.approx(1.0)
     assert report.revival_times[0] == pytest.approx(T1_FROZEN, abs=1e-12)
     assert np.allclose(
@@ -208,7 +208,7 @@ def test_revival_report_analytic_times(excited_series):
 
 
 def test_revival_detector_lands_near_first_revival(excited_series):
-    report = revival_analysis(FIELD, PARAMS, 3, excited_series)
+    report = revival_analysis(FIELD, PARAMS, excited_series)
     assert report.detected_revival == pytest.approx(14.25, abs=1e-9)
     assert abs(report.detected_revival - T1_FROZEN) <= 2.0
 
@@ -216,7 +216,7 @@ def test_revival_detector_lands_near_first_revival(excited_series):
 def test_revival_scaling_with_coupling():
     params2 = ModelParams(g=2.0)
     series = scan_time(AtomState(0.0, 1.0), FIELD, params2, 12.0, 0.025)
-    report = revival_analysis(FIELD, params2, 3, series)
+    report = revival_analysis(FIELD, params2, series)
     assert report.t_collapse == pytest.approx(0.5)
     assert report.revival_times[0] == pytest.approx(T1_FROZEN / 2.0, abs=1e-12)
     assert abs(report.detected_revival - T1_FROZEN / 2.0) <= 1.0
@@ -225,23 +225,21 @@ def test_revival_scaling_with_coupling():
 def test_revival_requires_series_through_first_revival():
     short = scan_time(AtomState(0.0, 1.0), FIELD, PARAMS, 5.0, 0.1)
     with pytest.raises(ValueError):
-        revival_analysis(FIELD, PARAMS, 3, short)
-    with pytest.raises(ValueError):
-        revival_analysis(FIELD, PARAMS, 0, short)
+        revival_analysis(FIELD, PARAMS, short)
 
 
 def test_revival_rejects_a_grid_with_no_point_in_the_window():
     # dt = 22 leaves only t = 0 and 22, both outside [0.5, 1.5] T1
     series = scan_transition(FIELD, PARAMS, 23.0, 22.0)
     with pytest.raises(ValueError, match=r"revival window \[7\.0248, 21\.0744\] at dt=22"):
-        revival_analysis(FIELD, PARAMS, 3, series)
+        revival_analysis(FIELD, PARAMS, series)
 
 
 def test_revival_rejects_a_vacuum_field():
     vacuum = FieldConfig.from_mean_photons(0.0)
     series = scan_transition(vacuum, PARAMS, 10.0, 0.05)
     with pytest.raises(ValueError, match=r"m = 0 has no revival to detect \(dt=0\.05\)"):
-        revival_analysis(vacuum, PARAMS, 3, series)
+        revival_analysis(vacuum, PARAMS, series)
 
 
 def test_revival_cli_reports_the_empty_window(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """The package's public names and CLI examples are the ones the README documents."""
 
+import inspect
 import re
 import shlex
 from pathlib import Path
 
 import jcdem
 from jcdem.cli import main, parse_args
+from jcdem.entropy import dem_exact, von_neumann_entropy
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,6 +17,14 @@ def test_every_public_name_is_documented():
     assert sorted(set(jcdem.__all__) - documented) == []
     for name in jcdem.__all__:
         assert getattr(jcdem, name) is not None
+
+
+def test_library_entropies_are_in_nats():
+    # only the CLI converts units, through --log-base
+    for fn in [*(getattr(jcdem, name) for name in jcdem.__all__),
+               dem_exact, von_neumann_entropy]:
+        assert "log_base" not in inspect.signature(fn).parameters, fn
+    assert "k_max" not in inspect.signature(jcdem.revival_analysis).parameters
 
 
 def test_readme_quick_start_runs(capsys):

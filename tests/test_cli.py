@@ -1,5 +1,6 @@
 """Tests for argument parsing, the CLI commands, and plot rendering."""
 
+import argparse
 import math
 import os
 import stat
@@ -8,7 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from jcdem.cli import RunConfig, main, parse_args
+from jcdem.cli import main, parse_args
 from jcdem.svgplot import render_plot
 
 
@@ -19,14 +20,18 @@ def svg_elements(path, local_name):
 
 def test_parse_args_defaults():
     config = parse_args(["scan-time"])
-    assert config == RunConfig(command="scan-time", out_csv="jc_scan_time.csv")
+    assert isinstance(config, argparse.Namespace)
+    assert config.command == "scan-time"
+    assert config.out_csv == "jc_scan_time.csv"
     assert config.g == 1.0
+    assert config.omega0 == 1.0
     assert config.mean_photons == 5.0
     assert config.lambda0 == 0.7
     assert config.t_max == 50.0
     assert config.dt == 0.05
     assert config.tail_tol == 1e-12
     assert config.log_base == "e"
+    assert config.lambda_points == 21
     assert config.out_svg is None
 
 
@@ -300,6 +305,8 @@ def test_log_base_2_writes_entropies_in_bits(tmp_path, command, entropies):
         expected = np.array(in_nats[name], dtype=float) / math.log(2.0)
         assert np.allclose(np.array(in_bits[name], dtype=float), expected,
                            rtol=1e-12, atol=1e-12)
-    # the grid and the transition probabilities do not depend on the base
-    for name in set(in_nats) & {"t", "lambda0", "c_closed", "c_exact"}:
+    # the grid, the transition probabilities and the conjecture flag, which
+    # is decided in nats, do not depend on the base
+    for name in set(in_nats) & {"t", "lambda0", "c_closed", "c_exact",
+                                "conjecture_holds"}:
         assert in_bits[name] == in_nats[name]

@@ -47,21 +47,12 @@ def test_entropy_of_projector_is_zero():
 
 def test_entropy_of_maximally_mixed_qubit():
     assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(math.log(2.0))
-    assert von_neumann_entropy(np.eye(2) / 2, log_base="2") == pytest.approx(1.0)
 
 
 def test_entropy_binary_value():
     assert von_neumann_entropy(np.diag([0.7, 0.3])) == pytest.approx(
         0.6108643020548935, abs=1e-14
     )
-
-
-def test_entropy_base_covariance():
-    rng = np.random.default_rng(21)
-    rho = random_density(rng, 5)
-    nats = von_neumann_entropy(rho)
-    bits = von_neumann_entropy(rho, log_base="2")
-    assert abs(bits - nats / math.log(2.0)) <= 1e-12
 
 
 def test_entropy_clips_round_off_eigenvalues():
@@ -72,11 +63,6 @@ def test_entropy_clips_round_off_eigenvalues():
 def test_entropy_rejects_negative_eigenvalue():
     with pytest.raises(ValueError):
         von_neumann_entropy(np.diag([1.001, -0.001]))
-
-
-def test_entropy_rejects_unknown_base():
-    with pytest.raises(ValueError):
-        von_neumann_entropy(np.eye(2) / 2, log_base="10")
 
 
 def test_relative_entropy_of_identical_states():
@@ -94,9 +80,6 @@ def test_relative_entropy_disjoint_supports():
 def test_relative_entropy_matches_classical_kl():
     assert relative_entropy(np.diag(KL_P), np.diag(KL_Q)) == pytest.approx(
         KL_FROZEN, abs=1e-13
-    )
-    assert relative_entropy(np.diag(KL_P), np.diag(KL_Q), log_base="2") == (
-        pytest.approx(KL_FROZEN / math.log(2.0), abs=1e-13)
     )
 
 
@@ -199,13 +182,6 @@ def test_closed_form_dem_over_times_matches_pointwise():
     for t, value in zip(times, grid):
         co = closed_form_coeffs(float(t), atom, field, ModelParams())
         assert abs(value - dem_closed_form(co)) <= 1e-14
-
-
-def test_closed_form_dem_base_covariance():
-    co = ClosedFormCoeffs(s=0.3, c=0.7, e1=0.4, e4=0.6, e2_mag=0.1, e3_mag=0.1)
-    assert dem_closed_form(co, log_base="2") == pytest.approx(
-        dem_closed_form(co) / math.log(2.0), abs=1e-12
-    )
 
 
 def test_dem_exact_on_evolved_state_matches_relative_entropy():
