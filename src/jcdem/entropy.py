@@ -1,8 +1,8 @@
 """Entropy functionals and the mutual-entropy degree of entanglement.
 
-Von Neumann entropies read only the spectrum of a state.  entropies_at is
-the one place the evolved joint density matrix is formed.  All entropies
-are in nats.
+Von Neumann entropies read only the spectra of states, a whole stack of
+them per eigvalsh call.  entropies_at is the one place the evolved joint
+density matrices are formed.  All entropies are in nats.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, partial_trace
+from .linalg import partial_trace
 from .model import (
     AtomState,
     ClosedFormCoeffs,
@@ -26,6 +26,8 @@ from .model import (
 EIG_CLIP = 1e-12
 NEGATIVE_EIG_TOL = 1e-10
 AL_SLACK = 1e-8
+# A joint state further than this from Hermitian is a bug in its caller.
+HERMITICITY_ATOL = 1e-10
 
 
 def _xlogx(x) -> np.ndarray:
@@ -35,20 +37,22 @@ def _xlogx(x) -> np.ndarray:
     return np.where(live, x * np.log(np.where(live, x, 1.0)), 0.0)
 
 
-def von_neumann_entropy(rho) -> float:
-    """-tr(rho log rho) from the spectrum alone; zero exactly on pure states."""
-    eigs = hermitian_eigenvalues(rho)
-    if eigs[0] < -NEGATIVE_EIG_TOL:
-        raise ValueError(f"state has negative eigenvalue {eigs[0]:.3e}")
-    return max(-float(np.sum(_xlogx(eigs))), 0.0)
+def _entropies(rho):
+    """-tr(rho ln rho) of each matrix in a (..., d, d) stack, from one eigvalsh
+    call on its lower triangles; zero exactly on pure states."""
+    eigs = np.linalg.eigvalsh(rho)
+    lowest = eigs.min(initial=0.0)
+    if lowest < -NEGATIVE_EIG_TOL:
+        raise ValueError(f"state has negative eigenvalue {lowest:.3e}")
+    return np.maximum(-np.sum(_xlogx(eigs), axis=-1), 0.0)[()]
 
 
 @dataclass(frozen=True)
 class EntropyReport:
     """Marginal and joint entropies of a bipartite state, with the DEM.
 
-    dem_exact fills it with floats for one state; entropies_at with arrays
-    shaped like its times.
+    Each field (and each of the two al_margins) is a float for one state, or
+    an array shaped like a stack's leading axes or like entropies_at's t.
     """
 
     s_atom: float
@@ -76,12 +80,24 @@ def _report(s_atom, s_field, s_joint) -> EntropyReport:
 
 
 def dem_exact(joint, dims: tuple[int, int]) -> EntropyReport:
-    """Degree of entanglement S(rho_A) + S(rho_F) - S(joint), with margins."""
-    return _report(
-        von_neumann_entropy(partial_trace(joint, dims, "atom")),
-        von_neumann_entropy(partial_trace(joint, dims, "field")),
-        von_neumann_entropy(joint),
-    )
+    """Degree of entanglement S(rho_A) + S(rho_F) - S(joint), with margins.
+
+    joint is one state or a stack shaped (..., d, d), d = dims[0] * dims[1];
+    the report has the shape of the leading axes.  Raises ValueError when
+    joint does not factor as dims or a member is not Hermitian.
+    """
+    joint = np.asarray(joint, dtype=complex)
+    marginals = [partial_trace(joint, dims, keep) for keep in ("atom", "field")]
+    # in place: the check adds one stack-sized temporary, not three
+    herm = joint.conj().swapaxes(-1, -2)
+    herm -= joint
+    deviation = np.abs(herm, out=herm).real.max(initial=0.0)
+    if deviation > HERMITICITY_ATOL:
+        raise ValueError(
+            f"joint state is not Hermitian: max |M - M^dag| = {deviation:.3e} "
+            f"> {HERMITICITY_ATOL:.1e}"
+        )
+    return _report(*(_entropies(m) for m in (*marginals, joint)))
 
 
 def entropies_at(
@@ -89,23 +105,21 @@ def entropies_at(
 ) -> EntropyReport:
     """Entropies and DEM of the evolved joint state at a scalar or array of times.
 
-    At each time the rank-2 joint state lambda0 |psi_g><psi_g| +
-    lambda1 |psi_e><psi_e| of the evolve_vectors states, on the kept
-    photon levels n_lo..n_max, goes through dem_exact.  Every field of the
-    report has the shape of t, and al_margins holds two such arrays; a
+    For each chunk of times the rank-2 joint states lambda0 |psi_g><psi_g| +
+    lambda1 |psi_e><psi_e| of the evolve_vectors states, on the kept photon
+    levels n_lo..n_max, go through dem_exact as one stack.  Every field of
+    the report has the shape of t, and al_margins holds two such arrays; a
     scalar t gives scalars.
     """
     t = np.asarray(t, dtype=float)
     dims = (2, field.n_levels)
     entropies = np.empty((3, t.size))
-    for sl in time_chunks(t.size, dims[1]):
-        psi_g, psi_e = evolve_vectors(field, params, t.reshape(-1)[sl])
-        for i, g, e in zip(range(sl.start, sl.stop), psi_g, psi_e):
-            joint = atom.lambda0 * np.outer(g, g.conj()) + atom.lambda1 * np.outer(
-                e, e.conj()
-            )
-            report = dem_exact(joint, dims)
-            entropies[:, i] = report.s_atom, report.s_field, report.s_joint
+    for sl in time_chunks(t.size, (2 * dims[1]) ** 2):
+        g, e = evolve_vectors(field, params, t.reshape(-1)[sl])
+        joint = atom.lambda0 * (g[:, :, None] * g[:, None, :].conj())
+        joint += atom.lambda1 * (e[:, :, None] * e[:, None, :].conj())
+        report = dem_exact(joint, dims)
+        entropies[:, sl] = report.s_atom, report.s_field, report.s_joint
     # [()] unwraps a scalar time's 0-d results to numpy floats
     return _report(*(row.reshape(t.shape)[()] for row in entropies))
 

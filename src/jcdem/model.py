@@ -164,9 +164,9 @@ def _checked_mean(mean_photons: float) -> float:
     return float(mean_photons)
 
 
-def time_chunks(n_times: int, n_levels: int) -> list[slice]:
-    """Slices covering range(n_times), each about CHUNK_ELEMENTS / n_levels long."""
-    step = max(1, CHUNK_ELEMENTS // n_levels)
+def time_chunks(n_times: int, entries_per_time: int) -> list[slice]:
+    """Slices of range(n_times), each within CHUNK_ELEMENTS entries (or one time)."""
+    step = max(1, CHUNK_ELEMENTS // entries_per_time)
     return [slice(i, i + step) for i in range(0, n_times, step)]
 
 

@@ -3,13 +3,14 @@
 import argparse
 import math
 import os
+import re
 import stat
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from jcdem.cli import main, parse_args
+from jcdem.cli import COMMANDS, build_parser, main, parse_args
 from jcdem.svgplot import render_plot
 
 
@@ -91,6 +92,29 @@ def test_usage_errors_exit_2(argv, capsys):
 def test_usage_errors_carry_the_model_message(capsys):
     assert main(["scan-time", "--mean-photons", "nan"]) == 2
     assert "mean_photons must be finite and nonnegative" in capsys.readouterr().err
+
+
+def test_help_states_each_default_the_parser_holds():
+    # every "(default X)" in a flag's help must name the parser's default
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(COMMANDS)
+    stated_count = 0
+    for name, cmd in sub.choices.items():
+        for action in cmd._actions:
+            found = re.search(r"\(default (\S+)\)", action.help or "")
+            if found is None:
+                continue
+            stated_count += 1
+            stated = found.group(1)
+            if action.type in (int, float):
+                assert action.type(stated) == action.default, (name, action.dest)
+            elif action.dest == "out_csv":
+                resolved = stated.replace("<command>", name.replace("-", "_"))
+                assert resolved == parse_args([name]).out_csv, name
+            else:
+                assert stated == action.default, (name, action.dest)
+    assert stated_count == 10 * len(COMMANDS)
 
 
 def test_help_exits_0(capsys):

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from oracles import marginal_product, propagated_joint, relative_entropy
 
 from jcdem.entropy import (
+    HERMITICITY_ATOL,
+    _entropies,
     dem_closed_form,
     dem_exact,
     entropies_at,
-    von_neumann_entropy,
 )
 from jcdem.linalg import partial_trace
 from jcdem.model import (
@@ -42,27 +43,27 @@ def bell_state():
 
 
 def test_entropy_of_projector_is_zero():
-    assert von_neumann_entropy(np.diag([1.0, 0.0, 0.0])) == 0.0
+    assert _entropies(np.diag([1.0, 0.0, 0.0])) == 0.0
 
 
 def test_entropy_of_maximally_mixed_qubit():
-    assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(math.log(2.0))
+    assert _entropies(np.eye(2) / 2) == pytest.approx(math.log(2.0))
 
 
 def test_entropy_binary_value():
-    assert von_neumann_entropy(np.diag([0.7, 0.3])) == pytest.approx(
+    assert _entropies(np.diag([0.7, 0.3])) == pytest.approx(
         0.6108643020548935, abs=1e-14
     )
 
 
 def test_entropy_clips_round_off_eigenvalues():
-    s = von_neumann_entropy(np.diag([1.0 - 1e-13, 1e-13]))
+    s = _entropies(np.diag([1.0 - 1e-13, 1e-13]))
     assert 0.0 <= s <= 1e-10
 
 
 def test_entropy_rejects_negative_eigenvalue():
     with pytest.raises(ValueError):
-        von_neumann_entropy(np.diag([1.001, -0.001]))
+        _entropies(np.diag([1.001, -0.001]))
 
 
 def test_relative_entropy_of_identical_states():
@@ -117,6 +118,29 @@ def test_dem_report_is_internally_consistent():
         report.s_atom + report.s_field - report.s_joint, abs=1e-12
     )
     assert report.dem >= -1e-9
+    # a stack gives, member by member, what single calls give
+    stack = np.array([random_density(rng, 4) for _ in range(5)])
+    grid = dem_exact(stack, (2, 2))
+    assert np.shape(grid.dem) == np.shape(grid.al_margins[0]) == (5,)
+    for i, joint in enumerate(stack):
+        single = dem_exact(joint, (2, 2))
+        for name in ("s_atom", "s_field", "s_joint", "dem", "araki_lieb_ok"):
+            assert getattr(grid, name)[i] == getattr(single, name)
+        assert all(m[i] == s for m, s in zip(grid.al_margins, single.al_margins))
+
+
+def test_dem_exact_rejects_non_hermitian_and_misfactored_joints():
+    rng = np.random.default_rng(29)
+    stack = np.array([random_density(rng, 4) for _ in range(3)])
+    round_off = stack.copy()
+    round_off[1, 3, 0] += 0.1 * HERMITICITY_ATOL
+    assert np.shape(dem_exact(round_off, (2, 2)).dem) == (3,)
+    stack[1, 3, 0] += 10 * HERMITICITY_ATOL
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dem_exact(stack, (2, 2))
+    for bad in (np.eye(6) / 6, np.zeros((2, 3)), np.ones(4)):
+        with pytest.raises(ValueError, match="does not factor"):
+            dem_exact(bad, (2, 2))
 
 
 def test_dem_equals_relative_entropy_to_marginal_product():
@@ -209,6 +233,13 @@ def test_entropies_at_keeps_the_shape_of_t():
     joint = propagated_joint(atom, field, ModelParams(), times[1, 2])
     assert abs(point.dem - dem_exact(joint, (2, field.n_max + 1)).dem) <= 1e-12
     assert grid.dem[1, 2] == point.dem
+    # the CLI grid at m = 5 spans 34 stacked chunks of 30 times: each chunk's
+    # edges match the single-time call bit for bit
+    field = FieldConfig.from_mean_photons(5.0)
+    times = np.arange(1001) * 0.05
+    grid = entropies_at(atom, field, ModelParams(), times)
+    for i in (0, 29, 30, 59, 60, 1000):
+        assert grid.dem[i] == entropies_at(atom, field, ModelParams(), times[i]).dem
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

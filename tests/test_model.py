@@ -23,7 +23,7 @@ from oracles import (
 )
 
 from jcdem.entropy import entropies_at
-from jcdem.linalg import dagger, partial_trace
+from jcdem.linalg import partial_trace
 from jcdem.model import (
     DEFAULT_TAIL_TOL,
     GUARD_LEVELS,
@@ -279,7 +279,7 @@ def test_propagator_unitary():
     params = ModelParams(g=1.0, omega0=1.0)
     for t in (0.3, 5.0, 17.7, 50.0):
         u = propagator(t, params, 10)
-        assert np.abs(u @ dagger(u) - np.eye(22)).max() <= 1e-10
+        assert np.abs(u @ u.conj().T - np.eye(22)).max() <= 1e-10
 
 
 def test_propagator_group_property():
@@ -368,7 +368,7 @@ def test_evolve_preserves_trace():
     field = default_field()
     joint = vector_joint(AtomState.from_ground_weight(0.7), field, ModelParams(), 5.0)
     assert abs(np.trace(joint).real - 1.0) <= 1e-10
-    assert np.abs(joint - dagger(joint)).max() <= 1e-12
+    assert np.abs(joint - joint.conj().T).max() <= 1e-12
 
 
 def test_evolve_entropy_is_time_invariant():
@@ -502,6 +502,6 @@ def test_atom_marginal_develops_real_coherence():
     u = free_evolution(t, 1.0, field.n_max) @ expm_taylor(
         -1j * t * dense_hamiltonian(1.0, 1.0, field.n_max)
     )
-    oracle_joint = u @ initial_joint_state(atom, field) @ dagger(u)
+    oracle_joint = u @ initial_joint_state(atom, field) @ u.conj().T
     oracle = partial_trace(oracle_joint, (2, field.n_max + 1), "atom")
     assert abs(marginal[0, 1] - oracle[0, 1]) <= 1e-9

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from oracles import full_range_vectors, poisson_lower_tail, poisson_tail
 
-import jcdem.entropy
 from jcdem.entropy import dem_exact, entropies_at
 from jcdem.model import (
     DEFAULT_TAIL_TOL,
@@ -141,17 +140,24 @@ def test_window_holds_over_the_parameter_range(m):
 
 def test_entropies_diagonalise_only_the_window(monkeypatch):
     # a cost guard: at m = 200 the window keeps 209 of the 313 levels, so
-    # the matrices diagonalised are 2W, W and 2 wide, not 626 and 313
+    # the matrices diagonalised are 2W, W and 2 wide, not 626 and 313; and
+    # each chunk of times takes one eigvalsh call per kind of matrix, not
+    # one per time
     field = FieldConfig.from_mean_photons(200.0)
     width = field.n_levels
     assert width == 209
-    sizes = []
-    original = jcdem.entropy.hermitian_eigenvalues
+    shapes = []
+    original = np.linalg.eigvalsh
 
     def record(m):
-        sizes.append(len(m))
+        shapes.append(np.shape(m))
         return original(m)
 
-    monkeypatch.setattr(jcdem.entropy, "hermitian_eigenvalues", record)
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
     entropies_at(ATOM, field, PARAMS, 7.0)
-    assert sorted(sizes, reverse=True) == [2 * width, width, 2]
+    assert sorted((s[-1] for s in shapes), reverse=True) == [2 * width, width, 2]
+    shapes.clear()
+    cli_grid = np.arange(1001) * 0.05
+    entropies_at(ATOM, FieldConfig.from_mean_photons(5.0), PARAMS, cli_grid)
+    assert len(shapes) == 3 * 34
+    assert sum(s[0] for s in shapes) == 3 * 1001
