@@ -98,7 +98,8 @@ def _excited_population(
     """Excited-level weight of the excited-start state, in time chunks."""
     width = field.n_levels
     c_exact = np.empty(len(times))
-    for sl in time_chunks(len(times), width):
+    # psi_g and psi_e, 2W each, and evolve_vectors' three W-wide temporaries
+    for sl in time_chunks(len(times), 7 * width):
         psi_e = evolve_vectors(field, params, times[sl])[1]
         c_exact[sl] = np.sum(np.abs(psi_e[:, width:]) ** 2, axis=1)
     return c_exact

@@ -7,7 +7,7 @@ evolved analytically per 2x2 dressed doublet, so evolution is exact up to
 the photon-space truncation, which is controlled by a Poisson tail tolerance.
 
 Only the photon levels n_lo..n_max that the coherent field occupies above
-the tail tolerance are kept; both edges are fixed by FieldConfig.
+the tail tolerance are kept; FieldConfig derives both edges.
 
 Basis ordering (single source of truth for every joint operator):
     index = atom_index * W + (n - n_lo),   W = n_max - n_lo + 1
@@ -30,11 +30,16 @@ DEFAULT_TAIL_TOL = 1e-12
 # Extra photon levels kept beyond each tail cutoff so neither truncation
 # edge touches populated levels.
 GUARD_LEVELS = 5
-# Log-weights below this round to zero in double precision.
-LOG_UNDERFLOW = math.log(math.ulp(0.0))
-# (time, photon level) pairs the vectorised kernels evaluate at once, which
-# bounds their temporaries however long the time grid is.
+# Array entries the vectorised kernels hold at once for a chunk of times,
+# which bounds their temporaries however long the time grid is.
 CHUNK_ELEMENTS = 1 << 17
+# stirlerr(n) below STIRLING_MIN, where the Stirling series is not yet
+# accurate to rounding; n = 0 is a placeholder.
+STIRLING_MIN = 16
+_SMALL_STIRLERR = np.array([0.0] + [
+    math.lgamma(n + 1.0) - (n * math.log(n) - n + 0.5 * math.log(2.0 * math.pi * n))
+    for n in range(1, STIRLING_MIN)
+])
 
 
 @dataclass(frozen=True)
@@ -79,42 +84,40 @@ class AtomState:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Coherent field amplitude with its truncation bookkeeping.
+    """Coherent field amplitude theta and the Poisson tail tolerance.
 
-    The kept photon levels are n_lo..n_max: n_max is given (and validated
-    against the upper tail), n_lo is derived from the lower tail.
+    The kept photon levels n_lo..n_max, their Poisson weights and the
+    coherent amplitudes on them are derived, read-only, from one cached
+    Poisson table per mean photon number.
     """
 
     theta: complex
-    n_max: int
     tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
-        upper = _poisson_tails(self.mean_photons)[1]
-        tail = upper[min(self.n_max, len(upper) - 1)]
-        if tail >= self.tail_tol:
-            raise ValueError(
-                f"photon tail beyond n_max={self.n_max} is {tail:.3e}, "
-                f"not below tail_tol={self.tail_tol:.1e}"
-            )
+        _checked_mean(self.mean_photons)
 
     @classmethod
     def from_mean_photons(
         cls, mean_photons: float, tail_tol: float = DEFAULT_TAIL_TOL
     ) -> "FieldConfig":
-        """Real-amplitude config sized by the tail tolerance."""
-        theta = complex(math.sqrt(_checked_mean(mean_photons)))
-        # sized from |theta|^2, the mean the validator reads, so sizing and
-        # validation share one cached tail sum
-        return cls(theta, truncation_dim(abs(theta) ** 2, tail_tol), tail_tol)
+        """Real-amplitude config with |theta|^2 = mean_photons."""
+        return cls(complex(math.sqrt(_checked_mean(mean_photons))), tail_tol)
 
     @property
     def mean_photons(self) -> float:
         return abs(self.theta) ** 2
+
+    @functools.cached_property
+    def n_max(self) -> int:
+        """Highest kept photon level: the smallest cutoff whose upper Poisson
+        tail sum_{n>k} p_n is below tail_tol, plus GUARD_LEVELS."""
+        upper = _poisson_table(self.mean_photons)[2]
+        # tails never increase with the cutoff, so this counts the cutoffs
+        # whose tail is still at or above the tolerance
+        return int(np.count_nonzero(upper >= self.tail_tol)) + GUARD_LEVELS
 
     @functools.cached_property
     def n_lo(self) -> int:
@@ -123,11 +126,10 @@ class FieldConfig:
         less GUARD_LEVELS, at least 0.
 
         The two tails the window drops thus sum to less than tail_tol, and
-        since tail_tol < 1, n_lo never passes n_max.  Read from the same
-        cached tails that size and validate n_max.
+        since tail_tol < 1, n_lo never passes n_max.
         """
-        lower, upper = _poisson_tails(self.mean_photons)
-        budget = self.tail_tol - upper[min(self.n_max, len(upper) - 1)]
+        _, lower, upper = _poisson_table(self.mean_photons)
+        budget = self.tail_tol - upper[self.n_max]
         # lower tails never decrease with k, so this counts the cutoffs k
         # whose lower tail is still within the budget, k = 0 among them
         below = int(np.count_nonzero(lower < budget))
@@ -137,6 +139,21 @@ class FieldConfig:
     def n_levels(self) -> int:
         """Number of kept photon levels, W = n_max - n_lo + 1."""
         return self.n_max - self.n_lo + 1
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Poisson probabilities p_n on n_lo..n_max, not renormalized."""
+        return _poisson_table(self.mean_photons)[0, self.n_lo : self.n_max + 1]
+
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        """Amplitudes sqrt(p_n) e^{i n arg theta} of |theta> on n_lo..n_max,
+        renormalized there."""
+        n = np.arange(self.n_lo, self.n_max + 1)
+        amps = np.sqrt(self.weights) * np.exp(1j * np.angle(self.theta) * n)
+        amps /= np.linalg.norm(amps)
+        amps.flags.writeable = False
+        return amps
 
 
 class ClosedFormCoeffs(NamedTuple):
@@ -170,70 +187,48 @@ def time_chunks(n_times: int, entries_per_time: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n_times, step)]
 
 
-def poisson_weights(mean_photons: float, n_max: int, n_lo: int = 0) -> np.ndarray:
-    """Poisson probabilities exp(-m) m^n / n! for n = n_lo..n_max.
+def _log_poisson(n: np.ndarray, m: float) -> np.ndarray:
+    """log(e^-m m^n / n!) for integers n >= 1 and m >= 0.
 
-    Built in log space from math.lgamma, so large means neither overflow
-    n! nor underflow exp(-m) before the weights themselves are negligible.
-    Every Poisson weight in the package comes from here.
+    The saddle-point form of Loader (2000): -stirlerr(n) - D(n, m) -
+    log(2 pi n) / 2, with the deviance D = n log(n/m) - (n - m) and
+    stirlerr(n) = log n! - (n log n - n + log(2 pi n) / 2) from math.lgamma
+    below STIRLING_MIN and from the five-term Stirling series above.  It is
+    accurate to a few 1e-13 relative at m = 1e5, where n log m - m -
+    lgamma(n + 1) loses 1e-10 to cancellation.
     """
-    mean_photons = _checked_mean(mean_photons)
-    n = np.arange(n_lo, n_max + 1)
-    if mean_photons == 0:
-        return (n == 0).astype(float)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_lo, n_max + 1)])
-    return np.exp(n * math.log(mean_photons) - mean_photons - log_fact)
+    x = 1.0 / np.square(n, dtype=float)
+    series = (1 / 12 - x * (1 / 360 - x * (1 / 1260 - x * (1 / 1680 - x / 1188)))) / n
+    small = _SMALL_STIRLERR[np.minimum(n, STIRLING_MIN - 1)]
+    stirlerr = np.where(n < STIRLING_MIN, small, series)
+    # at m = 0, or below m ~ 1e-308, the ratio is infinite and so is D:
+    # every weight n >= 1 rounds to zero, as it should
+    with np.errstate(divide="ignore", over="ignore"):
+        deviance = n * np.log1p((n - m) / m) - (n - m)
+    return -stirlerr - deviance - 0.5 * np.log(2.0 * math.pi * n)
 
 
 @functools.lru_cache(maxsize=8)
-def _poisson_tails(mean_photons: float) -> np.ndarray:
-    """Both Poisson tails of each cutoff k = 0..horizon, as two rows:
-    tails[0, k] = sum_{n<k} p_n and tails[1, k] = sum_{n>k} p_n.
+def _poisson_table(mean_photons: float) -> np.ndarray:
+    """Poisson weights and both tails over n = 0..horizon + GUARD_LEVELS,
+    as three rows: p_n = e^-m m^n / n!, the lower tail sum_{n<k} p_n and
+    the upper tail sum_{n>k} p_n of each cutoff k.
 
-    The horizon lies past the mode where the weights underflow to zero, so
-    tails[1, -1] = 0.  Each tail is summed directly from its own end, the
-    lower one upward from n = 0 and the upper one down from the horizon;
-    neither is formed as 1 - sum, which would cancel at small tolerances.
-    Cached per mean and read-only, because every FieldConfig sizes,
-    validates and windows from the same tails (about 0.1 s at m = 1e5).
+    Past the horizon m + d, d = 60 sqrt(m) + 3000, the deviance exceeds
+    d^2 / (2 (m + d)) >= 750, so every weight there underflows to zero;
+    n_max, at most GUARD_LEVELS past the last nonzero weight, thus lies in
+    the table.  Each tail is summed directly from its own end, never
+    formed as 1 - sum, which would cancel at small tolerances.  Cached per
+    mean and read-only: every Poisson weight in the package comes from here.
     """
-    m = float(mean_photons)
-    horizon = 0
-    if 0.0 < m < math.inf:
-        horizon = math.ceil(m)
-        step = math.isqrt(horizon) + 1
-        while horizon * math.log(m) - m - math.lgamma(horizon + 1.0) > LOG_UNDERFLOW:
-            horizon += step
-    w = poisson_weights(m, horizon)
-    tails = np.stack((
-        np.append(0.0, np.cumsum(w[:-1])),
-        np.append(np.cumsum(w[:0:-1])[::-1], 0.0),
-    ))
-    tails.flags.writeable = False
-    return tails
-
-
-def truncation_dim(mean_photons: float, tail_tol: float) -> int:
-    """Smallest photon cutoff with Poisson tail below tail_tol, plus guard.
-
-    Returns the smallest N such that sum_{n>N} exp(-m) m^n / n! < tail_tol,
-    widened by GUARD_LEVELS so edge effects stay below the tolerance.
-    """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    # tails never increase with the cutoff, so this counts the cutoffs
-    # whose tail is still at or above the tolerance
-    cutoff = int(np.count_nonzero(_poisson_tails(mean_photons)[1] >= tail_tol))
-    return cutoff + GUARD_LEVELS
-
-
-def coherent_amplitudes(theta: complex, n_max: int, n_lo: int = 0) -> np.ndarray:
-    """Amplitudes of |theta> on levels n_lo..n_max, renormalized there."""
-    n = np.arange(n_lo, n_max + 1)
-    amps = np.sqrt(poisson_weights(abs(theta) ** 2, n_max, n_lo)) * np.exp(
-        1j * np.angle(theta) * n
-    )
-    return amps / np.linalg.norm(amps)
+    horizon = math.ceil(mean_photons + 60.0 * math.sqrt(mean_photons) + 3000.0)
+    w = np.empty(horizon + GUARD_LEVELS + 1)
+    w[0] = math.exp(-mean_photons)
+    w[1:] = np.exp(_log_poisson(np.arange(1, len(w)), mean_photons))
+    lower, upper = np.cumsum(w[:-1]), np.cumsum(w[:0:-1])[::-1]
+    table = np.stack((w, np.append(0.0, lower), np.append(upper, 0.0)))
+    table.flags.writeable = False
+    return table
 
 
 def evolve_vectors(
@@ -252,7 +247,7 @@ def evolve_vectors(
     """
     t = np.asarray(t, dtype=float)
     n_lo, n_max, width = field.n_lo, field.n_max, field.n_levels
-    amps = coherent_amplitudes(field.theta, n_max, n_lo)
+    amps = field.amplitudes
     rabi_t = params.g * np.sqrt(np.arange(n_lo + 1.0, n_max + 1)) * t[..., None]
     diag = np.cos(rabi_t)
     off = -1j * np.sin(rabi_t)
@@ -282,11 +277,12 @@ def closed_form_coeffs(
     renormalized.
     """
     t = np.asarray(t, dtype=float)
-    w = poisson_weights(field.mean_photons, field.n_max, field.n_lo)
+    w = field.weights
     omega = params.g * np.sqrt(np.arange(field.n_lo, field.n_max + 1) + 1.0)
     flat = t.reshape(-1)
     sums = np.empty((3, flat.size))
-    for sl in time_chunks(flat.size, len(w)):
+    # each time holds the W phases and two W-wide temporaries at once
+    for sl in time_chunks(flat.size, 3 * len(w)):
         phase = omega * flat[sl, None]
         sums[:, sl] = (
             np.cos(phase) ** 2 @ w,

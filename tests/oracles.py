@@ -3,15 +3,16 @@
 Most of this is deliberately built a different way than the package: the
 Hamiltonian from raw ladder operators instead of dressed blocks, the
 exponential by scaling and squaring instead of analytic phases, and Poisson
-terms by the product recursion instead of from log-space weights.  The
-dense joint-space path (the block-diagonal propagator conjugating the full
-product density matrix) is the package's former evolution path, kept here
-as the reference for the two-vector kernel, together with the full
-eigensystem and the relative entropy that only these checks need.
-vector_joint alone is not independent: it assembles the dense joint state
-from the package's own evolved vectors, for tests of those vectors.
-full_range_vectors is the two-vector kernel on every level 0..n_max, the
-reference for the package's photon window n_lo..n_max.
+terms by the recursion p_{n+1} = p_n m / (n + 1) instead of from log-space
+weights.  The dense joint-space path (the block-diagonal propagator
+conjugating the full product density matrix) is the package's former
+evolution path, kept here as the reference for the two-vector kernel,
+together with the full eigensystem and the relative entropy that only
+these checks need.  vector_joint alone is not independent: it assembles
+the dense joint state from the package's own evolved vectors, for tests of
+those vectors.  full_range_vectors is the two-vector kernel on every level
+0..n_max, the reference for the package's photon window n_lo..n_max; it
+evolves whatever amplitudes it is given.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from jcdem.entropy import EIG_CLIP, NEGATIVE_EIG_TOL, _xlogx
 from jcdem.linalg import partial_trace
-from jcdem.model import coherent_amplitudes, evolve_vectors
+from jcdem.model import evolve_vectors
 
 # Probability mass sigma may place outside rho's support before the
 # relative entropy is declared infinite.
@@ -132,6 +133,37 @@ def poisson_lower_tail(mean_photons: float, n_lo: int) -> float:
     return total
 
 
+def poisson_terms(mean_photons: float, n_max: int) -> np.ndarray:
+    """Poisson weights p_0..p_{n_max} by the ratio recursion outward from the mode.
+
+    p_{n+1} = p_n m / (n + 1) upward and p_{n-1} = p_n n / m downward, both
+    from 1 at floor(m), run until the upper terms fall below 1e-30 of the
+    mode and then divided by the sum over every level computed.
+    """
+    m = float(mean_photons)
+    if m == 0:
+        return (np.arange(n_max + 1) == 0).astype(float)
+    mode = math.floor(m)
+    up = [1.0]
+    while up[-1] > 1e-30 or mode + len(up) <= n_max:
+        up.append(up[-1] * m / (mode + len(up)))
+    down = [1.0]
+    for n in range(mode, 0, -1):
+        down.append(down[-1] * n / m)
+    terms = np.array(down[::-1] + up[1:])
+    return terms[: n_max + 1] / math.fsum(terms)
+
+
+def coherent_amplitudes(theta: complex, n_max: int, n_lo: int = 0) -> np.ndarray:
+    """Amplitudes of |theta> on levels n_lo..n_max from poisson_terms,
+    renormalized there."""
+    n = np.arange(n_lo, n_max + 1)
+    amps = np.sqrt(poisson_terms(abs(theta) ** 2, n_max)[n_lo:]) * np.exp(
+        1j * np.angle(theta) * n
+    )
+    return amps / np.linalg.norm(amps)
+
+
 def coherent_state(theta: complex, n_max: int) -> np.ndarray:
     """Rank-1 density matrix of the truncated coherent state."""
     amps = coherent_amplitudes(theta, n_max)
@@ -182,15 +214,15 @@ def propagated_joint(atom, field, params, t: float) -> np.ndarray:
     return u @ initial_joint_state(atom, field) @ u.conj().T
 
 
-def full_range_vectors(field, params, t) -> tuple[np.ndarray, np.ndarray]:
-    """evolve_vectors on every photon level 0..n_max, ignoring field.n_lo.
+def full_range_vectors(amps, params, t) -> tuple[np.ndarray, np.ndarray]:
+    """evolve_vectors on every photon level 0..n_max from the amplitudes
+    amps of levels 0..n_max, ignoring any photon window.
 
     Each state is shaped t.shape + (2 (n_max + 1),), index
     atom * (n_max + 1) + n; |1,0> and the edge |2,n_max> stay put.
     """
     t = np.asarray(t, dtype=float)
-    n_max = field.n_max
-    amps = coherent_amplitudes(field.theta, n_max)
+    n_max = len(amps) - 1
     rabi_t = params.g * np.sqrt(np.arange(1.0, n_max + 1)) * t[..., None]
     diag = np.cos(rabi_t)
     off = -1j * np.sin(rabi_t)

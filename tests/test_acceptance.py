@@ -14,6 +14,7 @@ import pytest
 from conftest import record_criterion
 
 from oracles import (
+    coherent_amplitudes,
     dense_hamiltonian,
     expm_taylor,
     free_evolution,
@@ -30,7 +31,6 @@ from jcdem.model import (
     AtomState,
     FieldConfig,
     ModelParams,
-    coherent_amplitudes,
     evolve_vectors,
 )
 
@@ -191,14 +191,16 @@ def test_criterion_08_entropy_triangle_inequalities(scans):
 
 
 def test_criterion_09_oracle_equivalences(scans):
-    # a field that fills every level up to the edge n_max = 3
-    small = FieldConfig(theta=0.6 + 0.8j, n_max=3, tail_tol=0.5)
-    h = dense_hamiltonian(1.0, 1.0, 3)
-    amps = coherent_amplitudes(small.theta, 3)
+    # a complex field that fills every level up to the edge n_max = 5:
+    # m = 3 at tail_tol = 0.99 puts p_5 = 0.10 there
+    small = FieldConfig(theta=math.sqrt(3.0) * (0.6 + 0.8j), tail_tol=0.99)
+    assert (small.n_lo, small.n_max) == (0, 5)
+    h = dense_hamiltonian(1.0, 1.0, 5)
+    amps = coherent_amplitudes(small.theta, 5)
     starts = (np.kron([1.0, 0.0], amps), np.kron([0.0, 1.0], amps))
     # the evolved vectors live in the interaction picture, exp(+i t H0) U(t)
     prop_gap = max(
-        np.abs(psi - free_evolution(t, 1.0, 3) @ expm_taylor(-1j * t * h) @ start).max()
+        np.abs(psi - free_evolution(t, 1.0, 5) @ expm_taylor(-1j * t * h) @ start).max()
         for t in (0.7, 2.3, 5.0)
         for psi, start in zip(evolve_vectors(small, ModelParams(), t), starts)
     )

@@ -8,7 +8,9 @@ import pytest
 
 from oracles import marginal_product, propagated_joint, relative_entropy
 
+import jcdem.analysis
 import jcdem.entropy
+import jcdem.model
 from jcdem.analysis import (
     CONJECTURE_SLACK,
     MAX_GRID_POINTS,
@@ -131,6 +133,28 @@ def test_scan_transition_memory_is_bounded_on_long_grids():
         tracemalloc.stop()
     assert len(series.times) == 100_001
     assert peak < 64 * 2**20
+
+
+def test_excited_population_chunks_count_each_times_footprint(monkeypatch):
+    # each time handed to evolve_vectors holds about 7 W entries: psi_g and
+    # psi_e, 2 W each, and three W-wide temporaries
+    field = FieldConfig.from_mean_photons(50.0)
+    monkeypatch.setattr(jcdem.model, "CHUNK_ELEMENTS", 1 << 30)
+    whole = scan_transition(field, PARAMS, 30.0, 0.05).columns["c_exact"]
+    budget = 4096
+    monkeypatch.setattr(jcdem.model, "CHUNK_ELEMENTS", budget)
+    sizes = []
+    original = jcdem.analysis.evolve_vectors
+
+    def record(field, params, t):
+        sizes.append(np.size(t))
+        return original(field, params, t)
+
+    monkeypatch.setattr(jcdem.analysis, "evolve_vectors", record)
+    chunked = scan_transition(field, PARAMS, 30.0, 0.05).columns["c_exact"]
+    assert np.array_equal(chunked, whole)
+    assert sum(sizes) == len(whole)
+    assert max(sizes) <= budget // (7 * field.n_levels)
 
 
 def test_scan_time_joint_entropy_constant(mixed_series):

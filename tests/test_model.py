@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     atom_matrix,
+    coherent_amplitudes,
     coherent_state,
     dense_hamiltonian,
     expm_taylor,
@@ -27,15 +28,12 @@ from jcdem.linalg import partial_trace
 from jcdem.model import (
     DEFAULT_TAIL_TOL,
     GUARD_LEVELS,
-    _poisson_tails,
+    _poisson_table,
     AtomState,
     FieldConfig,
     ModelParams,
     closed_form_coeffs,
-    coherent_amplitudes,
     evolve_vectors,
-    poisson_weights,
-    truncation_dim,
 )
 
 BINARY_ENTROPY_07 = 0.6108643020548935  # -0.7 ln 0.7 - 0.3 ln 0.3
@@ -43,6 +41,11 @@ BINARY_ENTROPY_07 = 0.6108643020548935  # -0.7 ln 0.7 - 0.3 ln 0.3
 
 def default_field():
     return FieldConfig.from_mean_photons(5.0)
+
+
+def truncation_dim(mean_photons, tail_tol):
+    """The photon cutoff n_max that FieldConfig derives."""
+    return FieldConfig.from_mean_photons(mean_photons, tail_tol).n_max
 
 
 def sector_block(u, n, n_max):
@@ -92,28 +95,30 @@ def test_truncation_dim_tail_actually_below_tol():
 def test_truncation_holds_over_the_parameter_range(m, tol):
     field = FieldConfig.from_mean_photons(m, tol)
     assert poisson_tail(m, field.n_max) < tol
-    amps = coherent_amplitudes(field.theta, field.n_max)
+    amps = field.amplitudes
     assert np.all(np.isfinite(amps))
     assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
     c0 = closed_form_coeffs(0.0, AtomState(0.0, 1.0), field, ModelParams()).c
-    # c(0) is the kept Poisson mass, 1 - tail; the lgamma exponents of the
-    # weights carry an absolute error of order m * 1e-16
-    assert abs(c0 - 1.0) <= tol + 1e-14 * max(m, 1.0)
+    # c(0) is the kept Poisson mass, 1 - tail, and the weights carry no
+    # error that grows with m
+    assert abs(c0 - 1.0) <= tol + 1e-14
     # the tail is the sum of the two the window drops, below n_lo and
-    # above n_max
+    # above n_max; the oracle tails start from lgamma exponents, whose
+    # absolute error is of order m * 1e-16
     kept = 1.0 - poisson_lower_tail(m, field.n_lo) - poisson_tail(m, field.n_max)
     assert abs(c0 - kept) <= 1e-14 * max(m, 1.0)
     assert 0 <= field.n_lo <= field.n_max
 
 
 def test_poisson_tails_are_computed_once_per_mean():
-    _poisson_tails.cache_clear()
+    _poisson_table.cache_clear()
     field = FieldConfig.from_mean_photons(1e5)
-    # sizing and validation read the same cached tails
-    assert _poisson_tails.cache_info().misses == 1
-    FieldConfig.from_mean_photons(1e5)
-    assert _poisson_tails.cache_info().misses == 1
-    assert not _poisson_tails(field.mean_photons).flags.writeable
+    # both window edges, the weights and the amplitudes read one cached table
+    assert len(field.amplitudes) == field.n_levels
+    assert _poisson_table.cache_info().misses == 1
+    FieldConfig.from_mean_photons(1e5, 1e-9).amplitudes
+    assert _poisson_table.cache_info().misses == 1
+    assert not _poisson_table(field.mean_photons).flags.writeable
 
 
 def test_truncation_dim_monotone_in_tol():
@@ -131,14 +136,18 @@ def test_truncation_dim_validation():
 
 
 def test_poisson_weights_match_direct_formula():
-    w = poisson_weights(5.0, 12)
-    for n in (0, 3, 12):
-        assert np.isclose(w[n], math.exp(-5.0) * 5.0**n / math.factorial(n), rtol=1e-12)
-    assert np.isclose(math.fsum(poisson_weights(5.0, 60)), 1.0, atol=1e-12)
+    w = default_field().weights
+    for n in (0, 3, 12, 20):
+        assert np.isclose(w[n], math.exp(-5.0) * 5.0**n / math.factorial(n), rtol=1e-14)
+    # the whole table sums to 1 at every mean: the saddle-point weights
+    # carry no exponent error that grows with m
+    for m in (5.0, 50.0, 1e3, 5.2e4, 7e4, 1e5):
+        assert abs(math.fsum(_poisson_table(m)[0]) - 1.0) <= 1e-14, m
 
 
 def test_poisson_weights_vacuum():
-    w = poisson_weights(0.0, 4)
+    w = FieldConfig(theta=0.0).weights
+    assert len(w) == GUARD_LEVELS + 1
     assert w[0] == 1.0 and np.all(w[1:] == 0.0)
 
 
@@ -150,8 +159,10 @@ def test_coherent_state_vacuum_projector():
 
 
 def test_coherent_amplitudes_normalized():
-    amps = coherent_amplitudes(math.sqrt(5.0), 32)
+    field = FieldConfig(theta=math.sqrt(5.0) * np.exp(0.3j))
+    amps = field.amplitudes
     assert np.isclose(np.linalg.norm(amps), 1.0, atol=1e-14)
+    assert np.abs(amps - coherent_amplitudes(field.theta, field.n_max)).max() <= 1e-15
 
 
 def test_coherent_state_purity_and_mean():
@@ -171,17 +182,10 @@ def test_field_config_from_mean_photons():
     assert field.tail_tol == DEFAULT_TAIL_TOL
 
 
-def test_field_config_rejects_thin_truncation():
-    # n_max=8 leaves a Poisson tail far above the default tolerance
-    with pytest.raises(ValueError):
-        FieldConfig(theta=complex(math.sqrt(5.0)), n_max=8)
-
-
 def test_field_config_validation():
-    with pytest.raises(ValueError):
-        FieldConfig(theta=0.0, n_max=0)
-    with pytest.raises(ValueError):
-        FieldConfig(theta=0.0, n_max=5, tail_tol=2.0)
+    for tol in (0.0, 1.0, 2.0):
+        with pytest.raises(ValueError, match="tail_tol"):
+            FieldConfig(theta=0.0, tail_tol=tol)
     with pytest.raises(ValueError):
         FieldConfig.from_mean_photons(-1.0)
 
@@ -191,7 +195,7 @@ def test_field_config_rejects_non_finite_mean(m):
     with pytest.raises(ValueError, match="finite"):
         FieldConfig.from_mean_photons(m)
     with pytest.raises(ValueError, match="finite"):
-        FieldConfig(theta=complex(m), n_max=10)
+        FieldConfig(theta=complex(m))
 
 
 def test_atom_state():
@@ -312,18 +316,20 @@ def test_propagator_exact_block_structure():
 
 @pytest.mark.parametrize("omega0", [0.0, 1.0, 5.0])
 def test_evolve_vectors_match_the_dense_propagator(omega0):
-    # m = 3 on levels 0..6 puts real weight on the edge level |2,6>
-    field = FieldConfig(theta=math.sqrt(3.0) * np.exp(0.4j), n_max=6, tail_tol=0.5)
+    # at tail_tol = 0.99 the levels are 0..5, and m = 3 puts p_5 = 0.10 on
+    # the edge level |2,5>
+    field = FieldConfig(theta=math.sqrt(3.0) * np.exp(0.4j), tail_tol=0.99)
+    assert (field.n_lo, field.n_max) == (0, 5)
     params = ModelParams(g=0.9, omega0=omega0)
-    amps = coherent_amplitudes(field.theta, 6)
+    amps = coherent_amplitudes(field.theta, 5)
     starts = (np.kron([1.0, 0.0], amps), np.kron([0.0, 1.0], amps))
     times = np.array([0.0, 0.37, 5.0, 17.7, 50.0])
     vectors = evolve_vectors(field, params, times)
-    assert all(psi.shape == (5, 14) for psi in vectors)
+    assert all(psi.shape == (5, 12) for psi in vectors)
     assert abs(vectors[1][-1, -1]) > 0.1
     for i, t in enumerate(times):
         # the vectors live in the interaction picture, exp(+i t H0) U(t)
-        u = free_evolution(float(t), omega0, 6) @ propagator(float(t), params, 6)
+        u = free_evolution(float(t), omega0, 5) @ propagator(float(t), params, 5)
         for psi, start in zip(vectors, starts):
             assert np.abs(psi[i] - u @ start).max() <= 1e-13
 
@@ -430,12 +436,13 @@ def test_closed_form_coeffs_vectorised_matches_scalar_calls():
 
 
 def test_closed_form_coeffs_over_chunks_match_scalar_calls():
-    # 209 kept levels split 1000 times into chunks of 627
+    # 209 kept levels, 3 W = 627 entries per time, split 1000 times into
+    # chunks of 209
     field = FieldConfig.from_mean_photons(200.0)
     atom = AtomState.from_ground_weight(0.7)
     times = np.linspace(0.0, 100.0, 1000)
     grid = closed_form_coeffs(times, atom, field, ModelParams())
-    for i in (0, 626, 627, 999):
+    for i in (0, 208, 209, 626, 627, 999):
         point = closed_form_coeffs(times[i], atom, field, ModelParams())
         for name in grid._fields:
             assert abs(getattr(grid, name)[i] - getattr(point, name)) <= 1e-15

@@ -1,5 +1,6 @@
 """Tests for the photon window n_lo..n_max that the coherent field occupies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import full_range_vectors, poisson_lower_tail, poisson_tail
+from oracles import (
+    coherent_amplitudes,
+    full_range_vectors,
+    poisson_lower_tail,
+    poisson_tail,
+    poisson_terms,
+)
 
+from jcdem.analysis import scan_transition
 from jcdem.entropy import dem_exact, entropies_at
 from jcdem.model import (
     DEFAULT_TAIL_TOL,
@@ -16,9 +24,7 @@ from jcdem.model import (
     FieldConfig,
     ModelParams,
     closed_form_coeffs,
-    coherent_amplitudes,
     evolve_vectors,
-    poisson_weights,
 )
 
 PARAMS = ModelParams()
@@ -27,7 +33,8 @@ ATOM = AtomState.from_ground_weight(0.7)
 
 def full_range_point(atom, field, t):
     """Entropies, DEM and c_exact of the 0..n_max evolution at one time."""
-    psi_g, psi_e = full_range_vectors(field, PARAMS, t)
+    amps = coherent_amplitudes(field.theta, field.n_max)
+    psi_g, psi_e = full_range_vectors(amps, PARAMS, t)
     joint = atom.lambda0 * np.outer(psi_g, psi_g.conj()) + atom.lambda1 * np.outer(
         psi_e, psi_e.conj()
     )
@@ -58,28 +65,21 @@ def test_default_field_keeps_every_level():
     field = FieldConfig.from_mean_photons(5.0)
     assert field.n_lo == 0
     psi_g, psi_e = evolve_vectors(field, PARAMS, [0.0, 3.3, 14.05])
-    ref_g, ref_e = full_range_vectors(field, PARAMS, [0.0, 3.3, 14.05])
+    ref_g, ref_e = full_range_vectors(field.amplitudes, PARAMS, [0.0, 3.3, 14.05])
     assert np.array_equal(psi_g, ref_g) and np.array_equal(psi_e, ref_e)
 
 
 def test_n_lo_is_derived_and_read_only():
     field = FieldConfig.from_mean_photons(200.0)
-    with pytest.raises(AttributeError):
-        field.n_lo = 0
-    with pytest.raises(TypeError):
-        FieldConfig(theta=field.theta, n_max=field.n_max, n_lo=0)
-
-
-def test_window_drops_less_than_tail_tol_in_all():
-    # at a loose tolerance the upper tail beyond n_max = 5 (0.884 at m = 9)
-    # leaves the lower tail a budget of 0.016 only, so the window keeps
-    # every level down to 0; the lower tail alone, below tail_tol up to
-    # k = 13, would have put n_lo at 8, past n_max
-    field = FieldConfig(theta=3.0, n_max=5, tail_tol=0.9)
-    assert field.n_lo == 0
-    assert poisson_lower_tail(9.0, 13) < 0.9
-    dropped = poisson_lower_tail(9.0, field.n_lo) + poisson_tail(9.0, field.n_max)
-    assert dropped < field.tail_tol
+    assert [f.name for f in dataclasses.fields(field)] == ["theta", "tail_tol"]
+    for name in ("n_lo", "n_max", "weights", "amplitudes"):
+        with pytest.raises(AttributeError):
+            setattr(field, name, getattr(field, name))
+    for derived in (field.weights, field.amplitudes):
+        assert len(derived) == field.n_levels and not derived.flags.writeable
+    for name in ("n_lo", "n_max"):
+        with pytest.raises(TypeError):
+            FieldConfig(theta=field.theta, **{name: 0})
 
 
 @pytest.mark.parametrize("m", [50.0, 200.0])
@@ -102,10 +102,11 @@ def test_window_matches_the_full_range_closed_and_exact_c_at_m_1e3():
     t1 = 2.0 * math.pi * math.sqrt(1e3)
     times = np.array([0.0, 2.5, 0.5 * t1, t1])
     c_closed = closed_form_coeffs(times, AtomState(0.0, 1.0), field, PARAMS).c
-    w = poisson_weights(1e3, field.n_max)
+    w = poisson_terms(1e3, field.n_max)
+    amps = coherent_amplitudes(field.theta, field.n_max)
     omega = np.sqrt(np.arange(field.n_max + 1) + 1.0)
     for i, t in enumerate(times):
-        psi_e = full_range_vectors(field, PARAMS, t)[1]
+        psi_e = full_range_vectors(amps, PARAMS, t)[1]
         c_full = np.sum(np.abs(psi_e[field.n_max + 1 :]) ** 2)
         assert abs(excited_weight(field, t) - c_full) <= 1e-12
         assert abs(c_closed[i] - math.fsum(w * np.cos(omega * t) ** 2)) <= 1e-12
@@ -117,7 +118,17 @@ def test_closed_and_exact_c_agree_at_m_1e5():
     times = np.array([0.0, 1.0, 0.5 * t1, t1])
     c_closed = closed_form_coeffs(times, AtomState(0.0, 1.0), field, PARAMS).c
     for i, t in enumerate(times):
-        assert abs(c_closed[i] - excited_weight(field, t)) <= 1e-10
+        assert abs(c_closed[i] - excited_weight(field, t)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1e3, 1e4, 5.2e4, 7e4, 1e5])
+def test_closed_and_exact_c_agree_at_large_m(m):
+    # c_exact renormalizes the window, c_closed does not, so they differ by
+    # the dropped tails (below tail_tol) plus any error in the weights' sum
+    field = FieldConfig.from_mean_photons(m)
+    series = scan_transition(field, PARAMS, 20.0, 0.5)
+    gap = np.abs(series.columns["c_closed"] - series.columns["c_exact"]).max()
+    assert gap <= 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -127,10 +138,10 @@ def test_closed_and_exact_c_agree_at_m_1e5():
 @example(m=1e5)
 def test_window_holds_over_the_parameter_range(m):
     field = FieldConfig.from_mean_photons(m)
-    assert poisson_lower_tail(m, field.n_lo) < DEFAULT_TAIL_TOL
-    assert poisson_tail(m, field.n_max) < DEFAULT_TAIL_TOL
+    dropped = poisson_lower_tail(m, field.n_lo) + poisson_tail(m, field.n_max)
+    assert dropped < DEFAULT_TAIL_TOL
     assert 0 <= field.n_lo <= math.floor(m) <= field.n_max
-    amps = coherent_amplitudes(field.theta, field.n_max, field.n_lo)
+    amps = field.amplitudes
     assert len(amps) == field.n_levels
     assert abs(np.linalg.norm(amps) - 1.0) <= 1e-13
     psi_g, psi_e = evolve_vectors(field, PARAMS, 0.0)
