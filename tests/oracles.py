@@ -6,27 +6,38 @@ exponential by scaling and squaring instead of analytic phases, and Poisson
 terms by the recursion p_{n+1} = p_n m / (n + 1) instead of from log-space
 weights.  The dense joint-space path (the block-diagonal propagator
 conjugating the full product density matrix) is the package's former
-evolution path, kept here as the reference for the two-vector kernel,
-together with the full eigensystem and the relative entropy that only
-these checks need.  vector_joint alone is not independent: it assembles
-the dense joint state from the package's own evolved vectors, for tests of
-those vectors.  full_range_vectors is the two-vector kernel on every level
-0..n_max, the reference for the package's photon window n_lo..n_max; it
-evolves whatever amplitudes it is given.
+evolution path, kept here as the reference for the two-vector kernel.
+Likewise partial_trace and dem_exact are the package's former entropy
+path: they take any dense bipartite state, check that it is Hermitian and
+trace out each factor, where entropies_at contracts its marginals from the
+two evolved vectors.  The full eigensystem and the relative entropy are
+only needed by these checks.  vector_joint alone is not independent: it
+assembles the dense joint state from the package's own evolved vectors,
+for tests of those vectors.  full_range_vectors is the two-vector kernel
+on every level 0..n_max, the reference for the package's photon window
+n_lo..n_max; it evolves whatever amplitudes it is given.
 """
 
 import math
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
-from jcdem.entropy import EIG_CLIP, NEGATIVE_EIG_TOL, _xlogx
-from jcdem.linalg import partial_trace
+from jcdem.entropy import (
+    EIG_CLIP,
+    NEGATIVE_EIG_TOL,
+    EntropyReport,
+    _entropies,
+    _report,
+    _xlogx,
+)
 from jcdem.model import evolve_vectors
 
 # Probability mass sigma may place outside rho's support before the
 # relative entropy is declared infinite.
 SUPPORT_TOL = 1e-9
+# A joint state further than this from Hermitian is a bug in its caller.
+HERMITICITY_ATOL = 1e-10
 
 
 def dense_hamiltonian(g: float, omega0: float, n_max: int) -> np.ndarray:
@@ -244,6 +255,50 @@ def vector_joint(atom, field, params, t: float) -> np.ndarray:
     return atom.lambda0 * np.outer(psi_g, psi_g.conj()) + atom.lambda1 * np.outer(
         psi_e, psi_e.conj()
     )
+
+
+def partial_trace(
+    joint, dims: tuple[int, int], keep: Literal["atom", "field"]
+) -> np.ndarray:
+    """Trace out one factor of a bipartite operator or a stack of them.
+
+    ``joint`` is shaped (..., d, d) with d = d_atom * d_field, and ``dims``
+    = (d_atom, d_field) with the atom index outermost, i.e. the joint index
+    is a*d_field + n.  ``keep="atom"`` returns the (..., d_atom, d_atom)
+    marginals sum_n joint[..., (i,n), (j,n)]; ``keep="field"`` the
+    analogous (..., d_field, d_field) ones.
+    """
+    joint = np.asarray(joint, dtype=complex)
+    d_atom, d_field = int(dims[0]), int(dims[1])
+    if d_atom < 1 or d_field < 1 or joint.shape[-2:] != (d_atom * d_field,) * 2:
+        raise ValueError(
+            f"joint of shape {joint.shape} does not factor as ({d_atom}, {d_field})"
+        )
+    t = joint.reshape(joint.shape[:-2] + (d_atom, d_field, d_atom, d_field))
+    if keep == "atom":
+        return np.einsum("...injn->...ij", t)
+    if keep == "field":
+        return np.einsum("...ninj->...ij", t)
+    raise ValueError(f"keep must be 'atom' or 'field', got {keep!r}")
+
+
+def dem_exact(joint, dims: tuple[int, int]) -> EntropyReport:
+    """Degree of entanglement S(rho_A) + S(rho_F) - S(joint) of any dense
+    bipartite state, with the Araki-Lieb margins, by partial_trace.
+
+    joint is one state or a stack shaped (..., d, d), d = dims[0] * dims[1];
+    the report has the shape of the leading axes.  Raises ValueError when
+    joint does not factor as dims or a member is not Hermitian.
+    """
+    joint = np.asarray(joint, dtype=complex)
+    marginals = [partial_trace(joint, dims, keep) for keep in ("atom", "field")]
+    deviation = np.abs(joint - joint.conj().swapaxes(-1, -2)).max(initial=0.0)
+    if deviation > HERMITICITY_ATOL:
+        raise ValueError(
+            f"joint state is not Hermitian: max |M - M^dag| = {deviation:.3e} "
+            f"> {HERMITICITY_ATOL:.1e}"
+        )
+    return _report(*(_entropies(m) for m in (*marginals, joint)))
 
 
 def marginal_product(joint, dims) -> np.ndarray:

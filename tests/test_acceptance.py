@@ -15,18 +15,19 @@ from conftest import record_criterion
 
 from oracles import (
     coherent_amplitudes,
+    dem_exact,
     dense_hamiltonian,
     expm_taylor,
     free_evolution,
     marginal_product,
+    partial_trace,
     propagated_joint,
     relative_entropy,
 )
 
 from jcdem.analysis import revival_analysis, scan_lambda, scan_time, sliding_amplitude
 from jcdem.cli import main
-from jcdem.entropy import dem_exact, entropies_at
-from jcdem.linalg import partial_trace
+from jcdem.entropy import entropies_at
 from jcdem.model import (
     AtomState,
     FieldConfig,

@@ -114,9 +114,9 @@ def test_scan_transition_equals_the_scan_time_c_columns(mixed_series):
 
 def test_transition_and_revival_compute_no_entropies(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("dem_exact called")
+        raise AssertionError("an entropy was computed")
 
-    monkeypatch.setattr(jcdem.entropy, "dem_exact", refuse)
+    monkeypatch.setattr(jcdem.entropy, "_entropies", refuse)
     series = scan_transition(FIELD, PARAMS, 22.0, 0.05)
     revival_analysis(FIELD, PARAMS, series)
     for command in ("transition", "revival"):

@@ -89,9 +89,14 @@ def test_usage_errors_exit_2(argv, capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
-def test_usage_errors_carry_the_model_message(capsys):
+def test_usage_errors_carry_the_model_message(tmp_path, capsys):
     assert main(["scan-time", "--mean-photons", "nan"]) == 2
     assert "mean_photons must be finite and nonnegative" in capsys.readouterr().err
+    # beyond the supported range the CLI stops before any Poisson table
+    out = tmp_path / "big.csv"
+    assert main(["transition", "--mean-photons", "1e8", "--out-csv", str(out)]) == 2
+    assert "at most 1000000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_states_each_default_the_parser_holds():

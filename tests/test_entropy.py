@@ -7,16 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import marginal_product, propagated_joint, relative_entropy
-
-from jcdem.entropy import (
+from oracles import (
     HERMITICITY_ATOL,
-    _entropies,
-    dem_closed_form,
     dem_exact,
-    entropies_at,
+    marginal_product,
+    partial_trace,
+    propagated_joint,
+    relative_entropy,
 )
-from jcdem.linalg import partial_trace
+
+from jcdem.entropy import _entropies, dem_closed_form, entropies_at
 from jcdem.model import (
     AtomState,
     ClosedFormCoeffs,

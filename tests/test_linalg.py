@@ -1,4 +1,5 @@
-"""Tests for the dense linear algebra layer."""
+"""Tests for the dense linear-algebra oracles: tensor products, the partial
+trace and the full eigensystem."""
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from oracles import (
     coherent_state,
     hermitian_eigensystem,
     initial_joint_state,
+    partial_trace,
 )
 
-from jcdem.linalg import partial_trace
 from jcdem.model import AtomState, FieldConfig
 
 

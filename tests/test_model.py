@@ -16,6 +16,7 @@ from oracles import (
     free_evolution,
     hermitian_eigensystem,
     initial_joint_state,
+    partial_trace,
     poisson_lower_tail,
     poisson_tail,
     propagator,
@@ -24,10 +25,10 @@ from oracles import (
 )
 
 from jcdem.entropy import entropies_at
-from jcdem.linalg import partial_trace
 from jcdem.model import (
     DEFAULT_TAIL_TOL,
     GUARD_LEVELS,
+    MAX_MEAN_PHOTONS,
     _poisson_table,
     AtomState,
     FieldConfig,
@@ -196,6 +197,17 @@ def test_field_config_rejects_non_finite_mean(m):
         FieldConfig.from_mean_photons(m)
     with pytest.raises(ValueError, match="finite"):
         FieldConfig(theta=complex(m))
+
+
+def test_field_config_bounds_the_mean():
+    # construction alone builds no Poisson table, so the edge costs nothing
+    edge = FieldConfig.from_mean_photons(MAX_MEAN_PHOTONS)
+    assert edge.mean_photons == MAX_MEAN_PHOTONS == 1e6
+    assert FieldConfig(theta=1000.0j).mean_photons == MAX_MEAN_PHOTONS
+    with pytest.raises(ValueError, match="at most 1000000"):
+        FieldConfig.from_mean_photons(2e6)
+    with pytest.raises(ValueError, match="at most 1000000"):
+        FieldConfig(theta=1e4 * (0.6 + 0.8j))
 
 
 def test_atom_state():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     coherent_amplitudes,
+    dem_exact,
     full_range_vectors,
     poisson_lower_tail,
     poisson_tail,
@@ -17,7 +18,7 @@ from oracles import (
 )
 
 from jcdem.analysis import scan_transition
-from jcdem.entropy import dem_exact, entropies_at
+from jcdem.entropy import entropies_at
 from jcdem.model import (
     DEFAULT_TAIL_TOL,
     AtomState,
