@@ -178,8 +178,8 @@ def revival_analysis(
     The detector slides a window one dominant Rabi period wide over the
     excited-population oscillation amplitude and picks the maximizing
     center within [0.5, 1.5] revival periods.  A vacuum field (m = 0) has
-    no revival, and a grid with no point in that window cannot place one;
-    both raise ValueError.
+    no revival, and a grid with no point in that window, or one coarser
+    than half the Rabi period, cannot place one; all three raise ValueError.
     """
     t1 = revival_period(field, params)
     times = np.asarray(series.times)
@@ -201,6 +201,11 @@ def revival_analysis(
         )
     dominant_n = int(math.floor(field.mean_photons))
     width = 2.0 * math.pi / (params.g * math.sqrt(dominant_n + 1.0))
+    if 2.0 * step > width:
+        raise ValueError(
+            f"dt={step:g} is more than half the dominant Rabi period {width:.4f}, "
+            "so no detector window holds an oscillation"
+        )
     amp = sliding_amplitude(times, series.columns["c_exact"], width)
     detected = float(times[mask][np.argmax(amp[mask])])
     return RevivalReport(

@@ -94,7 +94,8 @@ def entropies_at(
     width = field.n_levels
     weights = np.sqrt([atom.lambda0, atom.lambda1])
     entropies = np.empty((3, t.size))
-    for sl in time_chunks(t.size, (2 * width) ** 2):
+    # each time holds a joint state, (2W)^2 entries, and a field marginal, W^2
+    for sl in time_chunks(t.size, 5 * width**2):
         b = np.stack(evolve_vectors(field, params, t.reshape(-1)[sl]), axis=-1)
         b *= weights
         # B's entries (a, n, k) as rows a by columns (n, k), and n by (a, k)

@@ -30,8 +30,8 @@ DEFAULT_TAIL_TOL = 1e-12
 # Extra photon levels kept beyond each tail cutoff so neither truncation
 # edge touches populated levels.
 GUARD_LEVELS = 5
-# Largest supported mean photon number: its Poisson table spans about 1.06e6
-# levels, and c_closed there is within a few 1e-12 of a 40-digit evaluation.
+# Largest supported mean photon number, set by accuracy: c_closed there is
+# within a few 1e-12 of a 40-digit evaluation.
 MAX_MEAN_PHOTONS = 1e6
 # Array entries the vectorised kernels hold at once for a chunk of times,
 # which bounds their temporaries however long the time grid is.
@@ -89,9 +89,8 @@ class AtomState:
 class FieldConfig:
     """Coherent field amplitude theta and the Poisson tail tolerance.
 
-    The kept photon levels n_lo..n_max, their Poisson weights and the
-    coherent amplitudes on them are derived, read-only, from one cached
-    Poisson table per mean photon number.
+    The kept levels n_lo..n_max, their Poisson weights (both from _window)
+    and the coherent amplitudes on them are derived and read-only.
     """
 
     theta: complex
@@ -113,40 +112,25 @@ class FieldConfig:
     def mean_photons(self) -> float:
         return abs(self.theta) ** 2
 
-    @functools.cached_property
-    def n_max(self) -> int:
-        """Highest kept photon level: the smallest cutoff whose upper Poisson
-        tail sum_{n>k} p_n is below tail_tol, plus GUARD_LEVELS."""
-        upper = _poisson_table(self.mean_photons)[2]
-        # tails never increase with the cutoff, so this counts the cutoffs
-        # whose tail is still at or above the tolerance
-        return int(np.count_nonzero(upper >= self.tail_tol)) + GUARD_LEVELS
-
-    @functools.cached_property
+    @property
     def n_lo(self) -> int:
-        """Lowest kept photon level: the largest k whose lower Poisson tail
-        sum_{n<k} p_n is below tail_tol less the upper tail beyond n_max,
-        less GUARD_LEVELS, at least 0.
+        """Lowest kept photon level; _window derives both edges."""
+        return _window(self.mean_photons, self.tail_tol)[0]
 
-        The two tails the window drops thus sum to less than tail_tol, and
-        since tail_tol < 1, n_lo never passes n_max.
-        """
-        _, lower, upper = _poisson_table(self.mean_photons)
-        budget = self.tail_tol - upper[self.n_max]
-        # lower tails never decrease with k, so this counts the cutoffs k
-        # whose lower tail is still within the budget, k = 0 among them
-        below = int(np.count_nonzero(lower < budget))
-        return max(below - 1 - GUARD_LEVELS, 0)
+    @property
+    def weights(self) -> np.ndarray:
+        """Poisson probabilities p_n on n_lo..n_max, not renormalized."""
+        return _window(self.mean_photons, self.tail_tol)[1]
 
     @property
     def n_levels(self) -> int:
         """Number of kept photon levels, W = n_max - n_lo + 1."""
-        return self.n_max - self.n_lo + 1
+        return len(self.weights)
 
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """Poisson probabilities p_n on n_lo..n_max, not renormalized."""
-        return _poisson_table(self.mean_photons)[0, self.n_lo : self.n_max + 1]
+    @property
+    def n_max(self) -> int:
+        """Highest kept photon level, n_lo + W - 1."""
+        return self.n_lo + self.n_levels - 1
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
@@ -213,26 +197,36 @@ def _log_poisson(n: np.ndarray, m: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _poisson_table(mean_photons: float) -> np.ndarray:
-    """Poisson weights and both tails over n = 0..horizon + GUARD_LEVELS,
-    as three rows: p_n = e^-m m^n / n!, the lower tail sum_{n<k} p_n and
-    the upper tail sum_{n>k} p_n of each cutoff k.
+def _window(mean_photons: float, tail_tol: float) -> tuple[int, np.ndarray]:
+    """(n_lo, read-only Poisson weights p_n = e^-m m^n / n! on n_lo..n_max).
 
-    Past the horizon m + d, d = 60 sqrt(m) + 3000, the deviance exceeds
-    d^2 / (2 (m + d)) >= 750, so every weight there underflows to zero;
-    n_max, at most GUARD_LEVELS past the last nonzero weight, thus lies in
-    the table.  Each tail is summed directly from its own end, never
-    formed as 1 - sum, which would cancel at small tolerances.  Cached per
-    mean and read-only: every Poisson weight in the package comes from here.
+    n_max is the smallest cutoff k whose upper tail sum_{n>k} p_n is below
+    tail_tol, plus GUARD_LEVELS; n_lo the largest k whose lower tail
+    sum_{n<k} p_n is below tail_tol less the upper tail beyond n_max, less
+    GUARD_LEVELS, at least 0.  The dropped tails thus sum to less than
+    tail_tol < 1, so n_lo never passes n_max.
+
+    Only n in [m - d, m + d + GUARD_LEVELS], d = 60 sqrt(m) + 3000, are
+    evaluated: the deviance D(n, m) vanishes at n = m and has D'' = 1/n, so
+    it exceeds d^2 / (2 m) >= 1800 below m - d and d^2 / (2 (m + d)) >= 750
+    above m + d, where every weight underflows to zero.  Each tail is summed
+    from its own end, never as 1 - sum, which would cancel.  Cached per
+    (mean, tolerance): every Poisson weight in the package comes from here.
     """
-    horizon = math.ceil(mean_photons + 60.0 * math.sqrt(mean_photons) + 3000.0)
-    w = np.empty(horizon + GUARD_LEVELS + 1)
-    w[0] = math.exp(-mean_photons)
-    w[1:] = np.exp(_log_poisson(np.arange(1, len(w)), mean_photons))
-    lower, upper = np.cumsum(w[:-1]), np.cumsum(w[:0:-1])[::-1]
-    table = np.stack((w, np.append(0.0, lower), np.append(upper, 0.0)))
-    table.flags.writeable = False
-    return table
+    d = 60.0 * math.sqrt(mean_photons) + 3000.0
+    start = max(0, math.floor(mean_photons - d))
+    n = np.arange(start, math.ceil(mean_photons + d) + GUARD_LEVELS + 1)
+    w = np.exp(_log_poisson(np.maximum(n, 1), mean_photons))
+    w[n == 0] = math.exp(-mean_photons)
+    lower = np.append(0.0, np.cumsum(w[:-1]))
+    upper = np.append(np.cumsum(w[:0:-1])[::-1], 0.0)
+    # tails are monotone in k, so each edge is a count of cutoffs
+    n_max = start + int(np.count_nonzero(upper >= tail_tol)) + GUARD_LEVELS
+    budget = tail_tol - upper[n_max - start]
+    n_lo = max(start + int(np.count_nonzero(lower < budget)) - 1 - GUARD_LEVELS, 0)
+    weights = w[n_lo - start : n_max - start + 1].copy()
+    weights.flags.writeable = False
+    return n_lo, weights
 
 
 def evolve_vectors(

@@ -16,6 +16,9 @@ assembles the dense joint state from the package's own evolved vectors,
 for tests of those vectors.  full_range_vectors is the two-vector kernel
 on every level 0..n_max, the reference for the package's photon window
 n_lo..n_max; it evolves whatever amplitudes it is given.
+excited_population and atom_coherence write the atom's populations and
+coherence as Poisson sums, term by term, both exactly and under the
+substitutions that give the paper's closed form.
 """
 
 import math
@@ -246,6 +249,50 @@ def full_range_vectors(amps, params, t) -> tuple[np.ndarray, np.ndarray]:
     psi_e[..., n_max + 1 : -1] = diag * amps[:-1]
     psi_e[..., -1] = amps[-1]
     return psi_g, psi_e
+
+
+def excited_population(
+    p, lambda0: float, g: float, t: float, paper: bool = False
+) -> float:
+    """Excited-level weight of the evolved mixture, term by term from the
+    Poisson weights p_n of levels 0..n_max:
+    lambda0 sum_n p_n sin^2(g sqrt(n) t) + lambda1 sum_n p_n cos^2(g sqrt(n+1) t).
+
+    The ground start |1,n> rotates into |2,n-1> at g sqrt(n).  paper=True
+    gives it the excited start's frequency g sqrt(n+1) instead, the paper's
+    substitution n -> n+1: the sum is then the paper's e1 = lambda0 s +
+    lambda1 c.
+    """
+    p = np.asarray(p, dtype=float)
+    n = np.arange(len(p))
+    ground = g * np.sqrt(n + 1.0 if paper else n) * t
+    excited = g * np.sqrt(n + 1.0) * t
+    return math.fsum(
+        p * (lambda0 * np.sin(ground) ** 2 + (1.0 - lambda0) * np.cos(excited) ** 2)
+    )
+
+
+def atom_coherence(
+    p, lambda0: float, g: float, t: float, paper: bool = False
+) -> complex:
+    """<1|rho_A|2> of the evolved mixture, term by term from the Poisson
+    weights p_n of levels 0..n_max, with a_n = sqrt(p_n):
+    i lambda0 sum_n a_n a_{n+1} cos(g sqrt(n) t) sin(g sqrt(n+1) t)
+    - i lambda1 sum_n a_n a_{n+1} sin(g sqrt(n+1) t) cos(g sqrt(n+2) t).
+
+    Each start pairs level n with n+1 across the two atom levels, at two
+    frequencies.  paper=True replaces a_n a_{n+1} by p_n and every frequency
+    by g sqrt(n+1): the sum is then i (lambda0 - lambda1) / 2 sum_n p_n
+    sin(2 g sqrt(n+1) t), whose magnitude is the paper's |e2|.
+    """
+    p = np.asarray(p, dtype=float)
+    n = np.arange(len(p), dtype=float)
+    a = np.sqrt(np.append(p, 0.0))
+    pair = p if paper else a[:-1] * a[1:]
+    levels = (n + 1, n + 1, n + 1) if paper else (n, n + 1, n + 2)
+    low, mid, high = (g * np.sqrt(k) * t for k in levels)
+    terms = np.sin(mid) * (lambda0 * np.cos(low) - (1.0 - lambda0) * np.cos(high))
+    return 1j * math.fsum(pair * terms)
 
 
 def vector_joint(atom, field, params, t: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for time scans, revival detection, and the lambda sweep."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -259,6 +260,27 @@ def test_revival_rejects_a_grid_with_no_point_in_the_window():
         revival_analysis(FIELD, PARAMS, series)
 
 
+@pytest.mark.parametrize(
+    "m, t_max, dt, period",
+    [(1e3, 320.0, 0.1, 0.1986), (200.0, 100.0, 0.25, 0.4432), (5.0, 30.0, 1.5, 2.5651)],
+)
+def test_revival_rejects_a_grid_coarser_than_half_the_rabi_period(m, t_max, dt, period):
+    # the detector's window would hold one sample, so every amplitude would
+    # read 0 and argmax would return the first point of the search window
+    field = FieldConfig.from_mean_photons(m)
+    series = scan_transition(field, PARAMS, t_max, dt)
+    message = f"dt={dt:g} is more than half the dominant Rabi period {period:.4f}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        revival_analysis(field, PARAMS, series)
+
+
+def test_revival_detector_resolves_a_grid_just_below_half_the_rabi_period():
+    # at m = 1e3 half the period is 0.0993
+    field = FieldConfig.from_mean_photons(1e3)
+    report = revival_analysis(field, PARAMS, scan_transition(field, PARAMS, 320.0, 0.09))
+    assert abs(report.detected_revival / report.revival_times[0] - 1.0) <= 3e-3
+
+
 def test_revival_rejects_a_vacuum_field():
     vacuum = FieldConfig.from_mean_photons(0.0)
     series = scan_transition(vacuum, PARAMS, 10.0, 0.05)
@@ -274,6 +296,10 @@ def test_revival_cli_reports_the_empty_window(tmp_path, capsys):
     assert main(["revival", "--mean-photons", "0",
                  "--out-csv", str(tmp_path / "r.csv")]) == 1
     assert "m = 0" in capsys.readouterr().err
+    assert main(["revival", "--mean-photons", "1000", "--t-max", "320",
+                 "--dt", "0.1", "--out-csv", str(tmp_path / "r.csv")]) == 1
+    assert "half the dominant Rabi period" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_collapse_amplitude_profile(excited_series):

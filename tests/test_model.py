@@ -1,6 +1,7 @@
 """Tests for the model construction and its closed-form scalars."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from jcdem.model import (
     DEFAULT_TAIL_TOL,
     GUARD_LEVELS,
     MAX_MEAN_PHOTONS,
-    _poisson_table,
+    _window,
     AtomState,
     FieldConfig,
     ModelParams,
@@ -111,15 +112,30 @@ def test_truncation_holds_over_the_parameter_range(m, tol):
     assert 0 <= field.n_lo <= field.n_max
 
 
-def test_poisson_tails_are_computed_once_per_mean():
-    _poisson_table.cache_clear()
+def test_window_is_computed_once_per_mean_and_tolerance():
+    _window.cache_clear()
     field = FieldConfig.from_mean_photons(1e5)
-    # both window edges, the weights and the amplitudes read one cached table
-    assert len(field.amplitudes) == field.n_levels
-    assert _poisson_table.cache_info().misses == 1
+    # both window edges, the weights and the amplitudes read one cached pass
+    assert len(field.amplitudes) == field.n_levels == field.n_max - field.n_lo + 1
+    assert _window.cache_info().misses == 1
+    FieldConfig.from_mean_photons(1e5).n_max
+    assert _window.cache_info().misses == 1
     FieldConfig.from_mean_photons(1e5, 1e-9).amplitudes
-    assert _poisson_table.cache_info().misses == 1
-    assert not _poisson_table(field.mean_photons).flags.writeable
+    assert _window.cache_info().misses == 2
+    assert not field.weights.flags.writeable
+
+
+def test_window_pass_peaks_below_16_mb_at_m_1e6():
+    # only levels within m -+ (60 sqrt(m) + 3000) are evaluated, not all of
+    # 0..m + 60 sqrt(m) + 3000, and only the window's weights are kept
+    _window.cache_clear()
+    tracemalloc.start()
+    try:
+        FieldConfig.from_mean_photons(1e6).amplitudes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_truncation_dim_monotone_in_tol():
@@ -140,10 +156,10 @@ def test_poisson_weights_match_direct_formula():
     w = default_field().weights
     for n in (0, 3, 12, 20):
         assert np.isclose(w[n], math.exp(-5.0) * 5.0**n / math.factorial(n), rtol=1e-14)
-    # the whole table sums to 1 at every mean: the saddle-point weights
-    # carry no exponent error that grows with m
+    # the weights sum to 1 at every mean: the saddle-point weights carry no
+    # exponent error that grows with m
     for m in (5.0, 50.0, 1e3, 5.2e4, 7e4, 1e5):
-        assert abs(math.fsum(_poisson_table(m)[0]) - 1.0) <= 1e-14, m
+        assert abs(math.fsum(_window(m, 1e-300)[1]) - 1.0) <= 1e-14, m
 
 
 def test_poisson_weights_vacuum():

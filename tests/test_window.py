@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from oracles import (
     poisson_terms,
 )
 
-from jcdem.analysis import scan_transition
+from jcdem.analysis import revival_period, scan_transition
 from jcdem.entropy import entropies_at
 from jcdem.model import (
+    CHUNK_ELEMENTS,
     DEFAULT_TAIL_TOL,
     AtomState,
     FieldConfig,
@@ -132,6 +134,26 @@ def test_closed_and_exact_c_agree_at_large_m(m):
     assert gap <= 1e-12
 
 
+@pytest.mark.parametrize("m", [1e4, 1e5])
+def test_closed_form_c_is_accurate_at_large_m(m):
+    # c_closed and c_exact share their float64 phases g sqrt(n+1) t, so
+    # their agreement shows consistency, not accuracy; here c_closed at T3,
+    # a phase of about 6 pi m rad, is set against 40-digit trig at the same
+    # float time and weights
+    mpmath = pytest.importorskip("mpmath")
+    field = FieldConfig.from_mean_photons(m)
+    t3 = 3.0 * revival_period(field, PARAMS)
+    c = closed_form_coeffs(t3, AtomState(0.0, 1.0), field, PARAMS).c
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t3)
+        levels = range(field.n_lo + 1, field.n_max + 2)
+        reference = mpmath.fsum(
+            mpmath.mpf(float(w)) * mpmath.cos(mpmath.sqrt(k) * t) ** 2
+            for k, w in zip(levels, field.weights)
+        )
+    assert abs(c - float(reference)) <= 1e-12
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(m=st.floats(0.0, 1e5))
 @example(m=0.0)
@@ -171,5 +193,21 @@ def test_entropies_diagonalise_only_the_window(monkeypatch):
     shapes.clear()
     cli_grid = np.arange(1001) * 0.05
     entropies_at(ATOM, FieldConfig.from_mean_photons(5.0), PARAMS, cli_grid)
-    assert len(shapes) == 3 * 34
+    # a chunk counts each time's joint state and field marginal, (2W)^2 + W^2
+    # entries: 24 times of the m = 5 grid, so 42 chunks
+    assert len(shapes) == 3 * 42
     assert sum(s[0] for s in shapes) == 3 * 1001
+
+
+def test_entropies_chunk_stays_within_the_chunk_budget():
+    # a chunk counts each time's joint state and field marginal, so on the
+    # m = 5 CLI grid its stacks stay within CHUNK_ELEMENTS complex entries
+    field = FieldConfig.from_mean_photons(5.0)
+    entropies_at(ATOM, field, PARAMS, 0.0)
+    tracemalloc.start()
+    try:
+        entropies_at(ATOM, field, PARAMS, np.arange(1001) * 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * CHUNK_ELEMENTS
