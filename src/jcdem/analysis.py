@@ -9,14 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import dem_closed_form, entropies_at
-from .model import (
-    AtomState,
-    FieldConfig,
-    ModelParams,
-    closed_form_coeffs,
-    evolve_vectors,
-    time_chunks,
-)
+from .model import AtomState, FieldConfig, ModelParams, closed_form_coeffs
 
 MAX_GRID_POINTS = 1_000_000
 # Revival times T1..T{REVIVALS} that revival_analysis reports and
@@ -80,29 +73,18 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_max <= dt:
         raise ValueError(f"t_max must exceed dt, got t_max={t_max}, dt={dt}")
-    # the epsilon keeps t_max/dt = 999.9999... from losing its last row
-    n_steps = int(math.floor(t_max / dt + 1e-9))
-    if n_steps + 1 > MAX_GRID_POINTS:
-        raise ValueError(f"grid of {n_steps + 1} points exceeds {MAX_GRID_POINTS}")
-    return np.arange(n_steps + 1) * dt
+    # the epsilon keeps t_max/dt = 999.9999... from losing its last row;
+    # the cap is checked first, since the ratio may overflow to infinity
+    steps = t_max / dt + 1e-9
+    if steps >= MAX_GRID_POINTS:
+        raise ValueError(f"grid of t_max/dt = {t_max / dt:.6g} steps exceeds "
+                         f"{MAX_GRID_POINTS} points")
+    return np.arange(math.floor(steps) + 1) * dt
 
 
 def revival_period(field: FieldConfig, params: ModelParams) -> float:
     """First revival time 2*pi*|theta|/g."""
     return 2.0 * math.pi * math.sqrt(field.mean_photons) / params.g
-
-
-def _excited_population(
-    field: FieldConfig, params: ModelParams, times: np.ndarray
-) -> np.ndarray:
-    """Excited-level weight of the excited-start state, in time chunks."""
-    width = field.n_levels
-    c_exact = np.empty(len(times))
-    # psi_g and psi_e, 2W each, and evolve_vectors' three W-wide temporaries
-    for sl in time_chunks(len(times), 7 * width):
-        psi_e = evolve_vectors(field, params, times[sl])[1]
-        c_exact[sl] = np.sum(np.abs(psi_e[:, width:]) ** 2, axis=1)
-    return c_exact
 
 
 def scan_time(
@@ -114,15 +96,14 @@ def scan_time(
 ) -> TimeSeries:
     """Exact pipeline and closed forms sampled on a uniform time grid.
 
-    The c columns always follow the excited-start convention: c_exact is
-    the excited-level population evolved from lambda1 = 1 even when the
-    requested atom state is mixed, matching the analytic c_closed.  The
-    entropies are entropies_at's over the grid.
+    The c columns always follow the excited-start convention, whatever
+    the requested atom state: both are closed_form_coeffs' sums from
+    lambda1 = 1.  The entropies are entropies_at's over the grid.
     """
     times = time_grid(t_max, dt)
     coeffs = closed_form_coeffs(times, atom, field, params)
     report = entropies_at(atom, field, params, times)
-    columns = (coeffs.c, _excited_population(field, params, times), report.dem,
+    columns = (coeffs.c, coeffs.c_exact, report.dem,
                dem_closed_form(coeffs), report.s_atom, report.s_field,
                report.s_joint)
     return TimeSeries(times=times, columns=dict(zip(TIME_COLUMNS, columns)))
@@ -133,13 +114,13 @@ def scan_transition(
 ) -> TimeSeries:
     """Excited-start transition probability alone: c_closed and c_exact.
 
-    The same columns as scan_time's, without any entropy, evaluated in
-    time chunks so memory stays bounded on long grids.
+    The same columns as scan_time's, without any entropy or state vector:
+    both are closed_form_coeffs' Poisson sums, evaluated in time chunks so
+    memory stays bounded on long grids.
     """
     times = time_grid(t_max, dt)
-    c_closed = closed_form_coeffs(times, AtomState(0.0, 1.0), field, params).c
-    c_exact = _excited_population(field, params, times)
-    return TimeSeries(times=times, columns={"c_closed": c_closed, "c_exact": c_exact})
+    coeffs = closed_form_coeffs(times, AtomState(0.0, 1.0), field, params)
+    return TimeSeries(times, {"c_closed": coeffs.c, "c_exact": coeffs.c_exact})
 
 
 def sliding_amplitude(times, values, width: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import (
+    MAX_GRID_POINTS,
     revival_analysis,
     scan_lambda,
     scan_time,
@@ -93,8 +94,9 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.lambda_points < 2:
-        parser.error(f"--lambda-points must be at least 2, got {args.lambda_points}")
+    if not 2 <= args.lambda_points <= MAX_GRID_POINTS:
+        parser.error(f"--lambda-points must lie in [2, {MAX_GRID_POINTS}], "
+                     f"got {args.lambda_points}")
     if args.out_csv is None:
         args.out_csv = f"jc_{args.command.replace('-', '_')}.csv"
     if args.out_svg and os.path.abspath(args.out_svg) == os.path.abspath(args.out_csv):

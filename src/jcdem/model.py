@@ -148,8 +148,9 @@ class ClosedFormCoeffs(NamedTuple):
 
     c and s are the excited- and ground-level occupation sums; e1 and e4
     the diagonal weights; e2_mag = e3_mag the magnitude of the (purely
-    imaginary, conjugate) off-diagonal pair.  Every field has the shape
-    of the times it was evaluated at.
+    imaginary, conjugate) off-diagonal pair; c_exact the truncated exact
+    excited-start survival probability.  Every field has the shape of the
+    times it was evaluated at.
     """
 
     s: np.ndarray
@@ -158,6 +159,7 @@ class ClosedFormCoeffs(NamedTuple):
     e4: np.ndarray
     e2_mag: np.ndarray
     e3_mag: np.ndarray
+    c_exact: np.ndarray
 
 
 def _checked_mean(mean_photons: float) -> float:
@@ -238,10 +240,12 @@ def evolve_vectors(
     phases are a local unitary that no entropy or population can see, and
     they are left out.  t is a scalar or an array of times; each state is
     shaped t.shape + (2 W,), W = n_max - n_lo + 1, in the module's basis
-    order, so callers bound memory by passing time_chunks of a long grid.
-    Each doublet {|2,n>, |1,n+1>} rotates at Omega_n = g sqrt(n+1); the two
-    edges |1,n_lo> and |2,n_max>, whose partners lie outside the window,
-    stay put (at n_lo = 0 the lower edge |1,0> is exact).
+    order.  Each doublet {|2,n>, |1,n+1>} rotates at Omega_n = g sqrt(n+1);
+    the two edges |1,n_lo> and |2,n_max>, whose partners lie outside the
+    window, stay put (at n_lo = 0 the lower edge |1,0> is exact).  Its one
+    caller, entropy.entropies_at, bounds memory by passing time_chunks of a
+    long grid; the transition columns need no state vector and come from
+    closed_form_coeffs.
     """
     t = np.asarray(t, dtype=float)
     n_lo, n_max, width = field.n_lo, field.n_max, field.n_levels
@@ -272,23 +276,30 @@ def closed_form_coeffs(
     excited and ground levels; the off-diagonal magnitude is
     |e2| = |e3| = (1/2) |lambda1 - lambda0| |sum_n p_n sin(2 Omega_n t)|.
     The Poisson sums run over the kept levels n_lo..n_max, never
-    renormalized.
+    renormalized.  c_exact = sum_{n<n_max} |a_n|^2 cos^2(Omega_n t) +
+    |a_{n_max}|^2, with the renormalized amplitudes a_n, is the same sum as
+    the truncated evolution gives it: evolve_vectors holds |2,n_max> still.
     """
     t = np.asarray(t, dtype=float)
     w = field.weights
+    # |a_n|^2 on the levels that rotate; the edge |2,n_max> keeps its own
+    pops = np.abs(field.amplitudes) ** 2
+    rotating = np.append(pops[:-1], 0.0)
     omega = params.g * np.sqrt(np.arange(field.n_lo, field.n_max + 1) + 1.0)
     flat = t.reshape(-1)
-    sums = np.empty((3, flat.size))
-    # each time holds the W phases and two W-wide temporaries at once
-    for sl in time_chunks(flat.size, 3 * len(w)):
+    sums = np.empty((4, flat.size))
+    # each time holds the W phases, their cos^2 and two W-wide temporaries
+    for sl in time_chunks(flat.size, 4 * len(w)):
         phase = omega * flat[sl, None]
+        cos2 = np.cos(phase) ** 2
         sums[:, sl] = (
-            np.cos(phase) ** 2 @ w,
+            cos2 @ w,
             np.sin(phase) ** 2 @ w,
             np.sin(2.0 * phase) @ w,
+            cos2 @ rotating + pops[-1],
         )
     # [()] unwraps a scalar time's 0-d results to numpy floats
-    c, s, sin2 = (row.reshape(t.shape)[()] for row in sums)
+    c, s, sin2, c_exact = (row.reshape(t.shape)[()] for row in sums)
     coherence = 0.5 * abs(atom.lambda1 - atom.lambda0) * np.abs(sin2)
     return ClosedFormCoeffs(
         s=s,
@@ -297,4 +308,5 @@ def closed_form_coeffs(
         e4=atom.lambda0 * c + atom.lambda1 * s,
         e2_mag=coherence,
         e3_mag=coherence,
+        c_exact=c_exact,
     )

@@ -67,6 +67,8 @@ def test_time_grid_validation():
         time_grid(0.05, 0.05)
     with pytest.raises(ValueError):
         time_grid(2000.0, 1e-6)  # exceeds MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="exceeds"):
+        time_grid(1e308, 1e-10)  # t_max/dt overflows to infinity
     assert MAX_GRID_POINTS == 1_000_000
 
 
@@ -136,26 +138,32 @@ def test_scan_transition_memory_is_bounded_on_long_grids():
     assert peak < 64 * 2**20
 
 
-def test_excited_population_chunks_count_each_times_footprint(monkeypatch):
-    # each time handed to evolve_vectors holds about 7 W entries: psi_g and
-    # psi_e, 2 W each, and three W-wide temporaries
+def test_closed_form_chunks_count_each_times_footprint(monkeypatch):
+    # each time in a chunk holds about 4 W entries: the W phases, their cos^2
+    # and the two W-wide temporaries of a sin term
     field = FieldConfig.from_mean_photons(50.0)
     monkeypatch.setattr(jcdem.model, "CHUNK_ELEMENTS", 1 << 30)
-    whole = scan_transition(field, PARAMS, 30.0, 0.05).columns["c_exact"]
+    whole = scan_transition(field, PARAMS, 30.0, 0.05).columns
     budget = 4096
     monkeypatch.setattr(jcdem.model, "CHUNK_ELEMENTS", budget)
-    sizes = []
-    original = jcdem.analysis.evolve_vectors
+    counts, sizes = [], []
+    original = jcdem.model.time_chunks
 
-    def record(field, params, t):
-        sizes.append(np.size(t))
-        return original(field, params, t)
+    def record(n_times, entries_per_time):
+        chunks = original(n_times, entries_per_time)
+        counts.append(entries_per_time)
+        sizes.extend(len(range(n_times)[sl]) for sl in chunks)
+        return chunks
 
-    monkeypatch.setattr(jcdem.analysis, "evolve_vectors", record)
-    chunked = scan_transition(field, PARAMS, 30.0, 0.05).columns["c_exact"]
-    assert np.array_equal(chunked, whole)
-    assert sum(sizes) == len(whole)
-    assert max(sizes) <= budget // (7 * field.n_levels)
+    monkeypatch.setattr(jcdem.model, "time_chunks", record)
+    chunked = scan_transition(field, PARAMS, 30.0, 0.05).columns
+    # a chunk's matrix-vector product may round a row differently from the
+    # whole grid's, by an ulp or two
+    for name in ("c_closed", "c_exact"):
+        assert np.abs(chunked[name] - whole[name]).max() <= 4 * np.finfo(float).eps
+    assert counts == [4 * field.n_levels]
+    assert sum(sizes) == len(whole["c_exact"]) and len(sizes) > 1
+    assert max(sizes) * counts[0] <= budget
 
 
 def test_scan_time_joint_entropy_constant(mixed_series):

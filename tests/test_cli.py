@@ -82,6 +82,9 @@ def test_parse_args_default_csv_name_follows_command():
         ["transition", "--omega0", "inf"],
         ["transition", "--t-max", "inf"],
         ["transition", "--out-csv", "same.out", "--out-svg", "./same.out"],
+        ["transition", "--t-max", "1e308", "--dt", "1e-10"],
+        ["scan-lambda", "--lambda-points", "1000001"],
+        ["scan-lambda", "--lambda-points", "100000000000000000000"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

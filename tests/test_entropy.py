@@ -185,14 +185,17 @@ def test_araki_lieb_holds_on_random_two_qubit_states():
 
 
 def test_closed_form_dem_at_t0_is_binary_entropy():
-    co = ClosedFormCoeffs(s=0.0, c=1.0, e1=0.3, e4=0.7, e2_mag=0.0, e3_mag=0.0)
+    co = ClosedFormCoeffs(s=0.0, c=1.0, e1=0.3, e4=0.7, e2_mag=0.0, e3_mag=0.0,
+                          c_exact=1.0)
     assert dem_closed_form(co) == pytest.approx(0.6108643020548935, abs=1e-12)
-    pure = ClosedFormCoeffs(s=0.0, c=1.0, e1=1.0, e4=0.0, e2_mag=0.0, e3_mag=0.0)
+    pure = ClosedFormCoeffs(s=0.0, c=1.0, e1=1.0, e4=0.0, e2_mag=0.0, e3_mag=0.0,
+                            c_exact=1.0)
     assert dem_closed_form(pure) == 0.0
 
 
 def test_closed_form_dem_balanced_atom_keeps_diagonal_terms():
-    co = ClosedFormCoeffs(s=0.4, c=0.6, e1=0.5, e4=0.5, e2_mag=0.0, e3_mag=0.0)
+    co = ClosedFormCoeffs(s=0.4, c=0.6, e1=0.5, e4=0.5, e2_mag=0.0, e3_mag=0.0,
+                          c_exact=0.6)
     expected = -0.5 * math.log(0.5) - 0.5 * math.log(0.5)
     assert dem_closed_form(co) == pytest.approx(expected, abs=1e-12)
 
@@ -264,3 +267,8 @@ def test_entropies_at_match_the_dense_oracle(m, lam, t):
     if lam in (0.0, 1.0):
         # a pure joint state: both marginals share one spectrum
         assert abs(report.s_atom - report.s_field) <= 1e-8
+    # the transition column: the excited-start population of the dense run
+    excited = propagated_joint(AtomState(0.0, 1.0), field, ModelParams(), t)
+    population = np.trace(excited[field.n_max + 1 :, field.n_max + 1 :]).real
+    c_exact = closed_form_coeffs(t, atom, field, ModelParams()).c_exact
+    assert abs(c_exact - population) <= 1e-10
