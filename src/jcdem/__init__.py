@@ -10,7 +10,7 @@ from .analysis import (
     scan_time,
     scan_transition,
 )
-from .entropy import EntropyReport, dem_closed_form, entropies_at
+from .entropy import EntropyReport, entropies_at
 from .model import (
     AtomState,
     ClosedFormCoeffs,
@@ -31,7 +31,6 @@ __all__ = [
     "RevivalReport",
     "TimeSeries",
     "closed_form_coeffs",
-    "dem_closed_form",
     "entropies_at",
     "revival_analysis",
     "scan_lambda",

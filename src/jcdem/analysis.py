@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import dem_closed_form, entropies_at
+from .entropy import entropies_at
 from .model import AtomState, FieldConfig, ModelParams, closed_form_coeffs
 
 MAX_GRID_POINTS = 1_000_000
@@ -46,14 +46,22 @@ class LambdaScan:
 
     lambdas: np.ndarray
     dem_at_T: dict[int, np.ndarray]
-    conjecture_holds: np.ndarray
 
     def __post_init__(self) -> None:
         for k, col in self.dem_at_T.items():
             if len(col) != len(self.lambdas):
                 raise ValueError(f"dem_at_T[{k}] misaligned with lambda grid")
-        if len(self.conjecture_holds) != len(self.lambdas):
-            raise ValueError("conjecture_holds misaligned with lambda grid")
+
+    @property
+    def conjecture_holds(self) -> np.ndarray:
+        """Per grid point, whether the degree is nondecreasing along
+        consecutive revival indices, up to CONJECTURE_SLACK; a violation is
+        data, not an error."""
+        ks = sorted(self.dem_at_T)
+        holds = np.ones(len(self.lambdas), dtype=bool)
+        for k_prev, k_next in zip(ks, ks[1:]):
+            holds &= self.dem_at_T[k_prev] <= self.dem_at_T[k_next] + CONJECTURE_SLACK
+        return holds
 
 
 @dataclass(frozen=True)
@@ -103,9 +111,8 @@ def scan_time(
     times = time_grid(t_max, dt)
     coeffs = closed_form_coeffs(times, atom, field, params)
     report = entropies_at(atom, field, params, times)
-    columns = (coeffs.c, coeffs.c_exact, report.dem,
-               dem_closed_form(coeffs), report.s_atom, report.s_field,
-               report.s_joint)
+    columns = (coeffs.c, coeffs.c_exact, report.dem, coeffs.dem,
+               report.s_atom, report.s_field, report.s_joint)
     return TimeSeries(times=times, columns=dict(zip(TIME_COLUMNS, columns)))
 
 
@@ -119,7 +126,7 @@ def scan_transition(
     memory stays bounded on long grids.
     """
     times = time_grid(t_max, dt)
-    coeffs = closed_form_coeffs(times, AtomState(0.0, 1.0), field, params)
+    coeffs = closed_form_coeffs(times, AtomState(0.0), field, params)
     return TimeSeries(times, {"c_closed": coeffs.c, "c_exact": coeffs.c_exact})
 
 
@@ -202,12 +209,8 @@ def scan_lambda(
     lambda_grid,
     k_list: tuple[int, ...] = tuple(range(1, REVIVALS + 1)),
 ) -> LambdaScan:
-    """Entanglement degree at the revival times T_k over a lambda0 grid.
-
-    The per-point conjecture flag records whether the degree is
-    nondecreasing along consecutive entries of k_list, up to
-    CONJECTURE_SLACK; a violation is data, not an error.
-    """
+    """Entanglement degree at the revival times T_k over a lambda0 grid,
+    with LambdaScan's conjecture flag over consecutive entries of k_list."""
     lambdas = np.asarray(lambda_grid, dtype=float)
     if len(lambdas) == 0 or lambdas.min() < 0.0 or lambdas.max() > 1.0:
         raise ValueError("lambda grid must be nonempty and lie in [0, 1]")
@@ -218,8 +221,4 @@ def scan_lambda(
         entropies_at(AtomState.from_ground_weight(float(lam)), field, params, times).dem
         for lam in lambdas
     ])
-    dem_at_T = {k: dem[:, j] for j, k in enumerate(k_list)}
-    holds = np.ones(len(lambdas), dtype=bool)
-    for k_prev, k_next in zip(k_list, k_list[1:]):
-        holds &= dem_at_T[k_prev] <= dem_at_T[k_next] + CONJECTURE_SLACK
-    return LambdaScan(lambdas=lambdas, dem_at_T=dem_at_T, conjecture_holds=holds)
+    return LambdaScan(lambdas, {k: dem[:, j] for j, k in enumerate(k_list)})

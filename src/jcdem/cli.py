@@ -111,11 +111,15 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
 
 
 def _write_csv(path: str, x_name: str, x, columns: dict) -> None:
-    """One row per x value: bool columns print as 0/1, all else as .12e."""
+    """One row per x value: bool columns print as 0/1, all else as .12e.
+    Raises ValueError, writing nothing, if any value is not finite."""
+    cols = [np.asarray(col) for col in (x, *columns.values())]
+    if not all(np.isfinite(col).all() for col in cols):
+        raise ValueError(f"cannot write non-finite values to {path}")
     cells = [
         [f"{v:d}" for v in col.astype(int)] if col.dtype == bool
         else [f"{v:.12e}" for v in col]
-        for col in map(np.asarray, (x, *columns.values()))
+        for col in cols
     ]
     lines = [",".join([x_name, *columns]), *map(",".join, zip(*cells))]
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -14,25 +14,16 @@ import numpy as np
 
 from .model import (
     AtomState,
-    ClosedFormCoeffs,
     FieldConfig,
     ModelParams,
+    _xlogx,
     evolve_vectors,
     time_chunks,
 )
 
-# Eigenvalues at or below EIG_CLIP contribute nothing to entropy sums;
-# below -NEGATIVE_EIG_TOL the state itself is invalid.
-EIG_CLIP = 1e-12
+# A state with an eigenvalue below -NEGATIVE_EIG_TOL is invalid.
 NEGATIVE_EIG_TOL = 1e-10
 AL_SLACK = 1e-8
-
-
-def _xlogx(x) -> np.ndarray:
-    """Elementwise x ln x, zero at or below EIG_CLIP."""
-    x = np.asarray(x, dtype=float)
-    live = x > EIG_CLIP
-    return np.where(live, x * np.log(np.where(live, x, 1.0)), 0.0)
 
 
 def _entropies(rho):
@@ -47,34 +38,30 @@ def _entropies(rho):
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Marginal and joint entropies of a bipartite state, with the DEM.
-
-    Each field (and each of the two al_margins) is a float for one state, or
-    an array shaped like a stack's leading axes or like entropies_at's t.
-    """
+    """Marginal and joint entropies of a bipartite state, and the DEM and
+    Araki-Lieb margins derived from them: each a float for one state, or an
+    array shaped like a stack's leading axes or like entropies_at's t."""
 
     s_atom: float
     s_field: float
     s_joint: float
-    dem: float
-    araki_lieb_ok: bool
-    al_margins: tuple[float, float]
 
+    @property
+    def al_margins(self) -> tuple[float, float]:
+        """(s_joint - |s_atom - s_field|, s_atom + s_field - s_joint), each
+        nonnegative up to AL_SLACK on a valid state."""
+        return (self.s_joint - abs(self.s_atom - self.s_field),
+                self.s_atom + self.s_field - self.s_joint)
 
-def _report(s_atom, s_field, s_joint) -> EntropyReport:
-    """The DEM and the triangle-inequality margins (s_joint - |s_atom -
-    s_field|, s_atom + s_field - s_joint), each nonnegative up to AL_SLACK
-    on a valid state.  Works alike on floats and on arrays of them."""
-    lower = s_joint - abs(s_atom - s_field)
-    upper = s_atom + s_field - s_joint
-    return EntropyReport(
-        s_atom=s_atom,
-        s_field=s_field,
-        s_joint=s_joint,
-        dem=upper,
-        araki_lieb_ok=(lower >= -AL_SLACK) & (upper >= -AL_SLACK),
-        al_margins=(lower, upper),
-    )
+    @property
+    def dem(self) -> float:
+        """S(rho_A) + S(rho_F) - S(rho), the upper Araki-Lieb margin."""
+        return self.s_atom + self.s_field - self.s_joint
+
+    @property
+    def araki_lieb_ok(self) -> bool:
+        lower, upper = self.al_margins
+        return (lower >= -AL_SLACK) & (upper >= -AL_SLACK)
 
 
 def entropies_at(
@@ -104,22 +91,4 @@ def entropies_at(
         for i, m in enumerate((per_atom, per_field, b)):
             entropies[i, sl] = _entropies(m @ m.conj().swapaxes(-1, -2))
     # [()] unwraps a scalar time's 0-d results to numpy floats
-    return _report(*(row.reshape(t.shape)[()] for row in entropies))
-
-
-def dem_closed_form(coeffs: ClosedFormCoeffs):
-    """Analytic degree of entanglement, magnitude reading.
-
-    -e1 log e1 - e4 log e4 + |e2| log |e2| + |e3| log |e3|, with the
-    off-diagonal terms entering by magnitude.  Reduces to the binary
-    entropy of (e1, e4) whenever the coherences vanish.  Returns a float
-    for scalar coefficients and an array for coefficients over times.
-    """
-    val = (
-        -_xlogx(coeffs.e1)
-        - _xlogx(coeffs.e4)
-        + _xlogx(coeffs.e2_mag)
-        + _xlogx(coeffs.e3_mag)
-    )
-    # [()] unwraps a 0-d result to a scalar and leaves arrays as they are
-    return val[()]
+    return EntropyReport(*(row.reshape(t.shape)[()] for row in entropies))

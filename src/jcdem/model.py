@@ -36,6 +36,8 @@ MAX_MEAN_PHOTONS = 1e6
 # Array entries the vectorised kernels hold at once for a chunk of times,
 # which bounds their temporaries however long the time grid is.
 CHUNK_ELEMENTS = 1 << 17
+# Eigenvalues at or below EIG_CLIP contribute nothing to entropy sums.
+EIG_CLIP = 1e-12
 # stirlerr(n) below STIRLING_MIN, where the Stirling series is not yet
 # accurate to rounding; n = 0 is a placeholder.
 STIRLING_MIN = 16
@@ -69,20 +71,18 @@ class AtomState:
     """Diagonal atomic state: lambda0 on the ground level, lambda1 excited."""
 
     lambda0: float
-    lambda1: float
 
     def __post_init__(self) -> None:
-        for name, val in (("lambda0", self.lambda0), ("lambda1", self.lambda1)):
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
-        if abs(self.lambda0 + self.lambda1 - 1.0) > 1e-12:
-            raise ValueError(
-                f"weights must sum to 1, got {self.lambda0 + self.lambda1}"
-            )
+        if not 0.0 <= self.lambda0 <= 1.0:
+            raise ValueError(f"lambda0 must lie in [0, 1], got {self.lambda0}")
 
     @classmethod
     def from_ground_weight(cls, lambda0: float) -> "AtomState":
-        return cls(lambda0, 1.0 - lambda0)
+        return cls(lambda0)
+
+    @property
+    def lambda1(self) -> float:
+        return 1.0 - self.lambda0
 
 
 @dataclass(frozen=True)
@@ -143,14 +143,21 @@ class FieldConfig:
         return amps
 
 
+def _xlogx(x) -> np.ndarray:
+    """Elementwise x ln x, zero at or below EIG_CLIP."""
+    x = np.asarray(x, dtype=float)
+    live = x > EIG_CLIP
+    return np.where(live, x * np.log(np.where(live, x, 1.0)), 0.0)
+
+
 class ClosedFormCoeffs(NamedTuple):
     """Analytic entangled-state scalars, at one time or over a time array.
 
     c and s are the excited- and ground-level occupation sums; e1 and e4
-    the diagonal weights; e2_mag = e3_mag the magnitude of the (purely
+    the diagonal weights; e2_mag = |e2| = |e3| the magnitude of the (purely
     imaginary, conjugate) off-diagonal pair; c_exact the truncated exact
-    excited-start survival probability.  Every field has the shape of the
-    times it was evaluated at.
+    excited-start survival probability.  Every field, and dem, has the
+    shape of the times it was evaluated at.
     """
 
     s: np.ndarray
@@ -158,8 +165,17 @@ class ClosedFormCoeffs(NamedTuple):
     e1: np.ndarray
     e4: np.ndarray
     e2_mag: np.ndarray
-    e3_mag: np.ndarray
     c_exact: np.ndarray
+
+    @property
+    def dem(self):
+        """Analytic degree of entanglement -e1 ln e1 - e4 ln e4 + |e2| ln |e2|
+        + |e3| ln |e3|, the coherences entering by magnitude: the binary
+        entropy of (e1, e4) whenever they vanish."""
+        e2 = self.e2_mag
+        val = -_xlogx(self.e1) - _xlogx(self.e4) + _xlogx(e2) + _xlogx(e2)
+        # [()] unwraps a 0-d result to a scalar and leaves arrays as they are
+        return val[()]
 
 
 def _checked_mean(mean_photons: float) -> float:
@@ -300,13 +316,11 @@ def closed_form_coeffs(
         )
     # [()] unwraps a scalar time's 0-d results to numpy floats
     c, s, sin2, c_exact = (row.reshape(t.shape)[()] for row in sums)
-    coherence = 0.5 * abs(atom.lambda1 - atom.lambda0) * np.abs(sin2)
     return ClosedFormCoeffs(
         s=s,
         c=c,
         e1=atom.lambda0 * s + atom.lambda1 * c,
         e4=atom.lambda0 * c + atom.lambda1 * s,
-        e2_mag=coherence,
-        e3_mag=coherence,
+        e2_mag=0.5 * abs(atom.lambda1 - atom.lambda0) * np.abs(sin2),
         c_exact=c_exact,
     )

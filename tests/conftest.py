@@ -1,8 +1,13 @@
-"""Shared pytest hooks for the acceptance suite.
+"""Shared pytest hooks and fixtures.
 
 Criterion results are echoed immediately and repeated in a terminal
 summary section so the pass/fail lines survive output capture.
 """
+
+import pytest
+
+import jcdem.entropy
+import jcdem.model
 
 CRITERION_LINES = []
 
@@ -17,3 +22,20 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def chunk_starts(monkeypatch):
+    """The start of every chunk but the first that the kernels' time_chunks
+    calls hand out during the test, in call order: the real chunk edges."""
+    starts = []
+    original = jcdem.model.time_chunks
+
+    def record(n_times, entries_per_time):
+        chunks = original(n_times, entries_per_time)
+        starts.extend(sl.start for sl in chunks[1:])
+        return chunks
+
+    for module in (jcdem.model, jcdem.entropy):
+        monkeypatch.setattr(module, "time_chunks", record)
+    return starts

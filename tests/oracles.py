@@ -10,10 +10,12 @@ evolution path, kept here as the reference for the two-vector kernel.
 Likewise partial_trace and dem_exact are the package's former entropy
 path: they take any dense bipartite state, check that it is Hermitian and
 trace out each factor, where entropies_at contracts its marginals from the
-two evolved vectors.  The full eigensystem and the relative entropy are
-only needed by these checks.  vector_joint alone is not independent: it
-assembles the dense joint state from the package's own evolved vectors,
-for tests of those vectors.  full_range_vectors is the two-vector kernel
+two evolved vectors.  Their entropies come from von_neumann_entropy here,
+with its own eigenvalue cut, not from the package's spectrum-to-entropy
+code.  The full eigensystem and the relative entropy are only needed by
+these checks.  vector_joint alone is not independent: it assembles the
+dense joint state from the package's own evolved vectors, for tests of
+those vectors.  full_range_vectors is the two-vector kernel
 on every level 0..n_max, the reference for the package's photon window
 n_lo..n_max; it evolves whatever amplitudes it is given.
 excited_population and atom_coherence write the atom's populations and
@@ -26,19 +28,16 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from jcdem.entropy import (
-    EIG_CLIP,
-    NEGATIVE_EIG_TOL,
-    EntropyReport,
-    _entropies,
-    _report,
-    _xlogx,
-)
+from jcdem import EntropyReport
 from jcdem.model import evolve_vectors
 
 # Probability mass sigma may place outside rho's support before the
 # relative entropy is declared infinite.
 SUPPORT_TOL = 1e-9
+# Eigenvalues at or below ZERO_EIG count as zero in p ln p sums; one below
+# -NEGATIVE_EIG makes the state invalid.
+ZERO_EIG = 1e-12
+NEGATIVE_EIG = 1e-10
 # A joint state further than this from Hermitian is a bug in its caller.
 HERMITICITY_ATOL = 1e-10
 
@@ -329,6 +328,16 @@ def partial_trace(
     raise ValueError(f"keep must be 'atom' or 'field', got {keep!r}")
 
 
+def von_neumann_entropy(rho):
+    """-sum p ln p over the eigenvalues p > ZERO_EIG of each matrix in a
+    (..., d, d) stack; ValueError if one lies below -NEGATIVE_EIG."""
+    p = np.linalg.eigvalsh(rho)
+    if p.min(initial=0.0) < -NEGATIVE_EIG:
+        raise ValueError(f"state has negative eigenvalue {p.min():.3e}")
+    live = np.where(p > ZERO_EIG, p, 1.0)
+    return -np.sum(live * np.log(live), axis=-1)
+
+
 def dem_exact(joint, dims: tuple[int, int]) -> EntropyReport:
     """Degree of entanglement S(rho_A) + S(rho_F) - S(joint) of any dense
     bipartite state, with the Araki-Lieb margins, by partial_trace.
@@ -345,7 +354,7 @@ def dem_exact(joint, dims: tuple[int, int]) -> EntropyReport:
             f"joint state is not Hermitian: max |M - M^dag| = {deviation:.3e} "
             f"> {HERMITICITY_ATOL:.1e}"
         )
-    return _report(*(_entropies(m) for m in (*marginals, joint)))
+    return EntropyReport(*(von_neumann_entropy(m) for m in (*marginals, joint)))
 
 
 def marginal_product(joint, dims) -> np.ndarray:
@@ -393,11 +402,11 @@ def relative_entropy(sigma, rho) -> float:
         raise ValueError(
             f"dimension mismatch: {lam.shape[0]} vs {mu.shape[0]}"
         )
-    if lam[0] < -NEGATIVE_EIG_TOL or mu[0] < -NEGATIVE_EIG_TOL:
+    if lam[0] < -NEGATIVE_EIG or mu[0] < -NEGATIVE_EIG:
         raise ValueError("negative eigenvalue in relative entropy argument")
     overlaps = np.abs(v.conj().T @ w) ** 2
-    lam_live = lam > EIG_CLIP
-    mu_dead = mu <= EIG_CLIP
+    lam_live = lam > ZERO_EIG
+    mu_dead = mu <= ZERO_EIG
     stray = float(lam[lam_live] @ overlaps[np.ix_(lam_live, mu_dead)].sum(axis=1))
     if stray > SUPPORT_TOL:
         return math.inf
@@ -406,4 +415,4 @@ def relative_entropy(sigma, rho) -> float:
         @ overlaps[np.ix_(lam_live, ~mu_dead)]
         @ np.log(mu[~mu_dead])
     )
-    return float(np.sum(_xlogx(lam))) - cross
+    return float(lam[lam_live] @ np.log(lam[lam_live])) - cross

@@ -58,8 +58,8 @@ def scans():
     )
     out["mixed_secs"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    out["excited"] = scan_time(AtomState(0.0, 1.0), FIELD, PARAMS, 30.0, 0.05)
-    out["ground"] = scan_time(AtomState(1.0, 0.0), FIELD, PARAMS, 30.0, 0.05)
+    out["excited"] = scan_time(AtomState(0.0), FIELD, PARAMS, 30.0, 0.05)
+    out["ground"] = scan_time(AtomState(1.0), FIELD, PARAMS, 30.0, 0.05)
     out["pure_secs"] = time.perf_counter() - t0
     return out
 

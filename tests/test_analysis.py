@@ -27,7 +27,6 @@ from jcdem.analysis import (
     time_grid,
 )
 from jcdem.cli import main
-from jcdem.entropy import dem_closed_form
 from jcdem.model import AtomState, FieldConfig, ModelParams, closed_form_coeffs
 
 T1_FROZEN = 14.049629462081453  # 2*pi*sqrt(5)
@@ -39,7 +38,7 @@ PARAMS = ModelParams()
 
 @pytest.fixture(scope="module")
 def excited_series():
-    return scan_time(AtomState(0.0, 1.0), FIELD, PARAMS, 22.0, 0.05)
+    return scan_time(AtomState(0.0), FIELD, PARAMS, 22.0, 0.05)
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +247,7 @@ def test_revival_detector_lands_near_first_revival(excited_series):
 
 def test_revival_scaling_with_coupling():
     params2 = ModelParams(g=2.0)
-    series = scan_time(AtomState(0.0, 1.0), FIELD, params2, 12.0, 0.025)
+    series = scan_time(AtomState(0.0), FIELD, params2, 12.0, 0.025)
     report = revival_analysis(FIELD, params2, series)
     assert report.t_collapse == pytest.approx(0.5)
     assert report.revival_times[0] == pytest.approx(T1_FROZEN / 2.0, abs=1e-12)
@@ -256,7 +255,7 @@ def test_revival_scaling_with_coupling():
 
 
 def test_revival_requires_series_through_first_revival():
-    short = scan_time(AtomState(0.0, 1.0), FIELD, PARAMS, 5.0, 0.1)
+    short = scan_time(AtomState(0.0), FIELD, PARAMS, 5.0, 0.1)
     with pytest.raises(ValueError):
         revival_analysis(FIELD, PARAMS, short)
 
@@ -384,7 +383,6 @@ def test_lambda_scan_validation():
         LambdaScan(
             lambdas=np.array([0.0, 1.0]),
             dem_at_T={1: np.zeros(3)},
-            conjecture_holds=np.array([True, True]),
         )
 
 
@@ -396,7 +394,7 @@ def test_closed_form_degree_is_monotone_across_revivals():
     for lam in np.linspace(0.0, 1.0, 21):
         atom = AtomState.from_ground_weight(float(lam))
         d1, d2, d3 = (
-            dem_closed_form(closed_form_coeffs(k * t1, atom, FIELD, PARAMS))
+            closed_form_coeffs(k * t1, atom, FIELD, PARAMS).dem
             for k in (1, 2, 3)
         )
         assert d1 <= d2 + CONJECTURE_SLACK

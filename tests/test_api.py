@@ -1,14 +1,33 @@
-"""The package's public names and CLI examples are the ones the README documents."""
+"""The package's public names and CLI examples are the ones the README
+documents; its records store only independent values; the test oracles
+reach it only through names that are neither private nor entropy code."""
 
+import ast
+import dataclasses
 import inspect
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import jcdem
+from jcdem import (
+    AtomState,
+    ClosedFormCoeffs,
+    EntropyReport,
+    FieldConfig,
+    LambdaScan,
+    ModelParams,
+    closed_form_coeffs,
+    entropies_at,
+    scan_lambda,
+)
 from jcdem.cli import main, parse_args
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def test_every_public_name_is_documented():
@@ -47,3 +66,78 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         for path in filter(None, (config.out_csv, config.out_svg)):
             assert f"wrote {path}" in printed
             assert (tmp_path / path).stat().st_size > 0
+
+
+def test_records_store_only_their_independent_values():
+    field, params, atom = FieldConfig.from_mean_photons(5.0), ModelParams(), AtomState(0.7)
+    times = np.array([0.0, 3.1, 7.0])
+    lambdas = np.array([0.0, 0.4, 1.0])
+    grids = {
+        EntropyReport: entropies_at(atom, field, params, times),
+        ClosedFormCoeffs: closed_form_coeffs(times, atom, field, params),
+        LambdaScan: scan_lambda(field, params, lambdas),
+        AtomState: atom,
+    }
+    # (stored fields, derived read-only properties) of each record
+    layout = {
+        EntropyReport: (("s_atom", "s_field", "s_joint"),
+                        ("dem", "al_margins", "araki_lieb_ok")),
+        ClosedFormCoeffs: (("s", "c", "e1", "e4", "e2_mag", "c_exact"), ("dem",)),
+        LambdaScan: (("lambdas", "dem_at_T"), ("conjecture_holds",)),
+        AtomState: (("lambda0",), ("lambda1",)),
+    }
+    for record, (stored, derived) in layout.items():
+        fields = getattr(record, "_fields", None)
+        fields = fields or tuple(f.name for f in dataclasses.fields(record))
+        assert fields == stored, record
+        for name in derived:
+            prop = inspect.getattr_static(record, name)
+            assert isinstance(prop, property) and prop.fset is None, (record, name)
+            with pytest.raises(AttributeError):
+                setattr(grids[record], name, None)
+    assert atom.lambda1 == 1.0 - atom.lambda0
+
+    # each derived value is elementwise: a scalar time, or one lambda0, gives
+    # what that entry of the array gives
+    for i, t in enumerate(times):
+        point = entropies_at(atom, field, params, t)
+        grid = grids[EntropyReport]
+        assert point.dem == grid.dem[i] and point.araki_lieb_ok == grid.araki_lieb_ok[i]
+        assert point.al_margins == tuple(m[i] for m in grid.al_margins)
+        coeffs = grids[ClosedFormCoeffs]
+        assert ClosedFormCoeffs(*(v[i] for v in coeffs)).dem == coeffs.dem[i]
+        point = closed_form_coeffs(t, atom, field, params)
+        assert abs(point.dem - coeffs.dem[i]) <= 1e-14
+    for i, lam in enumerate(lambdas):
+        single = scan_lambda(field, params, [lam])
+        assert single.conjecture_holds[0] == grids[LambdaScan].conjecture_holds[i]
+
+
+def forbidden_references(source: str) -> list[str]:
+    """Dotted names rooted at jcdem that source imports or reads and that
+    reach a private name or the entropy module."""
+    refs = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            refs += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            refs += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.insert(0, node.attr)
+                node = node.value
+            if isinstance(node, ast.Name):
+                refs.append(".".join([node.id, *parts]))
+    return [ref for ref in refs if ref.split(".")[0] == "jcdem" and any(
+        part == "entropy" or part.startswith("_") for part in ref.split(".")[1:])]
+
+
+def test_oracles_reach_no_private_or_entropy_code():
+    # the oracles check the package, so they may not share its private
+    # helpers or any of its entropy code; evolve_vectors is public, and
+    # vector_joint is documented as not independent
+    assert forbidden_references(ORACLES.read_text(encoding="utf-8")) == []
+    probe = "from jcdem.model import _xlogx\nimport jcdem.entropy\njcdem.model._window\n"
+    assert forbidden_references(probe) == [
+        "jcdem.model._xlogx", "jcdem.entropy", "jcdem.model._window"]

@@ -218,6 +218,17 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert not bad.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_results_exit_1_without_writing(tmp_path, capsys):
+    # g sqrt(n+1) t overflows at g = 1e308, so every c column is NaN
+    csv = tmp_path / "tr.csv"
+    argv = ["transition", "--g", "1e308", "--t-max", "1", "--dt", "0.5",
+            "--out-csv", str(csv)]
+    assert main(argv) == 1
+    assert "non-finite values" in capsys.readouterr().err
+    assert not csv.exists() and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask022", "umask027"]
 )

@@ -16,7 +16,7 @@ from oracles import (
     relative_entropy,
 )
 
-from jcdem.entropy import _entropies, dem_closed_form, entropies_at
+from jcdem.entropy import _entropies, entropies_at
 from jcdem.model import (
     AtomState,
     ClosedFormCoeffs,
@@ -185,30 +185,27 @@ def test_araki_lieb_holds_on_random_two_qubit_states():
 
 
 def test_closed_form_dem_at_t0_is_binary_entropy():
-    co = ClosedFormCoeffs(s=0.0, c=1.0, e1=0.3, e4=0.7, e2_mag=0.0, e3_mag=0.0,
-                          c_exact=1.0)
-    assert dem_closed_form(co) == pytest.approx(0.6108643020548935, abs=1e-12)
-    pure = ClosedFormCoeffs(s=0.0, c=1.0, e1=1.0, e4=0.0, e2_mag=0.0, e3_mag=0.0,
-                            c_exact=1.0)
-    assert dem_closed_form(pure) == 0.0
+    co = ClosedFormCoeffs(s=0.0, c=1.0, e1=0.3, e4=0.7, e2_mag=0.0, c_exact=1.0)
+    assert co.dem == pytest.approx(0.6108643020548935, abs=1e-12)
+    pure = ClosedFormCoeffs(s=0.0, c=1.0, e1=1.0, e4=0.0, e2_mag=0.0, c_exact=1.0)
+    assert pure.dem == 0.0
 
 
 def test_closed_form_dem_balanced_atom_keeps_diagonal_terms():
-    co = ClosedFormCoeffs(s=0.4, c=0.6, e1=0.5, e4=0.5, e2_mag=0.0, e3_mag=0.0,
-                          c_exact=0.6)
+    co = ClosedFormCoeffs(s=0.4, c=0.6, e1=0.5, e4=0.5, e2_mag=0.0, c_exact=0.6)
     expected = -0.5 * math.log(0.5) - 0.5 * math.log(0.5)
-    assert dem_closed_form(co) == pytest.approx(expected, abs=1e-12)
+    assert co.dem == pytest.approx(expected, abs=1e-12)
 
 
 def test_closed_form_dem_over_times_matches_pointwise():
     field = FieldConfig.from_mean_photons(5.0)
     atom = AtomState.from_ground_weight(0.7)
     times = np.arange(0.0, 10.0, 0.5)
-    grid = dem_closed_form(closed_form_coeffs(times, atom, field, ModelParams()))
+    grid = closed_form_coeffs(times, atom, field, ModelParams()).dem
     assert grid.shape == times.shape
     for t, value in zip(times, grid):
         co = closed_form_coeffs(float(t), atom, field, ModelParams())
-        assert abs(value - dem_closed_form(co)) <= 1e-14
+        assert abs(value - co.dem) <= 1e-14
 
 
 def test_dem_exact_on_evolved_state_matches_relative_entropy():
@@ -223,7 +220,7 @@ def test_dem_exact_on_evolved_state_matches_relative_entropy():
     assert report.dem >= -1e-9
 
 
-def test_entropies_at_keeps_the_shape_of_t():
+def test_entropies_at_keeps_the_shape_of_t(chunk_starts):
     field = FieldConfig.from_mean_photons(2.0)
     atom = AtomState.from_ground_weight(0.7)
     times = np.linspace(0.0, 9.0, 6).reshape(2, 3)
@@ -236,12 +233,14 @@ def test_entropies_at_keeps_the_shape_of_t():
     joint = propagated_joint(atom, field, ModelParams(), times[1, 2])
     assert abs(point.dem - dem_exact(joint, (2, field.n_max + 1)).dem) <= 1e-12
     assert grid.dem[1, 2] == point.dem
-    # the CLI grid at m = 5 spans 34 stacked chunks of 30 times: each chunk's
-    # edges match the single-time call bit for bit
+    # the CLI grid at m = 5 spans many stacked chunks: both sides of the
+    # first two edges match the single-time call bit for bit
     field = FieldConfig.from_mean_photons(5.0)
     times = np.arange(1001) * 0.05
+    chunk_starts.clear()
     grid = entropies_at(atom, field, ModelParams(), times)
-    for i in (0, 29, 30, 59, 60, 1000):
+    first, second = chunk_starts[:2]
+    for i in (0, first - 1, first, second - 1, second, 1000):
         assert grid.dem[i] == entropies_at(atom, field, ModelParams(), times[i]).dem
 
 
@@ -268,7 +267,7 @@ def test_entropies_at_match_the_dense_oracle(m, lam, t):
         # a pure joint state: both marginals share one spectrum
         assert abs(report.s_atom - report.s_field) <= 1e-8
     # the transition column: the excited-start population of the dense run
-    excited = propagated_joint(AtomState(0.0, 1.0), field, ModelParams(), t)
+    excited = propagated_joint(AtomState(0.0), field, ModelParams(), t)
     population = np.trace(excited[field.n_max + 1 :, field.n_max + 1 :]).real
     c_exact = closed_form_coeffs(t, atom, field, ModelParams()).c_exact
     assert abs(c_exact - population) <= 1e-10

@@ -48,7 +48,7 @@ def test_tensor_product_matches_index_formula():
 def test_tensor_product_projectors():
     # excited atom (x) vacuum is the projector onto |2,0>
     field = FieldConfig.from_mean_photons(0.0)
-    joint = initial_joint_state(AtomState(0.0, 1.0), field)
+    joint = initial_joint_state(AtomState(0.0), field)
     expected = np.zeros_like(joint)
     expected[field.n_max + 1, field.n_max + 1] = 1.0
     assert np.array_equal(joint, expected)

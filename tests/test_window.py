@@ -104,7 +104,7 @@ def test_window_matches_the_full_range_closed_and_exact_c_at_m_1e3():
     field = FieldConfig.from_mean_photons(1e3)
     t1 = 2.0 * math.pi * math.sqrt(1e3)
     times = np.array([0.0, 2.5, 0.5 * t1, t1])
-    c_closed = closed_form_coeffs(times, AtomState(0.0, 1.0), field, PARAMS).c
+    c_closed = closed_form_coeffs(times, AtomState(0.0), field, PARAMS).c
     w = poisson_terms(1e3, field.n_max)
     amps = coherent_amplitudes(field.theta, field.n_max)
     omega = np.sqrt(np.arange(field.n_max + 1) + 1.0)
@@ -119,7 +119,7 @@ def test_closed_and_exact_c_agree_at_m_1e5():
     field = FieldConfig.from_mean_photons(1e5)
     t1 = 2.0 * math.pi * math.sqrt(1e5)
     times = np.array([0.0, 1.0, 0.5 * t1, t1])
-    c_closed = closed_form_coeffs(times, AtomState(0.0, 1.0), field, PARAMS).c
+    c_closed = closed_form_coeffs(times, AtomState(0.0), field, PARAMS).c
     for i, t in enumerate(times):
         assert abs(c_closed[i] - excited_weight(field, t)) <= 1e-12
 
@@ -143,7 +143,7 @@ def test_closed_form_c_is_accurate_at_large_m(m):
     mpmath = pytest.importorskip("mpmath")
     field = FieldConfig.from_mean_photons(m)
     t3 = 3.0 * revival_period(field, PARAMS)
-    c = closed_form_coeffs(t3, AtomState(0.0, 1.0), field, PARAMS).c
+    c = closed_form_coeffs(t3, AtomState(0.0), field, PARAMS).c
     with mpmath.workdps(40):
         t = mpmath.mpf(t3)
         levels = range(field.n_lo + 1, field.n_max + 2)
