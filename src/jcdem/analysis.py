@@ -130,44 +130,17 @@ def scan_transition(
     return TimeSeries(times, {"c_closed": coeffs.c, "c_exact": coeffs.c_exact})
 
 
-def sliding_amplitude(times, values, width: float) -> np.ndarray:
-    """max - min of values within a centered window of the given width.
-
-    times must be a uniform grid, as time_grid builds, so the window is a
-    fixed number of samples either side; windows that reach past an end
-    are clipped to the series.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if width <= 0:
-        raise ValueError(f"window width must be positive, got {width}")
-    if len(times) != len(values):
-        raise ValueError(f"{len(times)} times for {len(values)} values")
-    if len(times) < 2:
-        return np.zeros(len(values))
-    step = (times[-1] - times[0]) / (len(times) - 1)
-    uniform = times[0] + step * np.arange(len(times))
-    if not (step > 0 and np.allclose(times, uniform, rtol=0.0, atol=1e-6 * step)):
-        raise ValueError("times must be a uniform, strictly increasing grid")
-    # the epsilon keeps a half-width of exactly k steps from losing sample k
-    half = min(int(math.floor(width / 2.0 / step + 1e-9)), len(values) - 1)
-    # repeating the end values leaves each clipped window's max and min as is
-    padded = np.pad(values, half, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
-    return windows.max(axis=1) - windows.min(axis=1)
-
-
 def revival_analysis(
     field: FieldConfig, params: ModelParams, series: TimeSeries
 ) -> RevivalReport:
     """The collapse time, revival times T1..T{REVIVALS} and a data-driven
     revival locator.
 
-    The detector slides a window one dominant Rabi period wide over the
-    excited-population oscillation amplitude and picks the maximizing
-    center within [0.5, 1.5] revival periods.  A vacuum field (m = 0) has
-    no revival, and a grid with no point in that window, or one coarser
-    than half the Rabi period, cannot place one; all three raise ValueError.
+    The detector scores each center within [0.5, 1.5] revival periods by the
+    max - min of c_exact over a window one dominant Rabi period wide, clipped
+    to the series, and picks the best.  A vacuum field (m = 0) has no revival;
+    a grid with no point in that range, one coarser than half the Rabi period
+    or a non-uniform one cannot place it.  Each raises ValueError.
     """
     t1 = revival_period(field, params)
     times = np.asarray(series.times)
@@ -181,8 +154,8 @@ def revival_analysis(
             f"series ends at t={times[-1] if len(times) else 0}, "
             f"before the first revival at {t1:.4f}"
         )
-    mask = (times >= 0.5 * t1) & (times <= 1.5 * t1)
-    if not mask.any():
+    lo, hi = times.searchsorted(0.5 * t1), times.searchsorted(1.5 * t1, "right")
+    if lo == hi:
         raise ValueError(
             f"no grid point in the revival window [{0.5 * t1:.4f}, "
             f"{1.5 * t1:.4f}] at dt={step:g}"
@@ -194,8 +167,14 @@ def revival_analysis(
             f"dt={step:g} is more than half the dominant Rabi period {width:.4f}, "
             "so no detector window holds an oscillation"
         )
-    amp = sliding_amplitude(times, series.columns["c_exact"], width)
-    detected = float(times[mask][np.argmax(amp[mask])])
+    if np.ptp(times - step * np.arange(len(times))) > 1e-6 * step:
+        raise ValueError("times must be a uniform grid")
+    # the epsilon keeps sample k in a half-width of k steps; one sample has no step
+    half = min(math.floor(width / 2.0 / step + 1e-9), len(times) - 1) if step else 0
+    # edge padding keeps each clipped window's max and min; slicing copies no window
+    padded = np.pad(series.columns["c_exact"], half, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)[lo:hi]
+    detected = float(times[lo + np.argmax(windows.max(axis=1) - windows.min(axis=1))])
     return RevivalReport(
         t_collapse=1.0 / params.g,
         revival_times=tuple(k * t1 for k in range(1, REVIVALS + 1)),

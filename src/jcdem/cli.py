@@ -15,7 +15,9 @@ import numpy as np
 
 from .analysis import (
     MAX_GRID_POINTS,
+    REVIVALS,
     revival_analysis,
+    revival_period,
     scan_lambda,
     scan_time,
     scan_transition,
@@ -102,11 +104,16 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     if args.out_svg and os.path.abspath(args.out_svg) == os.path.abspath(args.out_csv):
         parser.error(f"--out-csv and --out-svg name the same file: {args.out_csv}")
     try:
-        _model(args)
+        params, field = _model(args)
         AtomState.from_ground_weight(args.lambda0)
         time_grid(args.t_max, args.dt)
     except ValueError as exc:
         parser.error(str(exc))
+    # the kernels' largest phase, in their order; their sin(2 phase) doubles it
+    t_end_lambda = REVIVALS * revival_period(field, params)
+    t = t_end_lambda if args.command == "scan-lambda" else args.t_max
+    if not math.isfinite(2.0 * (params.g * math.sqrt(field.n_max + 1.0) * t)):
+        parser.error(f"phase 2 g sqrt(n_max + 1) t overflows at g={args.g:g}, t={t:g}")
     return args
 
 
@@ -126,9 +133,9 @@ def _write_csv(path: str, x_name: str, x, columns: dict) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one command; raises on numerical or I/O failure."""
+    """Execute one command; raises on numerical or I/O failure before any print."""
     params, field = _model(args)
-    flags = {}
+    flags, lines = {}, []
 
     if args.command == "scan-lambda":
         lambdas = np.linspace(0.0, 1.0, args.lambda_points)
@@ -137,22 +144,20 @@ def run(args: argparse.Namespace) -> int:
         columns = {f"dem_T{k}": col for k, col in scan.dem_at_T.items()}
         flags = {"conjecture_holds": scan.conjecture_holds}
         held = int(scan.conjecture_holds.sum())
-        print(f"conjecture holds at {held}/{len(scan.lambdas)} grid points")
+        lines = [f"conjecture holds at {held}/{len(scan.lambdas)} grid points"]
     else:
         if args.command == "scan-time":
             atom = AtomState.from_ground_weight(args.lambda0)
             series = scan_time(atom, field, params, args.t_max, args.dt)
         else:
-            # transition probability and revival detection follow the
-            # excited-start convention regardless of --lambda0, and need no
-            # entropies
+            # transition and revival follow the excited-start convention
+            # regardless of --lambda0, and need no entropies
             series = scan_transition(field, params, args.t_max, args.dt)
         if args.command == "revival":
             report = revival_analysis(field, params, series)
-            print(f"t_collapse={report.t_collapse:.4f}")
-            for k, t_k in enumerate(report.revival_times, start=1):
-                print(f"T{k}={t_k:.4f}")
-            print(f"detected_revival={report.detected_revival:.4f}")
+            lines = [f"t_collapse={report.t_collapse:.4f}",
+                     *(f"T{k}={t:.4f}" for k, t in enumerate(report.revival_times, 1)),
+                     f"detected_revival={report.detected_revival:.4f}"]
         x_name, x, columns = "t", series.times, series.columns
 
     if args.log_base == "2":
@@ -161,8 +166,8 @@ def run(args: argparse.Namespace) -> int:
     _write_csv(args.out_csv, x_name, x, {**columns, **flags})
     if args.out_svg:
         render_plot(x, columns, x_name, args.out_svg, args.command)
-        print(f"wrote {args.out_svg}")
-    print(f"wrote {args.out_csv}")
+        lines.append(f"wrote {args.out_svg}")
+    print(*lines, f"wrote {args.out_csv}", sep="\n")
     return 0
 
 

@@ -40,18 +40,20 @@ def atomic_write_text(path: str, text: str) -> None:
     it (0o666 less the umask), not mkstemp's private 0o600.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     umask = os.umask(0)
     os.umask(umask)
+    tmp = ""
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:  # name the requested path, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:

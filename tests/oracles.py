@@ -20,7 +20,9 @@ on every level 0..n_max, the reference for the package's photon window
 n_lo..n_max; it evolves whatever amplitudes it is given.
 excited_population and atom_coherence write the atom's populations and
 coherence as Poisson sums, term by term, both exactly and under the
-substitutions that give the paper's closed form.
+substitutions that give the paper's closed form.  windowed_range is the
+revival detector's score by brute force: the range of the values within a
+centered time window, with no padding and no sliding view.
 """
 
 import math
@@ -416,3 +418,9 @@ def relative_entropy(sigma, rho) -> float:
         @ np.log(mu[~mu_dead])
     )
     return float(lam[lam_live] @ np.log(lam[lam_live])) - cross
+
+
+def windowed_range(times, values, width: float) -> np.ndarray:
+    """max - min of values over |t - t_i| <= width / 2, for each t_i."""
+    times, values = np.asarray(times), np.asarray(values)
+    return np.array([np.ptp(values[np.abs(times - t) <= width / 2.0]) for t in times])

@@ -23,9 +23,10 @@ from oracles import (
     partial_trace,
     propagated_joint,
     relative_entropy,
+    windowed_range,
 )
 
-from jcdem.analysis import revival_analysis, scan_lambda, scan_time, sliding_amplitude
+from jcdem.analysis import revival_analysis, scan_lambda, scan_time
 from jcdem.cli import main
 from jcdem.entropy import entropies_at
 from jcdem.model import (
@@ -120,7 +121,7 @@ def test_criterion_04_closed_transition_probability_is_exact(scans):
 
 def test_criterion_05_collapse_and_revival(scans):
     series = scans["excited"]
-    amp = sliding_amplitude(series.times, series.columns["c_exact"], 2.0)
+    amp = windowed_range(series.times, series.columns["c_exact"], 2.0)
     times = series.times
     early = amp[(times >= 0.0) & (times <= 1.0)].max()
     quiet = amp[(times >= 4.0) & (times <= 6.0)].max()

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import marginal_product, propagated_joint, relative_entropy
+from oracles import marginal_product, propagated_joint, relative_entropy, windowed_range
 
 import jcdem.analysis
 import jcdem.entropy
@@ -23,7 +23,6 @@ from jcdem.analysis import (
     scan_lambda,
     scan_time,
     scan_transition,
-    sliding_amplitude,
     time_grid,
 )
 from jcdem.cli import main
@@ -177,56 +176,67 @@ def test_time_series_validation():
         TimeSeries(times=np.array([0.0, 1.0]), columns={"x": np.zeros(3)})
 
 
-def test_sliding_amplitude_hand_oracle():
-    times = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    values = np.array([0.0, 4.0, 1.0, 5.0, 2.0])
-    amp = sliding_amplitude(times, values, 2.0)
-    assert np.allclose(amp, [4.0, 4.0, 4.0, 4.0, 3.0])
-
-
-def test_sliding_amplitude_constant_series_is_flat():
-    amp = sliding_amplitude(np.linspace(0, 5, 11), np.full(11, 0.3), 1.0)
-    assert np.all(amp == 0.0)
-
-
-def test_sliding_amplitude_validation():
-    with pytest.raises(ValueError):
-        sliding_amplitude(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.0)
+def _oracle_revival(field, params, series):
+    """The detector's pick by brute force: the center in [0.5, 1.5] T1 whose
+    window one dominant Rabi period wide has the largest range."""
+    t1 = revival_period(field, params)
+    width = 2.0 * math.pi / (params.g * math.sqrt(math.floor(field.mean_photons) + 1.0))
+    times = series.times
+    score = windowed_range(times, series.columns["c_exact"], width)
+    search = (times >= 0.5 * t1) & (times <= 1.5 * t1)
+    return times[search][np.argmax(score[search])]
 
 
 @pytest.mark.parametrize(
-    "times, values",
-    [
-        ([0.0, 1.0, 2.0], [0.0, 1.0]),  # one value short
-        ([0.0, 1.0, 3.0], [0.0, 1.0, 2.0]),  # non-uniform
-        ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]),  # not increasing
-        ([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]),  # zero step
-    ],
+    "m, g, t_max, dt",
+    [(5.0, 1.0, 50.0, 0.05), (5.0, 1.0, 14.5, 0.05), (1.0, 1.0, 10.0, 0.002)],
+    # the second grid ends inside the search range, so its last windows are
+    # clipped; the third has a half-window of 1110 samples
+    ids=["cli-grid", "ends-in-last-window", "half-window-1110"],
 )
-def test_sliding_amplitude_rejects_misaligned_or_non_uniform_times(times, values):
-    with pytest.raises(ValueError):
-        sliding_amplitude(np.array(times), np.array(values), 1.0)
+def test_revival_detector_matches_the_window_oracle(m, g, t_max, dt):
+    field, params = FieldConfig.from_mean_photons(m), ModelParams(g=g)
+    series = scan_transition(field, params, t_max, dt)
+    detected = revival_analysis(field, params, series).detected_revival
+    assert detected == _oracle_revival(field, params, series)
 
 
-@pytest.mark.parametrize(
-    "dt, width",
-    # the last case has a half-window of 1000 samples on a 2401-point grid
-    [(0.05, 2.565), (0.1, 1.3), (0.02, 0.77), (0.005, 10.0075)],
-)
-def test_sliding_amplitude_matches_a_brute_force_window(dt, width):
-    times = time_grid(12.0, dt)
-    values = np.sin(3.0 * times) * np.exp(-0.1 * times)
-    expected = [
-        np.ptp(values[np.abs(times - t) <= width / 2.0]) for t in times
-    ]
-    assert np.array_equal(sliding_amplitude(times, values, width), expected)
+def test_revival_detector_on_a_constant_series_picks_the_first_center():
+    times = time_grid(50.0, 0.05)
+    series = TimeSeries(times, {"c_exact": np.full(len(times), 0.3)})
+    detected = revival_analysis(FIELD, PARAMS, series).detected_revival
+    assert detected == _oracle_revival(FIELD, PARAMS, series)
+    assert detected == times[times >= 0.5 * T1_FROZEN][0]
 
 
-def test_sliding_amplitude_accepts_the_largest_time_grid():
+def test_revival_rejects_a_non_uniform_grid():
+    times = time_grid(50.0, 0.05)
+    times[600] += 0.01
+    series = TimeSeries(times, {"c_exact": np.cos(times) ** 2})
+    with pytest.raises(ValueError, match="uniform"):
+        revival_analysis(FIELD, PARAMS, series)
+
+
+def test_revival_of_a_one_sample_series_is_its_only_time():
+    series = TimeSeries(np.array([T1_FROZEN]), {"c_exact": np.array([0.5])})
+    assert revival_analysis(FIELD, PARAMS, series).detected_revival == T1_FROZEN
+
+
+def test_revival_detector_copies_no_window_of_the_largest_grid():
+    # at g = 0.15 the search range holds 9366 centers and each window 1711
+    # samples: a copy of those windows would take 128 MB
     times = time_grid(0.01 * (MAX_GRID_POINTS - 1), 0.01)
     assert len(times) == MAX_GRID_POINTS
-    amp = sliding_amplitude(times, np.zeros(len(times)), 0.1)
-    assert amp.shape == times.shape and not amp.any()
+    series = TimeSeries(times, {"c_exact": np.cos(times) ** 2})
+    params = ModelParams(g=0.15)
+    tracemalloc.start()
+    try:
+        report = revival_analysis(FIELD, params, series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * times.nbytes
+    assert 0.5 <= report.detected_revival / report.revival_times[0] <= 1.5
 
 
 def test_revival_report_analytic_times(excited_series):
@@ -310,9 +320,7 @@ def test_revival_cli_reports_the_empty_window(tmp_path, capsys):
 
 
 def test_collapse_amplitude_profile(excited_series):
-    amp = sliding_amplitude(
-        excited_series.times, excited_series.columns["c_exact"], 2.0
-    )
+    amp = windowed_range(excited_series.times, excited_series.columns["c_exact"], 2.0)
     times = excited_series.times
     early = amp[(times >= 0.0) & (times <= 1.0)]
     quiet = amp[(times >= 4.0) & (times <= 6.0)]

@@ -5,11 +5,14 @@ import math
 import os
 import re
 import stat
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import jcdem.cli
+from jcdem.analysis import TimeSeries, time_grid
 from jcdem.cli import COMMANDS, build_parser, main, parse_args
 from jcdem.svgplot import render_plot
 
@@ -218,15 +221,45 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert not bad.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_results_exit_1_without_writing(tmp_path, capsys):
-    # g sqrt(n+1) t overflows at g = 1e308, so every c column is NaN
+@pytest.mark.parametrize("command", ["revival", "scan-lambda"])
+def test_unwritable_output_prints_no_report(command, tmp_path, capsys):
+    bad = tmp_path / "missing" / "out.csv"
+    assert main([command, "--lambda-points", "3", "--out-csv", str(bad)]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_write_errors_name_the_requested_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["revival", "--out-csv", "missing/x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "missing/x.csv" in err and ".tmp" not in err
+
+
+def test_non_finite_results_exit_1_without_writing(tmp_path, capsys, monkeypatch):
+    def nan_transition(field, params, t_max, dt):
+        times = time_grid(t_max, dt)
+        return TimeSeries(times, {"c_closed": np.full(len(times), np.nan),
+                                  "c_exact": np.full(len(times), np.nan)})
+
+    monkeypatch.setattr(jcdem.cli, "scan_transition", nan_transition)
     csv = tmp_path / "tr.csv"
-    argv = ["transition", "--g", "1e308", "--t-max", "1", "--dt", "0.5",
-            "--out-csv", str(csv)]
+    argv = ["transition", "--t-max", "1", "--dt", "0.5", "--out-csv", str(csv)]
     assert main(argv) == 1
     assert "non-finite values" in capsys.readouterr().err
     assert not csv.exists() and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_overflowing_phases_are_a_usage_error(command, tmp_path, capsys):
+    # g sqrt(n_max + 1) t overflows at g = 1e308, for scan-lambda at T3 too
+    csv = tmp_path / "out.csv"
+    argv = [command, "--g", "1e308", "--t-max", "1", "--dt", "0.5",
+            "--out-csv", str(csv)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert "usage" in capsys.readouterr().err.lower()
+    assert caught == [] and not csv.exists()
 
 
 @pytest.mark.parametrize(
