@@ -138,30 +138,22 @@ def revival_analysis(
 
     The detector scores each center within [0.5, 1.5] revival periods by the
     max - min of c_exact over a window one dominant Rabi period wide, clipped
-    to the series, and picks the best.  A vacuum field (m = 0) has no revival;
-    a grid with no point in that range, one coarser than half the Rabi period
-    or a non-uniform one cannot place it.  Each raises ValueError.
+    to the series, and picks the best.  It needs a series of at least two
+    points that covers [0.5, 1] T1, a dominant Rabi period shorter than T1
+    (exactly when m >= 1), a step at most half that period and a uniform
+    grid; each failure raises ValueError.  Together these put a grid point
+    in the search range and keep the half-window below the series length.
     """
     t1 = revival_period(field, params)
     times = np.asarray(series.times)
-    step = times[1] - times[0] if len(times) > 1 else 0.0
-    if t1 == 0.0:
-        raise ValueError(
-            f"mean photon number m = 0 has no revival to detect (dt={step:g})"
-        )
-    if len(times) == 0 or times[-1] < t1:
-        raise ValueError(
-            f"series ends at t={times[-1] if len(times) else 0}, "
-            f"before the first revival at {t1:.4f}"
-        )
-    lo, hi = times.searchsorted(0.5 * t1), times.searchsorted(1.5 * t1, "right")
-    if lo == hi:
-        raise ValueError(
-            f"no grid point in the revival window [{0.5 * t1:.4f}, "
-            f"{1.5 * t1:.4f}] at dt={step:g}"
-        )
-    dominant_n = int(math.floor(field.mean_photons))
-    width = 2.0 * math.pi / (params.g * math.sqrt(dominant_n + 1.0))
+    if len(times) < 2 or times[0] > 0.5 * t1 or times[-1] < t1:
+        raise ValueError(f"series of {len(times)} times does not cover "
+                         f"[{0.5 * t1:.4f}, {t1:.4f}], up to the first revival")
+    step = times[1] - times[0]
+    width = 2.0 * math.pi / (params.g * math.sqrt(math.floor(field.mean_photons) + 1.0))
+    if width >= t1:
+        raise ValueError(f"mean photon number m = {field.mean_photons:g} has no "
+                         f"revival to detect (dt={step:g})")
     if 2.0 * step > width:
         raise ValueError(
             f"dt={step:g} is more than half the dominant Rabi period {width:.4f}, "
@@ -169,8 +161,9 @@ def revival_analysis(
         )
     if np.ptp(times - step * np.arange(len(times))) > 1e-6 * step:
         raise ValueError("times must be a uniform grid")
-    # the epsilon keeps sample k in a half-width of k steps; one sample has no step
-    half = min(math.floor(width / 2.0 / step + 1e-9), len(times) - 1) if step else 0
+    # the epsilon keeps sample k in a half-width of k steps
+    half = math.floor(width / 2.0 / step + 1e-9)
+    lo, hi = times.searchsorted(0.5 * t1), times.searchsorted(1.5 * t1, "right")
     # edge padding keeps each clipped window's max and min; slicing copies no window
     padded = np.pad(series.columns["c_exact"], half, mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)[lo:hi]
@@ -191,8 +184,10 @@ def scan_lambda(
     """Entanglement degree at the revival times T_k over a lambda0 grid,
     with LambdaScan's conjecture flag over consecutive entries of k_list."""
     lambdas = np.asarray(lambda_grid, dtype=float)
-    if len(lambdas) == 0 or lambdas.min() < 0.0 or lambdas.max() > 1.0:
-        raise ValueError("lambda grid must be nonempty and lie in [0, 1]")
+    # AtomState checks each value's range
+    if lambdas.ndim != 1 or len(lambdas) == 0:
+        raise ValueError("lambda grid must be nonempty and 1-D, "
+                         f"got shape {lambdas.shape}")
     if list(k_list) != sorted(set(k_list)) or min(k_list, default=0) < 1:
         raise ValueError(f"k_list must be strictly increasing positive, got {k_list}")
     times = revival_period(field, params) * np.asarray(k_list, dtype=float)

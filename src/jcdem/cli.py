@@ -81,15 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model(args: argparse.Namespace) -> tuple[ModelParams, FieldConfig]:
-    return (
-        ModelParams(g=args.g, omega0=args.omega0),
-        FieldConfig.from_mean_photons(args.mean_photons, args.tail_tol),
-    )
-
-
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
-    """Parse flags and validate them by building the model objects.
+    """Parse flags and validate them by building the model objects, which
+    stay on the namespace as params, field and atom for run.
 
     Any ValueError those constructors raise becomes a usage error, which
     exits with code 2.
@@ -104,15 +98,16 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     if args.out_svg and os.path.abspath(args.out_svg) == os.path.abspath(args.out_csv):
         parser.error(f"--out-csv and --out-svg name the same file: {args.out_csv}")
     try:
-        params, field = _model(args)
-        AtomState.from_ground_weight(args.lambda0)
+        args.params = ModelParams(g=args.g, omega0=args.omega0)
+        args.field = FieldConfig.from_mean_photons(args.mean_photons, args.tail_tol)
+        args.atom = AtomState.from_ground_weight(args.lambda0)
         time_grid(args.t_max, args.dt)
     except ValueError as exc:
         parser.error(str(exc))
     # the kernels' largest phase, in their order; their sin(2 phase) doubles it
-    t_end_lambda = REVIVALS * revival_period(field, params)
+    t_end_lambda = REVIVALS * revival_period(args.field, args.params)
     t = t_end_lambda if args.command == "scan-lambda" else args.t_max
-    if not math.isfinite(2.0 * (params.g * math.sqrt(field.n_max + 1.0) * t)):
+    if not math.isfinite(2.0 * (args.g * math.sqrt(args.field.n_max + 1.0) * t)):
         parser.error(f"phase 2 g sqrt(n_max + 1) t overflows at g={args.g:g}, t={t:g}")
     return args
 
@@ -134,7 +129,7 @@ def _write_csv(path: str, x_name: str, x, columns: dict) -> None:
 
 def run(args: argparse.Namespace) -> int:
     """Execute one command; raises on numerical or I/O failure before any print."""
-    params, field = _model(args)
+    params, field = args.params, args.field
     flags, lines = {}, []
 
     if args.command == "scan-lambda":
@@ -147,8 +142,7 @@ def run(args: argparse.Namespace) -> int:
         lines = [f"conjecture holds at {held}/{len(scan.lambdas)} grid points"]
     else:
         if args.command == "scan-time":
-            atom = AtomState.from_ground_weight(args.lambda0)
-            series = scan_time(atom, field, params, args.t_max, args.dt)
+            series = scan_time(args.atom, field, params, args.t_max, args.dt)
         else:
             # transition and revival follow the excited-start convention
             # regardless of --lambda0, and need no entropies

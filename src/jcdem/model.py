@@ -247,6 +247,14 @@ def _window(mean_photons: float, tail_tol: float) -> tuple[int, np.ndarray]:
     return n_lo, weights
 
 
+def _finite_times(t) -> np.ndarray:
+    """t as a float array; ValueError unless every time is finite."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
+    return t
+
+
 def evolve_vectors(
     field: FieldConfig, params: ModelParams, t
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +271,7 @@ def evolve_vectors(
     long grid; the transition columns need no state vector and come from
     closed_form_coeffs.
     """
-    t = np.asarray(t, dtype=float)
+    t = _finite_times(t)
     n_lo, n_max, width = field.n_lo, field.n_max, field.n_levels
     amps = field.amplitudes
     rabi_t = params.g * np.sqrt(np.arange(n_lo + 1.0, n_max + 1)) * t[..., None]
@@ -296,7 +304,7 @@ def closed_form_coeffs(
     |a_{n_max}|^2, with the renormalized amplitudes a_n, is the same sum as
     the truncated evolution gives it: evolve_vectors holds |2,n_max> still.
     """
-    t = np.asarray(t, dtype=float)
+    t = _finite_times(t)
     w = field.weights
     # |a_n|^2 on the levels that rotate; the edge |2,n_max> keeps its own
     pops = np.abs(field.amplitudes) ** 2

@@ -217,11 +217,6 @@ def test_revival_rejects_a_non_uniform_grid():
         revival_analysis(FIELD, PARAMS, series)
 
 
-def test_revival_of_a_one_sample_series_is_its_only_time():
-    series = TimeSeries(np.array([T1_FROZEN]), {"c_exact": np.array([0.5])})
-    assert revival_analysis(FIELD, PARAMS, series).detected_revival == T1_FROZEN
-
-
 def test_revival_detector_copies_no_window_of_the_largest_grid():
     # at g = 0.15 the search range holds 9366 centers and each window 1711
     # samples: a copy of those windows would take 128 MB
@@ -266,24 +261,23 @@ def test_revival_scaling_with_coupling():
 
 def test_revival_requires_series_through_first_revival():
     short = scan_time(AtomState(0.0), FIELD, PARAMS, 5.0, 0.1)
-    with pytest.raises(ValueError):
-        revival_analysis(FIELD, PARAMS, short)
-
-
-def test_revival_rejects_a_grid_with_no_point_in_the_window():
-    # dt = 22 leaves only t = 0 and 22, both outside [0.5, 1.5] T1
-    series = scan_transition(FIELD, PARAMS, 23.0, 22.0)
-    with pytest.raises(ValueError, match=r"revival window \[7\.0248, 21\.0744\] at dt=22"):
-        revival_analysis(FIELD, PARAMS, series)
+    times = np.arange(8.0, 30.0, 0.05)
+    late = TimeSeries(times, {"c_exact": np.zeros_like(times)})
+    single = TimeSeries(np.array([T1_FROZEN]), {"c_exact": np.array([0.5])})
+    for series in (short, late, single):
+        with pytest.raises(ValueError, match=r"does not cover \[7\.0248, 14\.0496\]"):
+            revival_analysis(FIELD, PARAMS, series)
 
 
 @pytest.mark.parametrize(
     "m, t_max, dt, period",
-    [(1e3, 320.0, 0.1, 0.1986), (200.0, 100.0, 0.25, 0.4432), (5.0, 30.0, 1.5, 2.5651)],
+    [(1e3, 320.0, 0.1, 0.1986), (200.0, 100.0, 0.25, 0.4432), (5.0, 30.0, 1.5, 2.5651),
+     (5.0, 23.0, 22.0, 2.5651)],
 )
 def test_revival_rejects_a_grid_coarser_than_half_the_rabi_period(m, t_max, dt, period):
     # the detector's window would hold one sample, so every amplitude would
-    # read 0 and argmax would return the first point of the search window
+    # read 0 and argmax would return the first point of the search window;
+    # at dt = 22 no grid point even falls in [0.5, 1.5] T1
     field = FieldConfig.from_mean_photons(m)
     series = scan_transition(field, PARAMS, t_max, dt)
     message = f"dt={dt:g} is more than half the dominant Rabi period {period:.4f}"
@@ -299,23 +293,25 @@ def test_revival_detector_resolves_a_grid_just_below_half_the_rabi_period():
 
 
 def test_revival_rejects_a_vacuum_field():
-    vacuum = FieldConfig.from_mean_photons(0.0)
-    series = scan_transition(vacuum, PARAMS, 10.0, 0.05)
-    with pytest.raises(ValueError, match=r"m = 0 has no revival to detect \(dt=0\.05\)"):
-        revival_analysis(vacuum, PARAMS, series)
+    # below one photon the dominant Rabi period 2 pi / g outlasts T1, so every
+    # window reaches back to the collapse and the scores cannot place a revival
+    for m in (0.0, 0.3, 0.5, 0.9):
+        field = FieldConfig.from_mean_photons(m)
+        series = scan_transition(field, PARAMS, 10.0, 0.05)
+        message = f"m = {m:g} has no revival to detect (dt=0.05)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            revival_analysis(field, PARAMS, series)
 
 
 def test_revival_cli_reports_the_empty_window(tmp_path, capsys):
-    argv = ["revival", "--t-max", "23", "--dt", "22",
-            "--out-csv", str(tmp_path / "r.csv")]
-    assert main(argv) == 1
-    assert "revival window" in capsys.readouterr().err
-    assert main(["revival", "--mean-photons", "0",
-                 "--out-csv", str(tmp_path / "r.csv")]) == 1
-    assert "m = 0" in capsys.readouterr().err
-    assert main(["revival", "--mean-photons", "1000", "--t-max", "320",
-                 "--dt", "0.1", "--out-csv", str(tmp_path / "r.csv")]) == 1
-    assert "half the dominant Rabi period" in capsys.readouterr().err
+    cases = [(["--t-max", "10"], "does not cover [7.0248, 14.0496]"),
+             (["--mean-photons", "0"], "m = 0 has no revival to detect"),
+             (["--mean-photons", "0.5"], "m = 0.5 has no revival to detect"),
+             (["--mean-photons", "1000", "--t-max", "320", "--dt", "0.1"],
+              "half the dominant Rabi period")]
+    for flags, message in cases:
+        assert main(["revival", *flags, "--out-csv", str(tmp_path / "r.csv")]) == 1
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -375,6 +371,8 @@ def test_scan_lambda_validation():
         scan_lambda(FIELD, PARAMS, [0.0, 1.5])
     with pytest.raises(ValueError):
         scan_lambda(FIELD, PARAMS, [])
+    with pytest.raises(ValueError, match=r"1-D, got shape \(1, 2\)"):
+        scan_lambda(FIELD, PARAMS, [[0.1, 0.2]])
     with pytest.raises(ValueError):
         scan_lambda(FIELD, PARAMS, [0.0, 1.0], k_list=(2, 1))
     with pytest.raises(ValueError):

@@ -3,8 +3,9 @@
 bench/ reaches jcdem from outside: its tracer imports every module it
 traces, and each workload calls the public scans and the CLI with fixed
 arguments, then checks the output against an independent dense reference.
-One in-process operation of every workload, under the installed tracer,
-catches a change to the package that would break the benchmark.
+One in-process operation of every workload, and a whole cli-default cycle
+of all four commands, under the installed tracer, catch a change to the
+package that would break the benchmark.
 """
 
 import sys
@@ -28,3 +29,11 @@ def test_one_operation_of_each_workload_passes_its_check(name, tmp_path):
         out = workload.run(inp, in_process=True)
     assert workload.check(inp, out) == []
     assert tracer.spans, "the tracer recorded no call into jcdem"
+
+
+def test_a_whole_cli_default_cycle_passes_its_checks(tmp_path):
+    workload = workloads.CliDefault(seed=3, out_dir=tmp_path)
+    with tracing.Tracer().installed():
+        for _ in range(workload.cycle):
+            inp = workload.next_input()
+            assert workload.check(inp, workload.run(inp, in_process=True)) == [], inp

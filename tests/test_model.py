@@ -372,6 +372,19 @@ def test_evolve_vectors_over_time_arrays_match_scalar_calls():
         assert np.array_equal(psi_g[idx], g) and np.array_equal(psi_e[idx], e)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.0, 1.0, math.nan]],
+                         ids=["nan", "inf", "-inf", "nan-in-array"])
+def test_kernels_reject_non_finite_times(t):
+    # unchecked, a NaN state reaches eigvalsh (LinAlgError) and an infinite
+    # phase gives NaN with a RuntimeWarning
+    field, params, atom = default_field(), ModelParams(), AtomState(0.7)
+    for kernel in (lambda: evolve_vectors(field, params, t),
+                   lambda: closed_form_coeffs(t, atom, field, params),
+                   lambda: entropies_at(atom, field, params, t)):
+        with pytest.raises(ValueError, match="times must be finite"):
+            kernel()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(m=st.floats(0.0, 300.0), t=st.floats(0.0, 500.0))
 def test_evolved_states_stay_orthonormal(m, t):
