@@ -73,8 +73,8 @@ class RevivalReport:
     detected_revival: float
 
 
-def time_grid(t_max: float, dt: float) -> np.ndarray:
-    """Grid {0, dt, 2dt, ...} up to and including floor(t_max/dt)*dt."""
+def _grid_size(t_max: float, dt: float) -> int:
+    """Point count of time_grid(t_max, dt), checked without building it."""
     if not (math.isfinite(t_max) and math.isfinite(dt)):
         raise ValueError(f"t_max and dt must be finite, got t_max={t_max}, dt={dt}")
     if dt <= 0:
@@ -87,7 +87,12 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
     if steps >= MAX_GRID_POINTS:
         raise ValueError(f"grid of t_max/dt = {t_max / dt:.6g} steps exceeds "
                          f"{MAX_GRID_POINTS} points")
-    return np.arange(math.floor(steps) + 1) * dt
+    return math.floor(steps) + 1
+
+
+def time_grid(t_max: float, dt: float) -> np.ndarray:
+    """Grid {0, dt, 2dt, ...} up to and including floor(t_max/dt)*dt."""
+    return np.arange(_grid_size(t_max, dt)) * dt
 
 
 def revival_period(field: FieldConfig, params: ModelParams) -> float:
@@ -192,7 +197,7 @@ def scan_lambda(
         raise ValueError(f"k_list must be strictly increasing positive, got {k_list}")
     times = revival_period(field, params) * np.asarray(k_list, dtype=float)
     dem = np.array([
-        entropies_at(AtomState.from_ground_weight(float(lam)), field, params, times).dem
+        entropies_at(AtomState(float(lam)), field, params, times).dem
         for lam in lambdas
     ])
     return LambdaScan(lambdas, {k: dem[:, j] for j, k in enumerate(k_list)})

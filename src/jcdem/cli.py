@@ -16,12 +16,12 @@ import numpy as np
 from .analysis import (
     MAX_GRID_POINTS,
     REVIVALS,
+    _grid_size,
     revival_analysis,
     revival_period,
     scan_lambda,
     scan_time,
     scan_transition,
-    time_grid,
 )
 from .model import (
     DEFAULT_G,
@@ -31,7 +31,7 @@ from .model import (
     FieldConfig,
     ModelParams,
 )
-from .svgplot import atomic_write_text, render_plot
+from .svgplot import atomic_writer, render_plot
 
 # The library's entropies are in nats; --log-base 2 multiplies the entropy
 # columns (dem_*, s_*) by this factor.
@@ -100,8 +100,8 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     try:
         args.params = ModelParams(g=args.g, omega0=args.omega0)
         args.field = FieldConfig.from_mean_photons(args.mean_photons, args.tail_tol)
-        args.atom = AtomState.from_ground_weight(args.lambda0)
-        time_grid(args.t_max, args.dt)
+        args.atom = AtomState(args.lambda0)
+        _grid_size(args.t_max, args.dt)
     except ValueError as exc:
         parser.error(str(exc))
     # the kernels' largest phase, in their order; their sin(2 phase) doubles it
@@ -118,13 +118,10 @@ def _write_csv(path: str, x_name: str, x, columns: dict) -> None:
     cols = [np.asarray(col) for col in (x, *columns.values())]
     if not all(np.isfinite(col).all() for col in cols):
         raise ValueError(f"cannot write non-finite values to {path}")
-    cells = [
-        [f"{v:d}" for v in col.astype(int)] if col.dtype == bool
-        else [f"{v:.12e}" for v in col]
-        for col in cols
-    ]
-    lines = [",".join([x_name, *columns]), *map(",".join, zip(*cells))]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    fmt = ["%d" if col.dtype == bool else "%.12e" for col in cols]
+    with atomic_writer(path) as out:
+        np.savetxt(out, np.column_stack(cols), fmt=fmt, delimiter=",",
+                   header=",".join([x_name, *columns]), comments="")
 
 
 def run(args: argparse.Namespace) -> int:

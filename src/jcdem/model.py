@@ -78,6 +78,7 @@ class AtomState:
 
     @classmethod
     def from_ground_weight(cls, lambda0: float) -> "AtomState":
+        """AtomState(lambda0); bench/workloads.py calls it until ROADMAP item 2."""
         return cls(lambda0)
 
     @property

@@ -7,11 +7,15 @@ of the input values, so identical data produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import tempfile
+from typing import Iterator, TextIO
 
 import numpy as np
+
+from .model import time_chunks
 
 WIDTH = 800
 HEIGHT = 500
@@ -21,24 +25,16 @@ MARGIN_TOP = 46
 MARGIN_BOTTOM = 52
 
 # color-blind-safe cycle, reused in column order
-PALETTE = (
-    "#0072b2",
-    "#d55e00",
-    "#009e73",
-    "#cc79a7",
-    "#e69f00",
-    "#56b4e9",
-    "#000000",
-)
+PALETTE = ("#0072b2", "#d55e00", "#009e73", "#cc79a7", "#e69f00", "#56b4e9", "#000000")
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write UTF-8 text with LF endings via a same-directory temp file.
-
-    The rename is atomic, so a crash mid-write never leaves a partial file
-    at the destination.  The file gets the mode a plain open() would give
-    it (0o666 less the umask), not mkstemp's private 0o600.
-    """
+@contextlib.contextmanager
+def atomic_writer(path: str) -> Iterator[TextIO]:
+    """Yield a UTF-8, LF-only text handle on a same-directory temp file that
+    is renamed onto path, atomically, only when the block exits cleanly; any
+    exception unlinks it, so no partial file ever reaches path.  The file
+    gets the mode a plain open() would give it (0o666 less the umask), not
+    mkstemp's private 0o600, and an OSError names path, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
@@ -46,7 +42,7 @@ def atomic_write_text(path: str, text: str) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError as exc:  # name the requested path, not the temporary file
@@ -63,11 +59,8 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         return [lo]
     raw = span / max(target - 1, 1)
     magnitude = 10.0 ** math.floor(math.log10(raw))
-    step = 10.0 * magnitude
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if span / (mult * magnitude) <= target:
-            step = mult * magnitude
-            break
+    mults = [m for m in (1.0, 2.0, 2.5, 5.0) if span / (m * magnitude) <= target]
+    step = (mults[0] if mults else 10.0) * magnitude
     first = math.ceil(lo / step - 1e-9) * step
     ticks = []
     k = 0
@@ -77,9 +70,11 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def _fmt(v: float) -> str:
-    """Pixel coordinate formatting, fixed precision for determinism."""
-    return f"{v:.2f}"
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """Polyline points "x,y x,y ...", at two decimals like every pixel
+    coordinate: a fixed precision keeps the output deterministic."""
+    xy = np.column_stack((xs, ys)).ravel().tolist()
+    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
 
 
 def render_plot(x, columns, x_label: str, path: str, title: str) -> None:
@@ -87,7 +82,8 @@ def render_plot(x, columns, x_label: str, path: str, title: str) -> None:
 
     The y-range snaps to [0, 1] when every value fits there, and pads the
     data range by 5 percent otherwise.  Empty, misaligned or non-finite
-    input raises ValueError before anything is written.
+    input raises ValueError before anything is written.  The document is
+    streamed into atomic_writer's file, each polyline in time_chunks.
     """
     x = np.asarray(x)
     cols = {name: np.asarray(col) for name, col in columns.items()}
@@ -95,14 +91,15 @@ def render_plot(x, columns, x_label: str, path: str, title: str) -> None:
         raise ValueError("nothing to plot: empty series")
     if any(len(col) != len(x) for col in cols.values()):
         raise ValueError("every column needs one value per x value")
-    values = np.concatenate(list(cols.values()))
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(values))):
+    # a NaN or an infinity reaches min or max: each column is checked in place
+    bounds = [(float(col.min()), float(col.max())) for col in (x, *cols.values())]
+    if not all(math.isfinite(v) for pair in bounds for v in pair):
         raise ValueError("cannot plot non-finite values")
 
-    x_lo, x_hi = float(x.min()), float(x.max())
+    (x_lo, *lows), (x_hi, *highs) = zip(*bounds)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    y_min, y_max = float(values.min()), float(values.max())
+    y_min, y_max = min(lows), max(highs)
     if -1e-9 <= y_min and y_max <= 1.0 + 1e-9:
         y_lo, y_hi = 0.0, 1.0
     else:
@@ -112,64 +109,62 @@ def render_plot(x, columns, x_label: str, path: str, title: str) -> None:
     px_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     px_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-    def sx(v: float) -> float:
+    # elementwise on arrays, in the same float64 operations as on scalars
+    def sx(v):
         return MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * px_w
 
-    def sy(v: float) -> float:
+    def sy(v):
         return MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * px_h
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>\n',
-        f'<text x="{WIDTH // 2}" y="26" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>\n',
-    ]
     axis_style = 'stroke="#000000" stroke-width="1"'
     text_style = 'font-family="sans-serif" font-size="11"'
     x0, x1 = MARGIN_LEFT, MARGIN_LEFT + px_w
     y0, y1 = MARGIN_TOP + px_h, MARGIN_TOP
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" {axis_style}/>\n')
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" {axis_style}/>\n')
-    for tick in _ticks(x_lo, x_hi):
-        px = sx(tick)
-        parts.append(
-            f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y0 + 5}" '
-            f"{axis_style}/>\n"
-            f'<text x="{_fmt(px)}" y="{y0 + 18}" text-anchor="middle" '
-            f"{text_style}>{tick:g}</text>\n"
+    with atomic_writer(path) as out:
+        out.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{WIDTH}" height="{HEIGHT}" '
+            f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>\n'
+            f'<text x="{WIDTH // 2}" y="26" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="16">{title}</text>\n'
+            f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" {axis_style}/>\n'
+            f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" {axis_style}/>\n'
         )
-    for tick in _ticks(y_lo, y_hi):
-        py = sy(tick)
-        parts.append(
-            f'<line x1="{x0 - 5}" y1="{_fmt(py)}" x2="{x0}" y2="{_fmt(py)}" '
-            f"{axis_style}/>\n"
-            f'<text x="{x0 - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f"{text_style}>{tick:g}</text>\n"
+        for tick in _ticks(x_lo, x_hi):
+            px = sx(tick)
+            out.write(
+                f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" '
+                f"{axis_style}/>\n"
+                f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" '
+                f"{text_style}>{tick:g}</text>\n"
+            )
+        for tick in _ticks(y_lo, y_hi):
+            py = sy(tick)
+            out.write(
+                f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" '
+                f"{axis_style}/>\n"
+                f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" '
+                f"{text_style}>{tick:g}</text>\n"
+            )
+        out.write(
+            f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
+            f"{text_style}>{x_label}</text>\n"
         )
-    parts.append(
-        f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f"{text_style}>{x_label}</text>\n"
-    )
-
-    for idx, (name, col) in enumerate(cols.items()):
-        color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(
-            f"{_fmt(sx(float(xv)))},{_fmt(sy(float(yv)))}"
-            for xv, yv in zip(x, col)
-        )
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>\n'
-        )
-        ly = MARGIN_TOP + 14 + 18 * idx
-        lx = x1 + 12
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>\n'
-            f'<text x="{lx + 28}" y="{ly}" {text_style}>{name}</text>\n'
-        )
-    parts.append("</svg>\n")
-    atomic_write_text(path, "".join(parts))
+        for idx, (name, col) in enumerate(cols.items()):
+            color = PALETTE[idx % len(PALETTE)]
+            out.write(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                      'points="')
+            # ~16 entries a row: float temporaries, list and tuple slots, text
+            for sl in time_chunks(len(x), 16):
+                out.write((" " if sl.start else "") + _points(sx(x[sl]), sy(col[sl])))
+            ly = MARGIN_TOP + 14 + 18 * idx
+            lx = x1 + 12
+            out.write(
+                '"/>\n'
+                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+                f'stroke="{color}" stroke-width="1.5"/>\n'
+                f'<text x="{lx + 28}" y="{ly}" {text_style}>{name}</text>\n'
+            )
+        out.write("</svg>\n")

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import stat
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -14,7 +15,7 @@ import pytest
 import jcdem.cli
 from jcdem.analysis import TimeSeries, time_grid
 from jcdem.cli import COMMANDS, build_parser, main, parse_args
-from jcdem.svgplot import render_plot
+from jcdem.svgplot import atomic_writer, render_plot
 
 
 def svg_elements(path, local_name):
@@ -58,6 +59,22 @@ def test_parse_args_overrides():
     assert config.log_base == "2"
     assert config.out_csv == "custom.csv"
     assert config.out_svg == "plot.svg"
+
+
+def _traced_peak(call):
+    """Peak bytes tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_args_checks_the_grid_without_building_it():
+    # 999 981 points, 8 MB as a float grid: the check builds no grid
+    argv = ["transition", "--t-max", "49999", "--dt", "0.05"]
+    assert _traced_peak(lambda: parse_args(argv)) < 1 << 20
 
 
 def test_parse_args_default_csv_name_follows_command():
@@ -211,6 +228,53 @@ def test_no_partial_files_left_behind(tmp_path):
     out = tmp_path / "tr.csv"
     assert main(["transition", "--t-max", "2", "--dt", "0.5", "--out-csv", str(out)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tr.csv"]
+
+
+def test_write_csv_matches_an_f_string_reference(tmp_path):
+    x = np.array([-0.0, 5e-324, 1e300, -1.5e-12])
+    y = np.array([1e300, -1.5e-12, -0.0, 5e-324])
+    flags = np.array([True, False, False, True])
+    out = tmp_path / "edge.csv"
+    jcdem.cli._write_csv(str(out), "t", x, {"y": y, "holds": flags})
+    rows = [f"{float(a):.12e},{float(b):.12e},{int(f):d}\n"
+            for a, b, f in zip(x, y, flags)]
+    assert out.read_bytes() == ("t,y,holds\n" + "".join(rows)).encode()
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_atomic_writer_keeps_the_target_on_any_exception(tmp_path, existed):
+    target = tmp_path / "out.csv"
+    if existed:
+        target.write_bytes(b"old\n")
+    with pytest.raises(KeyError):
+        with atomic_writer(str(target)) as out:
+            out.write("new\n")
+            raise KeyError("not an OSError")
+    if existed:
+        assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if existed else [])
+
+
+def _wide_table(rows):
+    """scan-time's shape: a uniform time grid and seven value columns."""
+    rng = np.random.default_rng(0)
+    return np.arange(rows) * 0.05, {f"c{k}": rng.random(rows) for k in range(7)}
+
+
+def test_write_csv_holds_no_table_of_strings(tmp_path):
+    # 2^13 rows of 8 columns: 0.5 MiB as one float table, about 9 MiB as
+    # Python strings
+    t, columns = _wide_table(1 << 13)
+    path = str(tmp_path / "wide.csv")
+    assert _traced_peak(lambda: jcdem.cli._write_csv(path, "t", t, columns)) < 1 << 20
+
+
+def test_render_plot_streams_its_polylines_in_chunks(tmp_path):
+    # 2^15 rows of 8 columns: about 11 MiB as one joined document, under
+    # 1 MiB written a time chunk at a time
+    t, columns = _wide_table(1 << 15)
+    path = str(tmp_path / "wide.svg")
+    assert _traced_peak(lambda: render_plot(t, columns, "t", path, "wide")) < 2 << 20
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Tests for the dense linear-algebra oracles: tensor products, the partial
-trace and the full eigensystem."""
+"""Tests for the dense linear-algebra oracles of tests/oracles.py: tensor
+products, the partial trace and the full eigensystem."""
 
 import numpy as np
 import pytest
