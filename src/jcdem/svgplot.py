@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import tempfile
+from html import escape
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -30,40 +30,34 @@ PALETTE = ("#0072b2", "#d55e00", "#009e73", "#cc79a7", "#e69f00", "#56b4e9", "#0
 
 @contextlib.contextmanager
 def atomic_writer(path: str) -> Iterator[TextIO]:
-    """Yield a UTF-8, LF-only text handle on a same-directory temp file that
-    is renamed onto path, atomically, only when the block exits cleanly; any
-    exception unlinks it, so no partial file ever reaches path.  The file
-    gets the mode a plain open() would give it (0o666 less the umask), not
-    mkstemp's private 0o600, and an OSError names path, not the temp file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)
-    os.umask(umask)
-    tmp = ""
+    """Yield a UTF-8, LF-only text handle on a new same-directory temp file,
+    renamed onto path only when the block exits cleanly; any exception
+    unlinks it, so no partial file ever reaches path.  open(tmp, "x") gets
+    the mode open(path, "w") would (umask, default ACL); a name collision
+    raises and removes nothing.  An OSError names path, not the temp file."""
+    tmp = os.path.join(os.path.dirname(path), f"tmp{os.urandom(6).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            yield handle
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        handle = open(tmp, "x", encoding="utf-8", newline="\n")
+        try:
+            with handle:
+                yield handle
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:  # name the requested path, not the temporary file
         raise OSError(exc.errno, exc.strerror, path) from exc
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     """Round tick positions covering [lo, hi], about target of them."""
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / max(target - 1, 1)
     magnitude = 10.0 ** math.floor(math.log10(raw))
     mults = [m for m in (1.0, 2.0, 2.5, 5.0) if span / (m * magnitude) <= target]
     step = (mults[0] if mults else 10.0) * magnitude
     first = math.ceil(lo / step - 1e-9) * step
-    ticks = []
-    k = 0
+    ticks, k = [], 0
     while first + k * step <= hi + 1e-9 * span:
         ticks.append(round(first + k * step, 12))
         k += 1
@@ -77,6 +71,15 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
 
 
+def _padded(lo: float, hi: float, share: float) -> tuple[float, float]:
+    """[lo, hi] widened by share of its width each way; one value v by 0.5,
+    or by 5 percent of |v| where rounding would absorb the 0.5 (|v| ~1e16)."""
+    pad = share * (hi - lo) if hi > lo else 0.5
+    if lo - pad == hi + pad:
+        pad = 0.05 * abs(lo)
+    return lo - pad, hi + pad
+
+
 def render_plot(x, columns, x_label: str, path: str, title: str) -> None:
     """Write the named columns against x as a standalone SVG line plot.
 
@@ -86,7 +89,8 @@ def render_plot(x, columns, x_label: str, path: str, title: str) -> None:
     streamed into atomic_writer's file, each polyline in time_chunks.
     """
     x = np.asarray(x)
-    cols = {name: np.asarray(col) for name, col in columns.items()}
+    title, x_label = escape(title, quote=False), escape(x_label, quote=False)
+    cols = {escape(name, quote=False): np.asarray(col) for name, col in columns.items()}
     if len(x) == 0 or not cols:
         raise ValueError("nothing to plot: empty series")
     if any(len(col) != len(x) for col in cols.values()):
@@ -97,17 +101,14 @@ def render_plot(x, columns, x_label: str, path: str, title: str) -> None:
         raise ValueError("cannot plot non-finite values")
 
     (x_lo, *lows), (x_hi, *highs) = zip(*bounds)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    x_lo, x_hi = _padded(x_lo, x_hi, 0.0)
     y_min, y_max = min(lows), max(highs)
     if -1e-9 <= y_min and y_max <= 1.0 + 1e-9:
         y_lo, y_hi = 0.0, 1.0
     else:
-        pad = 0.05 * (y_max - y_min) if y_max > y_min else 0.5
-        y_lo, y_hi = y_min - pad, y_max + pad
+        y_lo, y_hi = _padded(y_min, y_max, 0.05)
 
-    px_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    px_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    px_w, px_h = WIDTH - MARGIN_LEFT - MARGIN_RIGHT, HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     # elementwise on arrays, in the same float64 operations as on scalars
     def sx(v):
@@ -159,8 +160,7 @@ def render_plot(x, columns, x_label: str, path: str, title: str) -> None:
             # ~16 entries a row: float temporaries, list and tuple slots, text
             for sl in time_chunks(len(x), 16):
                 out.write((" " if sl.start else "") + _points(sx(x[sl]), sy(col[sl])))
-            ly = MARGIN_TOP + 14 + 18 * idx
-            lx = x1 + 12
+            lx, ly = x1 + 12, MARGIN_TOP + 14 + 18 * idx
             out.write(
                 '"/>\n'
                 f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '

@@ -255,6 +255,41 @@ def test_atomic_writer_keeps_the_target_on_any_exception(tmp_path, existed):
     assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if existed else [])
 
 
+def test_atomic_writer_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # the umask is process-wide: setting it, even for an instant, would give
+    # files that other threads create meanwhile the wrong mode
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    csv, svg = tmp_path / "tr.csv", tmp_path / "tr.svg"
+    argv = ["transition", "--t-max", "2", "--dt", "0.5",
+            "--out-csv", str(csv), "--out-svg", str(svg)]
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tr.csv", "tr.svg"]
+
+
+def test_atomic_writer_takes_a_250_byte_basename(tmp_path):
+    # the temporary name does not grow with the target's
+    target = tmp_path / ("n" * 246 + ".svg")
+    with atomic_writer(str(target)) as out:
+        out.write("ok\n")
+    assert target.read_bytes() == b"ok\n"
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+def test_a_temporary_name_collision_raises_and_removes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "urandom", bytes)  # every name draw is the same
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    with atomic_writer(str(first)) as out:
+        out.write("a\n")
+        with pytest.raises(FileExistsError, match="b.csv"):
+            with atomic_writer(str(second)):
+                pass
+    assert first.read_bytes() == b"a\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+
 def _wide_table(rows):
     """scan-time's shape: a uniform time grid and seven value columns."""
     rng = np.random.default_rng(0)
@@ -395,6 +430,29 @@ def test_svg_y_range_widens_beyond_unit_interval(tmp_path):
     target = tmp_path / "beyond.svg"
     render_plot(times, beyond, "t", str(target), "beyond")
     assert max(_y_ticks(target)) > 1.0
+
+
+def test_svg_text_is_escaped(tmp_path):
+    target = tmp_path / "escaped.svg"
+    columns = {"a<b & c": np.array([0.2, 0.4])}
+    render_plot([0.0, 1.0], columns, "x<y", str(target), "R&D")
+    texts = [e.text for e in svg_elements(target, "text")]
+    assert {"a<b & c", "x<y", "R&D"} <= set(texts)
+
+
+@pytest.mark.parametrize(
+    "x, y, axis, centre",
+    [([0.0, 1.0], [1e17, 1e17], 1, 247.0), ([-3e16], [0.5], 0, 350.0)],
+    ids=["constant-column", "single-point"],
+)
+def test_render_plot_widens_a_range_rounding_collapses(tmp_path, x, y, axis, centre):
+    # v -+ 0.5 rounds back to v above about 1e16; such a range widens by
+    # 5 percent of |v| instead, so v sits mid-axis
+    target = tmp_path / "collapsed.svg"
+    render_plot(np.array(x), {"y": np.array(y)}, "t", str(target), "collapsed")
+    (line,) = svg_elements(target, "polyline")
+    points = [tuple(map(float, p.split(","))) for p in line.get("points").split()]
+    assert {point[axis] for point in points} == {centre}
 
 
 def test_render_plot_rejects_empty_series(tmp_path):

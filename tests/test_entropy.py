@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 
 from oracles import (
     HERMITICITY_ATOL,
+    atom_coherence,
+    coherent_amplitudes,
     dem_exact,
+    excited_population,
     marginal_product,
     partial_trace,
     propagated_joint,
     relative_entropy,
+    von_neumann_entropy,
 )
 
-from jcdem.entropy import _entropies, entropies_at
+from jcdem.analysis import revival_period
+from jcdem.entropy import AL_SLACK, _entropies, entropies_at
 from jcdem.model import (
     AtomState,
     ClosedFormCoeffs,
@@ -271,3 +276,35 @@ def test_entropies_at_match_the_dense_oracle(m, lam, t):
     population = np.trace(excited[field.n_max + 1 :, field.n_max + 1 :]).real
     c_exact = closed_form_coeffs(t, atom, field, ModelParams()).c_exact
     assert abs(c_exact - population) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    log_m=st.floats(0.0, math.log(200.0)),
+    g=st.floats(0.5, 2.0),
+    lam=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    revivals=st.floats(0.0, 3.0),
+)
+@example(log_m=math.log(200.0), g=0.5, lam=0.0, revivals=3.0)
+@example(log_m=math.log(200.0), g=2.0, lam=1.0, revivals=0.5)
+def test_entropies_hold_their_identities_up_to_m_200(log_m, g, lam, revivals):
+    # m log-uniform in [1, 200] and t in [0, 3 T1]; the atom marginal is
+    # checked against the O(W) Poisson sums, not the dense propagator
+    field = FieldConfig.from_mean_photons(math.exp(log_m))
+    params = ModelParams(g=g)
+    atom = AtomState.from_ground_weight(lam)
+    t = revivals * revival_period(field, params)
+    report = entropies_at(atom, field, params, t)
+    binary = -sum(p * math.log(p) for p in (atom.lambda0, atom.lambda1) if p > 0)
+    assert abs(report.s_joint - binary) <= 1e-10
+    if lam in (0.0, 1.0):
+        assert abs(report.s_atom - report.s_field) <= 1e-8
+    assert min(report.al_margins) >= -AL_SLACK
+    assert abs(closed_form_coeffs(0.0, atom, field, params).c_exact - 1.0) <= 1e-15
+    p = np.zeros(field.n_max + 1)
+    amps = coherent_amplitudes(field.theta, field.n_max, field.n_lo)
+    p[field.n_lo :] = np.abs(amps) ** 2
+    excited = excited_population(p, lam, g, t)
+    coherence = atom_coherence(p, lam, g, t)
+    rho_atom = np.array([[1.0 - excited, coherence], [np.conj(coherence), excited]])
+    assert abs(report.s_atom - von_neumann_entropy(rho_atom)) <= 1e-10

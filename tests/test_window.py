@@ -154,6 +154,24 @@ def test_closed_form_c_is_accurate_at_large_m(m):
     assert abs(c - float(reference)) <= 1e-12
 
 
+@pytest.mark.parametrize("m, bound", [(5.0, 2e-14), (1e4, 5e-13), (1e6, 3e-12)])
+def test_window_weights_match_40_digit_poisson(m, bound):
+    # at most 400 levels from n_lo to n_max, both edges included; the
+    # reference takes the config's own mean, which from_mean_photons rounds
+    # through a square root (m = 5 comes back as 5.000000000000001)
+    mpmath = pytest.importorskip("mpmath")
+    field = FieldConfig.from_mean_photons(m)
+    levels = np.unique(np.linspace(field.n_lo, field.n_max, 400).round().astype(int))
+    with mpmath.workdps(40):
+        mean = mpmath.mpf(field.mean_photons)
+        errors = [
+            abs(field.weights[n - field.n_lo]
+                / mpmath.exp(n * mpmath.log(mean) - mean - mpmath.loggamma(n + 1)) - 1)
+            for n in levels.tolist()
+        ]
+    assert float(max(errors)) <= bound
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(m=st.floats(0.0, 1e5))
 @example(m=0.0)
