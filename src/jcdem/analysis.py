@@ -24,13 +24,13 @@ TIME_COLUMNS = ("c_closed", "c_exact", "dem_exact", "dem_closed",
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled trajectories on a strictly increasing time grid."""
+    """Sampled trajectories on a strictly increasing, so NaN-free, time grid."""
 
     times: np.ndarray
     columns: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        if len(self.times) and np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
         for name, col in self.columns.items():
             if len(col) != len(self.times):
@@ -145,9 +145,9 @@ def revival_analysis(
     max - min of c_exact over a window one dominant Rabi period wide, clipped
     to the series, and picks the best.  It needs a series of at least two
     points that covers [0.5, 1] T1, a dominant Rabi period shorter than T1
-    (exactly when m >= 1), a step at most half that period and a uniform
-    grid; each failure raises ValueError.  Together these put a grid point
-    in the search range and keep the half-window below the series length.
+    (exactly when m >= 1), a step at most half that period, a uniform grid
+    and a finite c_exact; each failure raises ValueError.  These put a grid
+    point in the search range and keep the half-window below the series length.
     """
     t1 = revival_period(field, params)
     times = np.asarray(series.times)
@@ -166,6 +166,8 @@ def revival_analysis(
         )
     if np.ptp(times - step * np.arange(len(times))) > 1e-6 * step:
         raise ValueError("times must be a uniform grid")
+    if not np.isfinite(series.columns["c_exact"]).all():
+        raise ValueError("c_exact must be finite")
     # the epsilon keeps sample k in a half-width of k steps
     half = math.floor(width / 2.0 / step + 1e-9)
     lo, hi = times.searchsorted(0.5 * t1), times.searchsorted(1.5 * t1, "right")

@@ -30,6 +30,7 @@ from .model import (
     AtomState,
     FieldConfig,
     ModelParams,
+    _phases,
 )
 from .svgplot import atomic_writer, render_plot
 
@@ -85,8 +86,8 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """Parse flags and validate them by building the model objects, which
     stay on the namespace as params, field and atom for run.
 
-    Any ValueError those constructors raise becomes a usage error, which
-    exits with code 2.
+    Any ValueError they or _phases, at --t-max or scan-lambda's T3, raise
+    becomes a usage error, which exits with code 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -102,13 +103,11 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
         args.field = FieldConfig.from_mean_photons(args.mean_photons, args.tail_tol)
         args.atom = AtomState(args.lambda0)
         _grid_size(args.t_max, args.dt)
+        t_end = (REVIVALS * revival_period(args.field, args.params)
+                 if args.command == "scan-lambda" else args.t_max)
+        _phases(args.field, args.params, t_end)
     except ValueError as exc:
         parser.error(str(exc))
-    # the kernels' largest phase, in their order; their sin(2 phase) doubles it
-    t_end_lambda = REVIVALS * revival_period(args.field, args.params)
-    t = t_end_lambda if args.command == "scan-lambda" else args.t_max
-    if not math.isfinite(2.0 * (args.g * math.sqrt(args.field.n_max + 1.0) * t)):
-        parser.error(f"phase 2 g sqrt(n_max + 1) t overflows at g={args.g:g}, t={t:g}")
     return args
 
 
@@ -165,11 +164,8 @@ def run(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse exits 0 on --help, 2 on a usage error
+        return exc.code
     try:
         return run(args)
     except Exception as exc:

@@ -248,12 +248,15 @@ def _window(mean_photons: float, tail_tol: float) -> tuple[int, np.ndarray]:
     return n_lo, weights
 
 
-def _finite_times(t) -> np.ndarray:
-    """t as a float array; ValueError unless every time is finite."""
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError("times must be finite")
-    return t
+def _phases(field: FieldConfig, params: ModelParams, t) -> np.ndarray:
+    """Rabi phases g sqrt(n+1) t on n_lo..n_max, shaped t.shape + (W,).  Checked
+    in Python floats first: ValueError unless 2 g sqrt(n_max + 1) max|t| is finite."""
+    t_abs = float(np.abs(t).max(initial=0.0))
+    if not math.isfinite(2.0 * (params.g * math.sqrt(field.n_max + 1.0) * t_abs)):
+        raise ValueError("times must be finite, and so must the phase 2 g sqrt(n_max"
+                         f" + 1) t: got g={params.g:g}, |t| up to {t_abs:g}")
+    omega = params.g * np.sqrt(np.arange(field.n_lo, field.n_max + 1) + 1.0)
+    return np.multiply.outer(t, omega)
 
 
 def evolve_vectors(
@@ -272,13 +275,11 @@ def evolve_vectors(
     long grid; the transition columns need no state vector and come from
     closed_form_coeffs.
     """
-    t = _finite_times(t)
-    n_lo, n_max, width = field.n_lo, field.n_max, field.n_levels
-    amps = field.amplitudes
-    rabi_t = params.g * np.sqrt(np.arange(n_lo + 1.0, n_max + 1)) * t[..., None]
+    width, amps = field.n_levels, field.amplitudes
+    rabi_t = _phases(field, params, t)[..., :-1]
     diag = np.cos(rabi_t)
     off = -1j * np.sin(rabi_t)
-    psi_g = np.zeros(t.shape + (2 * width,), dtype=complex)
+    psi_g = np.zeros(rabi_t.shape[:-1] + (2 * width,), dtype=complex)
     psi_e = np.zeros_like(psi_g)
     psi_g[..., 0] = amps[0]
     psi_g[..., 1:width] = diag * amps[1:]
@@ -305,17 +306,16 @@ def closed_form_coeffs(
     |a_{n_max}|^2, with the renormalized amplitudes a_n, is the same sum as
     the truncated evolution gives it: evolve_vectors holds |2,n_max> still.
     """
-    t = _finite_times(t)
+    t = np.asarray(t, dtype=float)
     w = field.weights
     # |a_n|^2 on the levels that rotate; the edge |2,n_max> keeps its own
     pops = np.abs(field.amplitudes) ** 2
     rotating = np.append(pops[:-1], 0.0)
-    omega = params.g * np.sqrt(np.arange(field.n_lo, field.n_max + 1) + 1.0)
     flat = t.reshape(-1)
     sums = np.empty((4, flat.size))
     # each time holds the W phases, their cos^2 and two W-wide temporaries
     for sl in time_chunks(flat.size, 4 * len(w)):
-        phase = omega * flat[sl, None]
+        phase = _phases(field, params, flat[sl])
         cos2 = np.cos(phase) ** 2
         sums[:, sl] = (
             cos2 @ w,

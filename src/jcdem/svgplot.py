@@ -71,12 +71,15 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
 
 
-def _padded(lo: float, hi: float, share: float) -> tuple[float, float]:
+def _padded(lo: float, hi: float, share: float, axis: str) -> tuple[float, float]:
     """[lo, hi] widened by share of its width each way; one value v by 0.5,
-    or by 5 percent of |v| where rounding would absorb the 0.5 (|v| ~1e16)."""
+    or by 5 percent of |v| where rounding would absorb the 0.5 (|v| ~1e16).
+    ValueError naming axis unless a fifth of the span, _ticks' step, is normal."""
     pad = share * (hi - lo) if hi > lo else 0.5
     if lo - pad == hi + pad:
         pad = 0.05 * abs(lo)
+    if not np.finfo(float).tiny <= ((hi + pad) - (lo - pad)) / 5 < math.inf:
+        raise ValueError(f"cannot scale the {axis} axis to values in [{lo:g}, {hi:g}]")
     return lo - pad, hi + pad
 
 
@@ -95,18 +98,16 @@ def render_plot(x, columns, x_label: str, path: str, title: str) -> None:
         raise ValueError("nothing to plot: empty series")
     if any(len(col) != len(x) for col in cols.values()):
         raise ValueError("every column needs one value per x value")
-    # a NaN or an infinity reaches min or max: each column is checked in place
-    bounds = [(float(col.min()), float(col.max())) for col in (x, *cols.values())]
-    if not all(math.isfinite(v) for pair in bounds for v in pair):
-        raise ValueError("cannot plot non-finite values")
 
+    bounds = [(float(col.min()), float(col.max())) for col in (x, *cols.values())]
     (x_lo, *lows), (x_hi, *highs) = zip(*bounds)
-    x_lo, x_hi = _padded(x_lo, x_hi, 0.0)
-    y_min, y_max = min(lows), max(highs)
+    x_lo, x_hi = _padded(x_lo, x_hi, 0.0, "x")
+    # np.min and np.max, unlike min and max, pass a NaN on for _padded to reject
+    y_min, y_max = float(np.min(lows)), float(np.max(highs))
     if -1e-9 <= y_min and y_max <= 1.0 + 1e-9:
         y_lo, y_hi = 0.0, 1.0
     else:
-        y_lo, y_hi = _padded(y_min, y_max, 0.05)
+        y_lo, y_hi = _padded(y_min, y_max, 0.05, "y")
 
     px_w, px_h = WIDTH - MARGIN_LEFT - MARGIN_RIGHT, HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 

@@ -174,6 +174,9 @@ def test_time_series_validation():
         TimeSeries(times=np.array([0.0, 0.0, 1.0]), columns={})
     with pytest.raises(ValueError):
         TimeSeries(times=np.array([0.0, 1.0]), columns={"x": np.zeros(3)})
+    # NaN compares False both ways, so a check for a step <= 0 would pass it
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TimeSeries(times=np.array([0.0, math.nan, 1.0]), columns={})
 
 
 def _oracle_revival(field, params, series):
@@ -215,6 +218,20 @@ def test_revival_rejects_a_non_uniform_grid():
     series = TimeSeries(times, {"c_exact": np.cos(times) ** 2})
     with pytest.raises(ValueError, match="uniform"):
         revival_analysis(FIELD, PARAMS, series)
+
+
+def test_revival_rejects_a_non_finite_c_exact():
+    # unchecked, one NaN in the searched windows moved the detected revival
+    # from 14.25 to 8.75 on this series
+    series = scan_transition(FIELD, PARAMS, 30.0, 0.05)
+    detected = revival_analysis(FIELD, PARAMS, series).detected_revival
+    assert detected == pytest.approx(14.25)
+    for bad in (math.nan, math.inf):
+        c_exact = series.columns["c_exact"].copy()
+        c_exact[200] = bad
+        broken = TimeSeries(series.times, {"c_exact": c_exact})
+        with pytest.raises(ValueError, match="c_exact must be finite"):
+            revival_analysis(FIELD, PARAMS, broken)
 
 
 def test_revival_detector_copies_no_window_of_the_largest_grid():

@@ -4,16 +4,19 @@ bench/ reaches jcdem from outside: its tracer imports every module it
 traces, and each workload calls the public scans and the CLI with fixed
 arguments, then checks the output against an independent dense reference.
 One in-process operation of every workload, and a whole cli-default cycle
-of all four commands, under the installed tracer, catch a change to the
+of all four commands, both in process and as the child processes the
+benchmark starts, under the installed tracer, catch a change to the
 package that would break the benchmark.
 """
 
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = BENCH.parent / "src"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
@@ -31,9 +34,14 @@ def test_one_operation_of_each_workload_passes_its_check(name, tmp_path):
     assert tracer.spans, "the tracer recorded no call into jcdem"
 
 
-def test_a_whole_cli_default_cycle_passes_its_checks(tmp_path):
+@pytest.mark.parametrize("in_process", [True, False], ids=["in-process", "subprocess"])
+def test_a_whole_cli_default_cycle_passes_its_checks(in_process, tmp_path, monkeypatch):
+    # the benchmark runs cli-default as `python -m jcdem.cli` child processes
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     workload = workloads.CliDefault(seed=3, out_dir=tmp_path)
     with tracing.Tracer().installed():
         for _ in range(workload.cycle):
             inp = workload.next_input()
-            assert workload.check(inp, workload.run(inp, in_process=True)) == [], inp
+            out = workload.run(inp, in_process=in_process)
+            assert workload.check(inp, out) == [], inp

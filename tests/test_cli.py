@@ -468,6 +468,19 @@ def test_render_plot_rejects_non_finite_values(tmp_path):
     with pytest.raises(ValueError):
         render_plot(np.array([0.0, 1.0]), columns, "t", str(target), "x")
     assert not target.exists()
+    # a span that underflows (a fifth of it rounds to zero) or overflows to
+    # infinity is no more plottable than a NaN; a NaN after a finite column
+    # is caught too, although Python's min and max would drop it
+    for x, y, axis in [([0.0, 5e-324], [0.2, 0.4], "x"),
+                       ([-1e308, 1e308], [0.2, 0.4], "x"),
+                       ([0.0, 1.0], [-1e308, 1e308], "y")]:
+        with pytest.raises(ValueError, match=f"{axis} axis"):
+            render_plot(np.array(x), {"y": np.array(y)}, "t", str(target), "x")
+        assert list(tmp_path.iterdir()) == []
+    two = {"a": np.array([0.2, 0.4]), "b": np.array([math.nan, math.nan])}
+    with pytest.raises(ValueError, match="y axis"):
+        render_plot(np.array([0.0, 1.0]), two, "t", str(target), "x")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_render_plot_rejects_misaligned_columns(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -372,17 +373,26 @@ def test_evolve_vectors_over_time_arrays_match_scalar_calls():
         assert np.array_equal(psi_g[idx], g) and np.array_equal(psi_e[idx], e)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.0, 1.0, math.nan]],
-                         ids=["nan", "inf", "-inf", "nan-in-array"])
-def test_kernels_reject_non_finite_times(t):
-    # unchecked, a NaN state reaches eigvalsh (LinAlgError) and an infinite
-    # phase gives NaN with a RuntimeWarning
-    field, params, atom = default_field(), ModelParams(), AtomState(0.7)
+@pytest.mark.parametrize(
+    "g, t",
+    [(1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (1.0, [0.0, 1.0, math.nan]),
+     (1e308, 1.0), (1.0, 1e308), (1e308, 0.0)],
+    ids=["nan", "inf", "-inf", "nan-in-array", "g-overflows", "t-overflows",
+         "g-overflows-at-t0"],
+)
+def test_kernels_reject_non_finite_times(g, t):
+    # unchecked, a NaN state reaches eigvalsh (LinAlgError), and an infinite
+    # phase, or g sqrt(n+1) or 2 g sqrt(n+1) t overflowing, gives NaN with a
+    # RuntimeWarning; g sqrt(n+1) = inf times t = 0 is NaN too
+    field, params, atom = default_field(), ModelParams(g=g), AtomState(0.7)
     for kernel in (lambda: evolve_vectors(field, params, t),
                    lambda: closed_form_coeffs(t, atom, field, params),
                    lambda: entropies_at(atom, field, params, t)):
-        with pytest.raises(ValueError, match="times must be finite"):
-            kernel()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="times must be finite.*phase"):
+                kernel()
+        assert caught == []
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
