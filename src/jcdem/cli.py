@@ -30,7 +30,7 @@ from .model import (
     AtomState,
     FieldConfig,
     ModelParams,
-    _phases,
+    _rotation,
 )
 from .svgplot import atomic_writer, render_plot
 
@@ -86,7 +86,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """Parse flags and validate them by building the model objects, which
     stay on the namespace as params, field and atom for run.
 
-    Any ValueError they or _phases, at --t-max or scan-lambda's T3, raise
+    Any ValueError they or _rotation, at --t-max or scan-lambda's T3, raise
     becomes a usage error, which exits with code 2.
     """
     parser = build_parser()
@@ -96,6 +96,8 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
                      f"got {args.lambda_points}")
     if args.out_csv is None:
         args.out_csv = f"jc_{args.command.replace('-', '_')}.csv"
+    if "" in (args.out_csv, args.out_svg):
+        parser.error("--out-csv and --out-svg need a non-empty path")
     if args.out_svg and os.path.abspath(args.out_svg) == os.path.abspath(args.out_csv):
         parser.error(f"--out-csv and --out-svg name the same file: {args.out_csv}")
     try:
@@ -105,7 +107,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
         _grid_size(args.t_max, args.dt)
         t_end = (REVIVALS * revival_period(args.field, args.params)
                  if args.command == "scan-lambda" else args.t_max)
-        _phases(args.field, args.params, t_end)
+        _rotation(args.field, args.params, t_end)
     except ValueError as exc:
         parser.error(str(exc))
     return args

@@ -248,15 +248,16 @@ def _window(mean_photons: float, tail_tol: float) -> tuple[int, np.ndarray]:
     return n_lo, weights
 
 
-def _phases(field: FieldConfig, params: ModelParams, t) -> np.ndarray:
-    """Rabi phases g sqrt(n+1) t on n_lo..n_max, shaped t.shape + (W,).  Checked
+def _rotation(field: FieldConfig, params: ModelParams, t) -> tuple[np.ndarray, ...]:
+    """(cos, sin) of g sqrt(n+1) t on n_lo..n_max, each shaped t.shape + (W,).  Checked
     in Python floats first: ValueError unless 2 g sqrt(n_max + 1) max|t| is finite."""
     t_abs = float(np.abs(t).max(initial=0.0))
     if not math.isfinite(2.0 * (params.g * math.sqrt(field.n_max + 1.0) * t_abs)):
         raise ValueError("times must be finite, and so must the phase 2 g sqrt(n_max"
                          f" + 1) t: got g={params.g:g}, |t| up to {t_abs:g}")
     omega = params.g * np.sqrt(np.arange(field.n_lo, field.n_max + 1) + 1.0)
-    return np.multiply.outer(t, omega)
+    phase = np.multiply.outer(t, omega)
+    return np.cos(phase), np.sin(phase)
 
 
 def evolve_vectors(
@@ -276,16 +277,15 @@ def evolve_vectors(
     closed_form_coeffs.
     """
     width, amps = field.n_levels, field.amplitudes
-    rabi_t = _phases(field, params, t)[..., :-1]
-    diag = np.cos(rabi_t)
-    off = -1j * np.sin(rabi_t)
-    psi_g = np.zeros(rabi_t.shape[:-1] + (2 * width,), dtype=complex)
+    cos, sin = (part[..., :-1] for part in _rotation(field, params, t))
+    off = -1j * sin
+    psi_g = np.zeros(cos.shape[:-1] + (2 * width,), dtype=complex)
     psi_e = np.zeros_like(psi_g)
     psi_g[..., 0] = amps[0]
-    psi_g[..., 1:width] = diag * amps[1:]
+    psi_g[..., 1:width] = cos * amps[1:]
     psi_g[..., width:-1] = off * amps[1:]
     psi_e[..., 1:width] = off * amps[:-1]
-    psi_e[..., width:-1] = diag * amps[:-1]
+    psi_e[..., width:-1] = cos * amps[:-1]
     psi_e[..., -1] = amps[-1]
     return psi_g, psi_e
 
@@ -308,20 +308,19 @@ def closed_form_coeffs(
     """
     t = np.asarray(t, dtype=float)
     w = field.weights
-    # |a_n|^2 on the levels that rotate; the edge |2,n_max> keeps its own
+    # |a_n|^2; all but the edge |2,n_max> rotate, and it keeps its own
     pops = np.abs(field.amplitudes) ** 2
-    rotating = np.append(pops[:-1], 0.0)
     flat = t.reshape(-1)
     sums = np.empty((4, flat.size))
-    # each time holds the W phases, their cos^2 and two W-wide temporaries
+    # each time holds the W cosines, sines, cos^2 and one W-wide product
     for sl in time_chunks(flat.size, 4 * len(w)):
-        phase = _phases(field, params, flat[sl])
-        cos2 = np.cos(phase) ** 2
+        cos, sin = _rotation(field, params, flat[sl])
+        cos2 = cos**2
         sums[:, sl] = (
             cos2 @ w,
-            np.sin(phase) ** 2 @ w,
-            np.sin(2.0 * phase) @ w,
-            cos2 @ rotating + pops[-1],
+            sin**2 @ w,
+            2.0 * ((sin * cos) @ w),
+            cos2[:, :-1] @ pops[:-1] + pops[-1],
         )
     # [()] unwraps a scalar time's 0-d results to numpy floats
     c, s, sin2, c_exact = (row.reshape(t.shape)[()] for row in sums)

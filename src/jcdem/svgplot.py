@@ -49,17 +49,18 @@ def atomic_writer(path: str) -> Iterator[TextIO]:
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi], about target of them."""
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About six round tick positions covering [lo, hi], each rounded 12 digits
+    below the order of magnitude of span / 5, so float noise never shows."""
     span = hi - lo
-    raw = span / max(target - 1, 1)
-    magnitude = 10.0 ** math.floor(math.log10(raw))
-    mults = [m for m in (1.0, 2.0, 2.5, 5.0) if span / (m * magnitude) <= target]
+    exponent = math.floor(math.log10(span / 5))
+    magnitude = 10.0 ** exponent
+    mults = [m for m in (1.0, 2.0, 2.5, 5.0) if span / (m * magnitude) <= 6]
     step = (mults[0] if mults else 10.0) * magnitude
     first = math.ceil(lo / step - 1e-9) * step
     ticks, k = [], 0
     while first + k * step <= hi + 1e-9 * span:
-        ticks.append(round(first + k * step, 12))
+        ticks.append(round(first + k * step, 12 - exponent))
         k += 1
     return ticks
 

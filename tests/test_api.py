@@ -7,6 +7,7 @@ import dataclasses
 import inspect
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from jcdem import (
 from jcdem.cli import main, parse_args
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(jcdem.__file__).resolve().parent
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
@@ -141,3 +143,23 @@ def test_oracles_reach_no_private_or_entropy_code():
     probe = "from jcdem.model import _xlogx\nimport jcdem.entropy\njcdem.model._window\n"
     assert forbidden_references(probe) == [
         "jcdem.model._xlogx", "jcdem.entropy", "jcdem.model._window"]
+
+
+def test_the_package_imports_only_its_declared_dependencies():
+    # pyproject.toml declares numpy alone; a package merely installed
+    # beside it (scipy, say) would let a stray import pass every other test
+    allowed = {"jcdem", "numpy"} | set(sys.stdlib_module_names)
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert {path.stem for path in modules} >= {"__init__", "cli", "model", "svgplot"}
+    stray = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{path.name}: {name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    assert stray == []

@@ -15,7 +15,7 @@ import pytest
 import jcdem.cli
 from jcdem.analysis import TimeSeries, time_grid
 from jcdem.cli import COMMANDS, build_parser, main, parse_args
-from jcdem.svgplot import atomic_writer, render_plot
+from jcdem.svgplot import _ticks, atomic_writer, render_plot
 
 
 def svg_elements(path, local_name):
@@ -105,11 +105,15 @@ def test_parse_args_default_csv_name_follows_command():
         ["transition", "--t-max", "1e308", "--dt", "1e-10"],
         ["scan-lambda", "--lambda-points", "1000001"],
         ["scan-lambda", "--lambda-points", "100000000000000000000"],
+        ["transition", "--out-csv", ""],
+        ["transition", "--out-svg", ""],
     ],
 )
-def test_usage_errors_exit_2(argv, capsys):
+def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert "usage" in capsys.readouterr().err.lower()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_errors_carry_the_model_message(tmp_path, capsys):
@@ -453,6 +457,20 @@ def test_render_plot_widens_a_range_rounding_collapses(tmp_path, x, y, axis, cen
     (line,) = svg_elements(target, "polyline")
     points = [tuple(map(float, p.split(","))) for p in line.get("points").split()]
     assert {point[axis] for point in points} == {centre}
+
+
+def test_render_plot_ticks_a_tiny_span(tmp_path):
+    # ticks are rounded relative to their step: 12 fixed decimals would
+    # make all six on [0, 1e-13] 0.0, drawn at the left edge
+    ticks = _ticks(0.0, 1e-13)
+    assert len(ticks) == 6 and ticks == sorted(set(ticks))
+    target = tmp_path / "tiny.svg"
+    render_plot(np.array([0.0, 1e-13]), {"y": np.array([0.2, 0.4])}, "t",
+                str(target), "tiny")
+    x_ticks = [e for e in svg_elements(target, "text")
+               if e.get("text-anchor") == "middle" and e.text in map("{:g}".format, ticks)]
+    positions = [float(e.get("x")) for e in x_ticks]
+    assert len(positions) == 6 and positions == sorted(set(positions))
 
 
 def test_render_plot_rejects_empty_series(tmp_path):

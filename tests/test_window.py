@@ -139,19 +139,21 @@ def test_closed_form_c_is_accurate_at_large_m(m):
     # c_closed and c_exact share their float64 phases g sqrt(n+1) t, so
     # their agreement shows consistency, not accuracy; here c_closed at T3,
     # a phase of about 6 pi m rad, is set against 40-digit trig at the same
-    # float time and weights
+    # float time and weights.  So is the sin(2 Omega_n t) sum, 2 |e2| at
+    # lambda0 = 1, formed as 2 sin cos: its phase error is doubled
     mpmath = pytest.importorskip("mpmath")
     field = FieldConfig.from_mean_photons(m)
     t3 = 3.0 * revival_period(field, PARAMS)
-    c = closed_form_coeffs(t3, AtomState(0.0), field, PARAMS).c
+    coeffs = closed_form_coeffs(t3, AtomState(1.0), field, PARAMS)
     with mpmath.workdps(40):
         t = mpmath.mpf(t3)
         levels = range(field.n_lo + 1, field.n_max + 2)
-        reference = mpmath.fsum(
-            mpmath.mpf(float(w)) * mpmath.cos(mpmath.sqrt(k) * t) ** 2
-            for k, w in zip(levels, field.weights)
-        )
-    assert abs(c - float(reference)) <= 1e-12
+        weights = [mpmath.mpf(float(w)) for w in field.weights]
+        phases = [mpmath.sqrt(k) * t for k in levels]
+        c = mpmath.fsum(w * mpmath.cos(x) ** 2 for w, x in zip(weights, phases))
+        sin2 = mpmath.fsum(w * mpmath.sin(2 * x) for w, x in zip(weights, phases))
+    assert abs(coeffs.c - float(c)) <= 1e-12
+    assert abs(2.0 * coeffs.e2_mag - abs(float(sin2))) <= 3e-12
 
 
 @pytest.mark.parametrize("m, bound", [(5.0, 2e-14), (1e4, 5e-13), (1e6, 3e-12)])
