@@ -23,6 +23,7 @@ from .analysis import (
     scan_time,
     scan_transition,
 )
+from .entropy import entropies_at
 from .model import (
     DEFAULT_G,
     DEFAULT_OMEGA0,
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="entropy logarithm base (default e)")
         cmd.add_argument("--lambda-points", type=int, default=21,
                          help="lambda0 grid size for scan-lambda (default 21)")
-        cmd.add_argument("--out-csv", default=None,
+        cmd.add_argument("--out-csv", default=f"jc_{name.replace('-', '_')}.csv",
                          help="CSV output path (default jc_<command>.csv)")
         cmd.add_argument("--out-svg", default=None,
                          help="also write an SVG plot to this path")
@@ -86,16 +87,14 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """Parse flags and validate them by building the model objects, which
     stay on the namespace as params, field and atom for run.
 
-    Any ValueError they or _rotation, at --t-max or scan-lambda's T3, raise
-    becomes a usage error, which exits with code 2.
+    Any ValueError they, _rotation at --t-max or scan-lambda's T3, or an entropy
+    command's entropies_at on no times raise becomes a usage error, exit code 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     if not 2 <= args.lambda_points <= MAX_GRID_POINTS:
         parser.error(f"--lambda-points must lie in [2, {MAX_GRID_POINTS}], "
                      f"got {args.lambda_points}")
-    if args.out_csv is None:
-        args.out_csv = f"jc_{args.command.replace('-', '_')}.csv"
     if "" in (args.out_csv, args.out_svg):
         parser.error("--out-csv and --out-svg need a non-empty path")
     if args.out_svg and os.path.abspath(args.out_svg) == os.path.abspath(args.out_csv):
@@ -108,6 +107,8 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
         t_end = (REVIVALS * revival_period(args.field, args.params)
                  if args.command == "scan-lambda" else args.t_max)
         _rotation(args.field, args.params, t_end)
+        if args.command in ("scan-time", "scan-lambda"):  # one time's memory
+            entropies_at(args.atom, args.field, args.params, [])
     except ValueError as exc:
         parser.error(str(exc))
     return args

@@ -16,9 +16,9 @@ from .model import (
     AtomState,
     FieldConfig,
     ModelParams,
+    _walk_times,
     _xlogx,
     evolve_vectors,
-    time_chunks,
 )
 
 # A state with an eigenvalue below -NEGATIVE_EIG_TOL is invalid.
@@ -77,18 +77,15 @@ def entropies_at(
     chunk.  Every field of the report has the shape of t, and al_margins
     holds two such arrays; a scalar t gives scalars.
     """
-    t = np.asarray(t, dtype=float)
     width = field.n_levels
     weights = np.sqrt([atom.lambda0, atom.lambda1])
-    entropies = np.empty((3, t.size))
-    # each time holds a joint state, (2W)^2 entries, and a field marginal, W^2
-    for sl in time_chunks(t.size, 5 * width**2):
-        b = np.stack(evolve_vectors(field, params, t.reshape(-1)[sl]), axis=-1)
+    def entropies(times):
+        b = np.stack(evolve_vectors(field, params, times), axis=-1)
         b *= weights
         # B's entries (a, n, k) as rows a by columns (n, k), and n by (a, k)
         per_atom = b.reshape(-1, 2, 2 * width)
         per_field = b.reshape(-1, 2, width, 2).swapaxes(1, 2).reshape(-1, width, 4)
-        for i, m in enumerate((per_atom, per_field, b)):
-            entropies[i, sl] = _entropies(m @ m.conj().swapaxes(-1, -2))
-    # [()] unwraps a scalar time's 0-d results to numpy floats
-    return EntropyReport(*(row.reshape(t.shape)[()] for row in entropies))
+        return [_entropies(m @ m.conj().swapaxes(-1, -2))
+                for m in (per_atom, per_field, b)]
+    # each time holds a joint state, (2W)^2 entries, and a field marginal, W^2
+    return EntropyReport(*_walk_times(t, 5 * width**2, 3, entropies))

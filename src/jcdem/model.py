@@ -36,6 +36,8 @@ MAX_MEAN_PHOTONS = 1e6
 # Array entries the vectorised kernels hold at once for a chunk of times,
 # which bounds their temporaries however long the time grid is.
 CHUNK_ELEMENTS = 1 << 17
+# Most bytes (16 an entry) one time of a kernel may hold: no chunk splits a time.
+MAX_TIME_BYTES = 1 << 30
 # Eigenvalues at or below EIG_CLIP contribute nothing to entropy sums.
 EIG_CLIP = 1e-12
 # stirlerr(n) below STIRLING_MIN, where the Stirling series is not yet
@@ -106,8 +108,11 @@ class FieldConfig:
     def from_mean_photons(
         cls, mean_photons: float, tail_tol: float = DEFAULT_TAIL_TOL
     ) -> "FieldConfig":
-        """Real-amplitude config with |theta|^2 = mean_photons."""
-        return cls(complex(math.sqrt(_checked_mean(mean_photons))), tail_tol)
+        """Real-amplitude config with |theta|^2 = mean_photons, rounded up, not down."""
+        theta = math.sqrt(_checked_mean(mean_photons))
+        while abs(complex(theta)) ** 2 < mean_photons:  # so a floor keeps m = 3 at 3
+            theta = math.nextafter(theta, math.inf)
+        return cls(complex(theta), tail_tol)
 
     @property
     def mean_photons(self) -> float:
@@ -194,6 +199,19 @@ def time_chunks(n_times: int, entries_per_time: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n_times, step)]
 
 
+def _walk_times(t, entries_per_time: int, rows: int, fill) -> tuple:
+    """The kernels' one walk: fill's `rows` values per time of t, chunk by time_chunks
+    chunk, in rows shaped like t ([()] unwraps 0-d); ValueError past MAX_TIME_BYTES."""
+    if (need := 16 * entries_per_time) > MAX_TIME_BYTES:
+        raise ValueError(f"one time needs {need >> 20} MiB > {MAX_TIME_BYTES >> 20}"
+                         " MiB: lower --mean-photons or raise --tail-tol")
+    t = np.asarray(t, dtype=float)
+    out = np.empty((rows, t.size))
+    for sl in time_chunks(t.size, entries_per_time):
+        out[:, sl] = fill(t.reshape(-1)[sl])
+    return tuple(row.reshape(t.shape)[()] for row in out)
+
+
 def _log_poisson(n: np.ndarray, m: float) -> np.ndarray:
     """log(e^-m m^n / n!) for integers n >= 1 and m >= 0.
 
@@ -271,10 +289,9 @@ def evolve_vectors(
     shaped t.shape + (2 W,), W = n_max - n_lo + 1, in the module's basis
     order.  Each doublet {|2,n>, |1,n+1>} rotates at Omega_n = g sqrt(n+1);
     the two edges |1,n_lo> and |2,n_max>, whose partners lie outside the
-    window, stay put (at n_lo = 0 the lower edge |1,0> is exact).  Its one
-    caller, entropy.entropies_at, bounds memory by passing time_chunks of a
-    long grid; the transition columns need no state vector and come from
-    closed_form_coeffs.
+    window, stay put (at n_lo = 0 the lower edge |1,0> is exact).  It gets
+    a long grid from entropies_at one _walk_times chunk at a time; the
+    transition columns need no state vector and come from closed_form_coeffs.
     """
     width, amps = field.n_levels, field.amplitudes
     cos, sin = (part[..., :-1] for part in _rotation(field, params, t))
@@ -306,24 +323,20 @@ def closed_form_coeffs(
     |a_{n_max}|^2, with the renormalized amplitudes a_n, is the same sum as
     the truncated evolution gives it: evolve_vectors holds |2,n_max> still.
     """
-    t = np.asarray(t, dtype=float)
     w = field.weights
     # |a_n|^2; all but the edge |2,n_max> rotate, and it keeps its own
     pops = np.abs(field.amplitudes) ** 2
-    flat = t.reshape(-1)
-    sums = np.empty((4, flat.size))
-    # each time holds the W cosines, sines, cos^2 and one W-wide product
-    for sl in time_chunks(flat.size, 4 * len(w)):
-        cos, sin = _rotation(field, params, flat[sl])
+    def sums(times):
+        cos, sin = _rotation(field, params, times)
         cos2 = cos**2
-        sums[:, sl] = (
+        return (
             cos2 @ w,
             sin**2 @ w,
             2.0 * ((sin * cos) @ w),
             cos2[:, :-1] @ pops[:-1] + pops[-1],
         )
-    # [()] unwraps a scalar time's 0-d results to numpy floats
-    c, s, sin2, c_exact = (row.reshape(t.shape)[()] for row in sums)
+    # each time holds the W cosines, sines, cos^2 and one W-wide product
+    c, s, sin2, c_exact = _walk_times(t, 4 * len(w), 4, sums)
     return ClosedFormCoeffs(
         s=s,
         c=c,

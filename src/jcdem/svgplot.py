@@ -49,11 +49,12 @@ def atomic_writer(path: str) -> Iterator[TextIO]:
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
-    """About six round tick positions covering [lo, hi], each rounded 12 digits
-    below the order of magnitude of span / 5, so float noise never shows."""
+def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    """About six round ticks on [lo, hi] with their labels: each rounded 12 digits below
+    span / 5's order of magnitude, labelled to 6, or up to 17, digits the step needs."""
     span = hi - lo
     exponent = math.floor(math.log10(span / 5))
+    digits = min(17, max(6, math.floor(math.log10(max(-lo, hi))) - exponent + 2))
     magnitude = 10.0 ** exponent
     mults = [m for m in (1.0, 2.0, 2.5, 5.0) if span / (m * magnitude) <= 6]
     step = (mults[0] if mults else 10.0) * magnitude
@@ -62,7 +63,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
     while first + k * step <= hi + 1e-9 * span:
         ticks.append(round(first + k * step, 12 - exponent))
         k += 1
-    return ticks
+    return [(tick, f"{tick:.{digits}g}") for tick in ticks]
 
 
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
@@ -135,21 +136,21 @@ def render_plot(x, columns, x_label: str, path: str, title: str) -> None:
             f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" {axis_style}/>\n'
             f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" {axis_style}/>\n'
         )
-        for tick in _ticks(x_lo, x_hi):
+        for tick, label in _ticks(x_lo, x_hi):
             px = sx(tick)
             out.write(
                 f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" '
                 f"{axis_style}/>\n"
                 f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" '
-                f"{text_style}>{tick:g}</text>\n"
+                f"{text_style}>{label}</text>\n"
             )
-        for tick in _ticks(y_lo, y_hi):
+        for tick, label in _ticks(y_lo, y_hi):
             py = sy(tick)
             out.write(
                 f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" '
                 f"{axis_style}/>\n"
                 f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" '
-                f"{text_style}>{tick:g}</text>\n"
+                f"{text_style}>{label}</text>\n"
             )
         out.write(
             f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 10}" text-anchor="middle" '

@@ -6,7 +6,6 @@ summary section so the pass/fail lines survive output capture.
 
 import pytest
 
-import jcdem.entropy
 import jcdem.model
 
 CRITERION_LINES = []
@@ -26,8 +25,9 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def chunk_starts(monkeypatch):
-    """The start of every chunk but the first that the kernels' time_chunks
-    calls hand out during the test, in call order: the real chunk edges."""
+    """The start of every chunk but the first that the kernels' walk,
+    model._walk_times, hands out during the test, in call order: the real
+    chunk edges."""
     starts = []
     original = jcdem.model.time_chunks
 
@@ -36,6 +36,5 @@ def chunk_starts(monkeypatch):
         starts.extend(sl.start for sl in chunks[1:])
         return chunks
 
-    for module in (jcdem.model, jcdem.entropy):
-        monkeypatch.setattr(module, "time_chunks", record)
+    monkeypatch.setattr(jcdem.model, "time_chunks", record)
     return starts

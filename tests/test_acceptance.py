@@ -26,13 +26,14 @@ from oracles import (
     windowed_range,
 )
 
-from jcdem.analysis import revival_analysis, scan_lambda, scan_time
+from jcdem.analysis import revival_analysis, revival_period, scan_lambda, scan_time
 from jcdem.cli import main
 from jcdem.entropy import entropies_at
 from jcdem.model import (
     AtomState,
     FieldConfig,
     ModelParams,
+    closed_form_coeffs,
     evolve_vectors,
 )
 
@@ -167,6 +168,37 @@ def test_criterion_07_monotone_entanglement_across_revivals():
         f"max violation = {worst:.3e} at 21 grid points"
         + (f"; exceeded at {', '.join(bad)}" if bad else ""),
     )
+
+
+# Where the paper's conjecture holds.  Criteria 6 and 7 test m = 5; from
+# m = 20 up the exact degree rises from T1 to T2 to T3 at every lambda0, and
+# below that it fails at the ground-state edge.  The closed form's value at
+# T1/2, near ln 2, is not what the exact dynamics give at any of these m.
+LAMBDA_GRID = np.linspace(0.0, 1.0, 21)
+
+
+@pytest.mark.parametrize("m", [20.0, 50.0, 200.0])
+def test_the_exact_conjecture_holds_with_margin_from_m_20(m):
+    scan = scan_lambda(FieldConfig.from_mean_photons(m), PARAMS, LAMBDA_GRID)
+    d1, d2, d3 = (scan.dem_at_T[k] for k in (1, 2, 3))
+    # measured 0.028, 0.050 and 0.055
+    assert np.minimum(d2 - d1, d3 - d2).min() > 0.02
+    assert scan.conjecture_holds.all()
+
+
+def test_the_exact_conjecture_fails_at_m_2_on_the_ground_edge():
+    scan = scan_lambda(FieldConfig.from_mean_photons(2.0), PARAMS, LAMBDA_GRID)
+    assert scan.lambdas[~scan.conjecture_holds].tolist() == [0.0, 0.05]
+
+
+@pytest.mark.parametrize("m", [20.0, 50.0, 200.0])
+def test_the_closed_form_overstates_the_degree_at_half_the_revival_time(m):
+    field, atom = FieldConfig.from_mean_photons(m), AtomState(0.7)
+    t_half = 0.5 * revival_period(field, PARAMS)
+    closed = closed_form_coeffs(t_half, atom, field, PARAMS).dem
+    exact = entropies_at(atom, field, PARAMS, t_half).dem
+    # measured 0.693 against 0.130, 0.058 and 0.017
+    assert closed - exact > 0.5
 
 
 def test_criterion_08_entropy_triangle_inequalities(scans):

@@ -179,11 +179,12 @@ def test_time_series_validation():
         TimeSeries(times=np.array([0.0, math.nan, 1.0]), columns={})
 
 
-def _oracle_revival(field, params, series):
+def _oracle_revival(m, field, params, series):
     """The detector's pick by brute force: the center in [0.5, 1.5] T1 whose
-    window one dominant Rabi period wide has the largest range."""
+    window one dominant Rabi period, 2 pi / (g sqrt(floor(m) + 1)) at the
+    requested m, wide has the largest range."""
     t1 = revival_period(field, params)
-    width = 2.0 * math.pi / (params.g * math.sqrt(math.floor(field.mean_photons) + 1.0))
+    width = 2.0 * math.pi / (params.g * math.sqrt(math.floor(m) + 1.0))
     times = series.times
     score = windowed_range(times, series.columns["c_exact"], width)
     search = (times >= 0.5 * t1) & (times <= 1.5 * t1)
@@ -201,14 +202,14 @@ def test_revival_detector_matches_the_window_oracle(m, g, t_max, dt):
     field, params = FieldConfig.from_mean_photons(m), ModelParams(g=g)
     series = scan_transition(field, params, t_max, dt)
     detected = revival_analysis(field, params, series).detected_revival
-    assert detected == _oracle_revival(field, params, series)
+    assert detected == _oracle_revival(m, field, params, series)
 
 
 def test_revival_detector_on_a_constant_series_picks_the_first_center():
     times = time_grid(50.0, 0.05)
     series = TimeSeries(times, {"c_exact": np.full(len(times), 0.3)})
     detected = revival_analysis(FIELD, PARAMS, series).detected_revival
-    assert detected == _oracle_revival(FIELD, PARAMS, series)
+    assert detected == _oracle_revival(5.0, FIELD, PARAMS, series)
     assert detected == times[times >= 0.5 * T1_FROZEN][0]
 
 
@@ -289,7 +290,9 @@ def test_revival_requires_series_through_first_revival():
 @pytest.mark.parametrize(
     "m, t_max, dt, period",
     [(1e3, 320.0, 0.1, 0.1986), (200.0, 100.0, 0.25, 0.4432), (5.0, 30.0, 1.5, 2.5651),
-     (5.0, 23.0, 22.0, 2.5651)],
+     (5.0, 23.0, 22.0, 2.5651), (3.0, 30.0, 1.7, 3.1416)],
+    # m = 3's square root squares back to 3 only if rounded up: a floor of
+    # 2.9999999999999996 took the period 2 pi / sqrt(3) = 3.6276 and passed dt = 1.7
 )
 def test_revival_rejects_a_grid_coarser_than_half_the_rabi_period(m, t_max, dt, period):
     # the detector's window would hold one sample, so every amplitude would

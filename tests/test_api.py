@@ -163,3 +163,35 @@ def test_the_package_imports_only_its_declared_dependencies():
             stray += [f"{path.name}: {name}" for name in names
                       if name.split(".")[0] not in allowed]
     assert stray == []
+
+
+def time_chunks_callers(source: str, module: str) -> list[str]:
+    """module.function for each call of time_chunks, by name or attribute,
+    in source, named after the innermost function that makes it."""
+    callers = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = f"{module}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "time_chunks":
+                callers.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), f"{module}.<module>")
+    return callers
+
+
+def test_only_the_time_walk_and_the_plot_call_time_chunks():
+    # the kernels share one walk over time, model._walk_times; render_plot
+    # streams its polylines in chunks of the x values, which are not kernel times
+    callers = sorted(caller for path in PACKAGE.glob("*.py") for caller in
+                     time_chunks_callers(path.read_text(encoding="utf-8"), path.stem))
+    assert callers == ["model._walk_times", "svgplot.render_plot"]
+    probe = ("def kernel(t):\n    def fill(x):\n        return x\n"
+             "    for sl in model.time_chunks(len(t), 4):\n        fill(t[sl])\n"
+             "chunks = time_chunks(3, 1)\n")
+    assert time_chunks_callers(probe, "m") == ["m.kernel", "m.<module>"]

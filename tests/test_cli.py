@@ -1,13 +1,17 @@
 """Tests for argument parsing, the CLI commands, and plot rendering."""
 
 import argparse
+import json
 import math
 import os
 import re
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,9 @@ import jcdem.cli
 from jcdem.analysis import TimeSeries, time_grid
 from jcdem.cli import COMMANDS, build_parser, main, parse_args
 from jcdem.svgplot import _ticks, atomic_writer, render_plot
+
+
+SRC = Path(jcdem.cli.__file__).parents[1]
 
 
 def svg_elements(path, local_name):
@@ -124,6 +131,43 @@ def test_usage_errors_carry_the_model_message(tmp_path, capsys):
     assert main(["transition", "--mean-photons", "1e8", "--out-csv", str(out)]) == 2
     assert "at most 1000000" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Runs each argv of argv[1] through main under a 2 GiB address space, so a
+# dense entropy that slips past the guard fails fast instead of taking the host.
+GUARDED_CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from jcdem.cli import main, parse_args
+runs = []
+for argv in json.loads(sys.argv[1]):
+    start = time.perf_counter()
+    runs.append([main(argv), time.perf_counter() - start])
+width = parse_args(["transition", "--mean-photons", "1e6"]).field.n_levels
+print(json.dumps({"runs": runs, "transition_width": width}))
+"""
+
+
+def test_entropy_commands_refuse_a_time_beyond_the_memory_limit(tmp_path):
+    # one time of the dense entropies holds 80 W^2 bytes: 1579 MiB at m = 1e5
+    # (W = 4550) and 16062 MiB at 1e6 (W = 14510), so both are usage errors,
+    # while transition needs no entropy and keeps m = 1e6
+    argvs = [[cmd, "--mean-photons", m] for cmd in ("scan-time", "scan-lambda")
+             for m in ("1e5", "1e6")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", GUARDED_CHILD, json.dumps(argvs)],
+                           capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert [code for code, _ in report["runs"]] == [2, 2, 2, 2], child.stderr
+    assert max(seconds for _, seconds in report["runs"]) < 1.0
+    assert report["transition_width"] == 14510
+    for size in ("1579 MiB", "16062 MiB"):
+        message = f"one time needs {size} > 1024 MiB: lower --mean-photons or raise --tail-tol"
+        assert child.stderr.count(message) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_states_each_default_the_parser_holds():
@@ -462,15 +506,28 @@ def test_render_plot_widens_a_range_rounding_collapses(tmp_path, x, y, axis, cen
 def test_render_plot_ticks_a_tiny_span(tmp_path):
     # ticks are rounded relative to their step: 12 fixed decimals would
     # make all six on [0, 1e-13] 0.0, drawn at the left edge
-    ticks = _ticks(0.0, 1e-13)
-    assert len(ticks) == 6 and ticks == sorted(set(ticks))
+    ticks, labels = zip(*_ticks(0.0, 1e-13))
+    assert len(ticks) == 6 and list(ticks) == sorted(set(ticks))
     target = tmp_path / "tiny.svg"
     render_plot(np.array([0.0, 1e-13]), {"y": np.array([0.2, 0.4])}, "t",
                 str(target), "tiny")
     x_ticks = [e for e in svg_elements(target, "text")
-               if e.get("text-anchor") == "middle" and e.text in map("{:g}".format, ticks)]
+               if e.get("text-anchor") == "middle" and e.text in labels]
     positions = [float(e.get("x")) for e in x_ticks]
     assert len(positions) == 6 and positions == sorted(set(positions))
+
+
+def test_render_plot_labels_each_tick_of_a_narrow_span_far_from_zero(tmp_path):
+    # "{:g}" labelled all seven x ticks on [1e9, 1e9 + 3e-6] "1e+09"
+    target = tmp_path / "narrow.svg"
+    render_plot(np.array([1e9, 1e9 + 3e-6]), {"y": np.array([0.2, 0.4])}, "t",
+                str(target), "narrow")
+    x_labels = [e.text for e in svg_elements(target, "text")
+                if e.get("text-anchor") == "middle" and e.text not in ("narrow", "t")]
+    assert len(x_labels) == 7 and len(set(x_labels)) == 7
+    assert [float(label) for label in x_labels] == sorted(map(float, x_labels))
+    # the default axes keep "{:g}" labels
+    assert _ticks(0.0, 50.0)[1] == (10.0, "10") and _ticks(0.0, 1.0)[1] == (0.2, "0.2")
 
 
 def test_render_plot_rejects_empty_series(tmp_path):

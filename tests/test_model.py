@@ -200,6 +200,19 @@ def test_field_config_from_mean_photons():
     assert field.tail_tol == DEFAULT_TAIL_TOL
 
 
+def test_mean_photons_never_rounds_below_the_requested_mean():
+    # sqrt(m) squared lands one ulp below m for 218 of the integers 1..1000
+    # (3, 6, 12, 13, ...) unless theta rounds up, and floor(m) then lost a photon
+    rng = np.random.default_rng(26)
+    integers = [*range(10_001), *rng.integers(10_001, 10**6, size=5000, endpoint=True)]
+    for m in integers:
+        assert math.floor(FieldConfig.from_mean_photons(m).mean_photons) == m, m
+    for m in [*integers, *rng.uniform(0.0, 1e6, size=5000)]:
+        field = FieldConfig.from_mean_photons(m)
+        assert field.mean_photons >= m, m
+        assert 0.0 <= field.theta.real - math.sqrt(m) <= math.ulp(math.sqrt(m)), m
+
+
 def test_field_config_validation():
     for tol in (0.0, 1.0, 2.0):
         with pytest.raises(ValueError, match="tail_tol"):
