@@ -100,6 +100,26 @@ def revival_period(field: FieldConfig, params: ModelParams) -> float:
     return 2.0 * math.pi * math.sqrt(field.mean_photons) / params.g
 
 
+def _revival_grid(field: FieldConfig, params: ModelParams,
+                  first: float, last: float, step: float) -> float:
+    """The dominant Rabi period, once a grid from first to last in steps of step
+    covers [0.5, 1] T1, m >= 1 and step is at most half that period; else ValueError."""
+    t1 = revival_period(field, params)
+    if not (first <= 0.5 * t1 and last >= t1):
+        raise ValueError(f"time grid does not cover [{0.5 * t1:.4f}, {t1:.4f}], "
+                         "up to the first revival")
+    width = 2.0 * math.pi / (params.g * math.sqrt(math.floor(field.mean_photons) + 1.0))
+    if width >= t1:
+        raise ValueError(f"mean photon number m = {field.mean_photons:g} has no "
+                         f"revival to detect (dt={step:g})")
+    if 2.0 * step > width:
+        raise ValueError(
+            f"dt={step:g} is more than half the dominant Rabi period {width:.4f}, "
+            "so no detector window holds an oscillation"
+        )
+    return width
+
+
 def scan_time(
     atom: AtomState,
     field: FieldConfig,
@@ -151,19 +171,10 @@ def revival_analysis(
     """
     t1 = revival_period(field, params)
     times = np.asarray(series.times)
-    if len(times) < 2 or times[0] > 0.5 * t1 or times[-1] < t1:
-        raise ValueError(f"series of {len(times)} times does not cover "
-                         f"[{0.5 * t1:.4f}, {t1:.4f}], up to the first revival")
-    step = times[1] - times[0]
-    width = 2.0 * math.pi / (params.g * math.sqrt(math.floor(field.mean_photons) + 1.0))
-    if width >= t1:
-        raise ValueError(f"mean photon number m = {field.mean_photons:g} has no "
-                         f"revival to detect (dt={step:g})")
-    if 2.0 * step > width:
-        raise ValueError(
-            f"dt={step:g} is more than half the dominant Rabi period {width:.4f}, "
-            "so no detector window holds an oscillation"
-        )
+    # fewer than two times span nothing: NaN ends fail the coverage guard
+    first, second, last = times[[0, 1, -1]] if len(times) > 1 else (math.nan,) * 3
+    step = second - first
+    width = _revival_grid(field, params, first, last, step)
     if np.ptp(times - step * np.arange(len(times))) > 1e-6 * step:
         raise ValueError("times must be a uniform grid")
     if not np.isfinite(series.columns["c_exact"]).all():

@@ -17,6 +17,7 @@ from .analysis import (
     MAX_GRID_POINTS,
     REVIVALS,
     _grid_size,
+    _revival_grid,
     revival_analysis,
     revival_period,
     scan_lambda,
@@ -87,8 +88,9 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """Parse flags and validate them by building the model objects, which
     stay on the namespace as params, field and atom for run.
 
-    Any ValueError they, _rotation at --t-max or scan-lambda's T3, or an entropy
-    command's entropies_at on no times raise becomes a usage error, exit code 2.
+    Any ValueError they, _rotation at --t-max or scan-lambda's T3, an entropy
+    command's entropies_at on no times or revival's grid guards raise becomes a
+    usage error, exit code 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -103,12 +105,15 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
         args.params = ModelParams(g=args.g, omega0=args.omega0)
         args.field = FieldConfig.from_mean_photons(args.mean_photons, args.tail_tol)
         args.atom = AtomState(args.lambda0)
-        _grid_size(args.t_max, args.dt)
+        n_times = _grid_size(args.t_max, args.dt)
         t_end = (REVIVALS * revival_period(args.field, args.params)
                  if args.command == "scan-lambda" else args.t_max)
         _rotation(args.field, args.params, t_end)
         if args.command in ("scan-time", "scan-lambda"):  # one time's memory
             entropies_at(args.atom, args.field, args.params, [])
+        if args.command == "revival":  # the grid's own guards, before any scan
+            last = (n_times - 1) * args.dt
+            _revival_grid(args.field, args.params, 0.0, last, args.dt)
     except ValueError as exc:
         parser.error(str(exc))
     return args

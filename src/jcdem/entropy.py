@@ -1,8 +1,8 @@
 """Entropy functionals and the mutual-entropy degree of entanglement.
 
 Von Neumann entropies read only the spectra of states, a whole stack of
-them per eigvalsh call.  entropies_at is the one place the evolved joint
-state and its marginals are formed, all three from the two evolved vectors.
+them per eigvalsh call.  entropies_at alone forms the evolved joint state,
+its atom marginal and the field's Gram, all from the two evolved vectors.
 All entropies are in nats.
 """
 
@@ -72,20 +72,21 @@ def entropies_at(
     For a diagonal atom the joint state is lambda0 |psi_g><psi_g| + lambda1
     |psi_e><psi_e| of the evolve_vectors states on levels n_lo..n_max.  Per
     chunk of times the columns sqrt(lambda0) psi_g and sqrt(lambda1) psi_e
-    form B, shaped (T, 2W, 2): the joint state is B B^dag, and both marginals
-    are contracted from B.  Each kind of matrix takes one eigvalsh call per
-    chunk.  Every field of the report has the shape of t, and al_margins
-    holds two such arrays; a scalar t gives scalars.
+    form B, shaped (T, 2W, 2): the joint state is B B^dag, the atom marginal
+    is contracted from B, and the rank <= 4 field marginal shares its nonzero
+    spectrum with the 4x4 Gram of B's (atom, column) rows.  One eigvalsh call
+    per chunk per kind of matrix.  Every field of the report has the shape
+    of t, and al_margins holds two such arrays; a scalar t gives scalars.
     """
     width = field.n_levels
     weights = np.sqrt([atom.lambda0, atom.lambda1])
     def entropies(times):
         b = np.stack(evolve_vectors(field, params, times), axis=-1)
         b *= weights
-        # B's entries (a, n, k) as rows a by columns (n, k), and n by (a, k)
+        # B's entries (a, n, k) as rows a by columns (n, k), and (a, k) by n
         per_atom = b.reshape(-1, 2, 2 * width)
-        per_field = b.reshape(-1, 2, width, 2).swapaxes(1, 2).reshape(-1, width, 4)
+        per_field = b.reshape(-1, 2, width, 2).swapaxes(2, 3).reshape(-1, 4, width)
         return [_entropies(m @ m.conj().swapaxes(-1, -2))
                 for m in (per_atom, per_field, b)]
-    # each time holds a joint state, (2W)^2 entries, and a field marginal, W^2
-    return EntropyReport(*_walk_times(t, 5 * width**2, 3, entropies))
+    # each time holds a joint state, (2W)^2 entries, and eigvalsh's copy of it
+    return EntropyReport(*_walk_times(t, 8 * width**2, 3, entropies))

@@ -10,6 +10,7 @@ import pytest
 from oracles import marginal_product, propagated_joint, relative_entropy, windowed_range
 
 import jcdem.analysis
+import jcdem.cli
 import jcdem.entropy
 import jcdem.model
 from jcdem.analysis import (
@@ -330,9 +331,45 @@ def test_revival_cli_reports_the_empty_window(tmp_path, capsys):
              (["--mean-photons", "1000", "--t-max", "320", "--dt", "0.1"],
               "half the dominant Rabi period")]
     for flags, message in cases:
-        assert main(["revival", *flags, "--out-csv", str(tmp_path / "r.csv")]) == 1
+        assert main(["revival", *flags, "--out-csv", str(tmp_path / "r.csv")]) == 2
         assert message in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_revival_cli_refuses_its_grid_before_scanning(tmp_path, capsys, monkeypatch):
+    # the grid guards read only the flags: this grid's 100 001 times took
+    # 2.5 s to scan before its step was refused, and the run exited 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series was scanned")
+
+    monkeypatch.setattr(jcdem.cli, "scan_transition", refuse)
+    argv = ["revival", "--mean-photons", "1e4", "--t-max", "5000", "--dt", "0.05",
+            "--out-csv", str(tmp_path / "r.csv")]
+    assert main(argv) == 2
+    assert "dt=0.05 is more than half the dominant Rabi period 0.0628" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "m, t_max, dt",
+    [(5.0, 50.0, 0.05), (5.0, 14.0496, 0.05), (5.0, 14.05, 0.05), (0.5, 50.0, 0.05),
+     (1e3, 320.0, 0.1), (1e3, 320.0, 0.09), (5.0, 23.0, 22.0), (3.0, 30.0, 1.7)],
+    # T1 = 14.04963 at m = 5: the grid to 14.0496 stops at 14.0 and misses it
+)
+def test_revival_cli_and_detector_refuse_the_same_grids(m, t_max, dt, capsys):
+    field = FieldConfig.from_mean_photons(m)
+    try:
+        revival_analysis(field, PARAMS, scan_transition(field, PARAMS, t_max, dt))
+        refused = None
+    except ValueError as exc:
+        refused = str(exc)
+    argv = ["revival", "--mean-photons", str(m), "--t-max", str(t_max), "--dt", str(dt)]
+    if refused is None:
+        assert jcdem.cli.parse_args(argv).command == "revival"
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(f"error: {refused}\n")
 
 
 def test_collapse_amplitude_profile(excited_series):

@@ -133,6 +133,15 @@ def test_usage_errors_carry_the_model_message(tmp_path, capsys):
     assert not out.exists()
 
 
+def _run_child(script, arg, cwd):
+    """Run script with one argument in a fresh interpreter on one BLAS thread."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, arg],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=60)
+
+
 # Runs each argv of argv[1] through main under a 2 GiB address space, so a
 # dense entropy that slips past the guard fails fast instead of taking the host.
 GUARDED_CHILD = """
@@ -149,25 +158,58 @@ print(json.dumps({"runs": runs, "transition_width": width}))
 
 
 def test_entropy_commands_refuse_a_time_beyond_the_memory_limit(tmp_path):
-    # one time of the dense entropies holds 80 W^2 bytes: 1579 MiB at m = 1e5
-    # (W = 4550) and 16062 MiB at 1e6 (W = 14510), so both are usage errors,
+    # one time of the dense entropies holds 128 W^2 bytes: 2527 MiB at m = 1e5
+    # (W = 4550) and 25700 MiB at 1e6 (W = 14510), so both are usage errors,
     # while transition needs no entropy and keeps m = 1e6
     argvs = [[cmd, "--mean-photons", m] for cmd in ("scan-time", "scan-lambda")
              for m in ("1e5", "1e6")]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, "-c", GUARDED_CHILD, json.dumps(argvs)],
-                           capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    child = _run_child(GUARDED_CHILD, json.dumps(argvs), tmp_path)
     assert child.returncode == 0, child.stderr
     report = json.loads(child.stdout)
     assert [code for code, _ in report["runs"]] == [2, 2, 2, 2], child.stderr
     assert max(seconds for _, seconds in report["runs"]) < 1.0
     assert report["transition_width"] == 14510
-    for size in ("1579 MiB", "16062 MiB"):
+    for size in ("2527 MiB", "25700 MiB"):
         message = f"one time needs {size} > 1024 MiB: lower --mean-photons or raise --tail-tol"
         assert child.stderr.count(message) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+# Under the same limit, the rise of the peak RSS while entropies_at takes one
+# time at m = argv[1], after a warm-up, and the bytes the walk's guard counts
+# for that time.
+MEASURED_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import jcdem.model
+from jcdem.entropy import entropies_at
+from jcdem.model import AtomState, FieldConfig, ModelParams
+counted, chunks = [], jcdem.model.time_chunks
+def record(n_times, entries_per_time):
+    counted.append(16 * entries_per_time)
+    return chunks(n_times, entries_per_time)
+jcdem.model.time_chunks = record
+atom, params = AtomState(0.7), ModelParams()
+entropies_at(atom, FieldConfig.from_mean_photons(5.0), params, 1.0)
+field = FieldConfig.from_mean_photons(float(sys.argv[1]))
+entropies_at(atom, field, params, [])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+entropies_at(atom, field, params, 7.0)
+rise = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) << 10
+print(json.dumps({"rise": rise, "counted": counted[-1], "width": field.n_levels}))
+"""
+
+
+def test_memory_guard_counts_the_peak_of_one_time(tmp_path):
+    # one time holds the 2W-dim joint state and eigvalsh's working copy of it,
+    # 128 W^2 bytes: 75 MiB at m = 3e3 (W = 786), which the peak RSS rose by
+    # 1.02x in a measured run; a count of the joint and a W-dim field
+    # marginal alone, 80 W^2 bytes, read 1.62x
+    child = _run_child(MEASURED_CHILD, "3e3", tmp_path)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report["width"] == 786
+    assert report["rise"] <= 1.1 * report["counted"], report
 
 
 def test_help_states_each_default_the_parser_holds():

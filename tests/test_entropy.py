@@ -17,6 +17,7 @@ from oracles import (
     partial_trace,
     propagated_joint,
     relative_entropy,
+    vector_joint,
     von_neumann_entropy,
 )
 
@@ -276,6 +277,31 @@ def test_entropies_at_match_the_dense_oracle(m, lam, t):
     population = np.trace(excited[field.n_max + 1 :, field.n_max + 1 :]).real
     c_exact = closed_form_coeffs(t, atom, field, ModelParams()).c_exact
     assert abs(c_exact - population) <= 1e-10
+
+
+HALF_T1_M50 = math.pi * math.sqrt(50.0)
+
+
+@pytest.mark.parametrize(
+    "m, lam, t",
+    [(5.0, 0.0, 7.0), (5.0, 1.0, 7.0), (50.0, 0.0, 57.0), (50.0, 1.0, 57.0),
+     (5.0, 0.7, 0.0), (50.0, 0.3, 0.0), (0.0, 0.7, 0.0), (0.0, 0.7, 2.0),
+     (50.0, 0.7, HALF_T1_M50), (50.0, 0.7, 0.98 * HALF_T1_M50), (50.0, 0.0, HALF_T1_M50)],
+    ids=["pure-m5-ground", "pure-m5-excited", "pure-m50-ground", "pure-m50-excited",
+         "product-m5", "product-m50", "vacuum-t0", "vacuum", "half-T1-m50",
+         "near-half-T1-m50", "half-T1-m50-pure"],
+)
+def test_field_entropy_matches_the_dense_marginal_where_the_gram_degenerates(m, lam, t):
+    # the field marginal's spectrum comes from a 4x4 Gram, which has zero or
+    # near-zero columns for a pure joint state (lambda0 in {0, 1}), a product
+    # state (t = 0), the vacuum (m = 0) and near T1/2, where the atom is close
+    # to pure
+    field = FieldConfig.from_mean_photons(m)
+    atom = AtomState(lam)
+    report = entropies_at(atom, field, ModelParams(), t)
+    joint = vector_joint(atom, field, ModelParams(), t)
+    marginal = partial_trace(joint, (2, field.n_levels), "field")
+    assert abs(report.s_field - von_neumann_entropy(marginal)) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

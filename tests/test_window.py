@@ -194,9 +194,9 @@ def test_window_holds_over_the_parameter_range(m):
 
 def test_entropies_diagonalise_only_the_window(monkeypatch):
     # a cost guard: at m = 200 the window keeps 209 of the 313 levels, so
-    # the matrices diagonalised are 2W, W and 2 wide, not 626 and 313; and
-    # each chunk of times takes one eigvalsh call per kind of matrix, not
-    # one per time
+    # the matrices diagonalised are the 2W-wide joint state, the field's
+    # 4x4 Gram and the 2x2 atom marginal, none of them W wide; and each chunk
+    # of times takes one eigvalsh call per kind of matrix, not one per time
     field = FieldConfig.from_mean_photons(200.0)
     width = field.n_levels
     assert width == 209
@@ -209,19 +209,19 @@ def test_entropies_diagonalise_only_the_window(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
     entropies_at(ATOM, field, PARAMS, 7.0)
-    assert sorted((s[-1] for s in shapes), reverse=True) == [2 * width, width, 2]
+    assert sorted((s[-1] for s in shapes), reverse=True) == [2 * width, 4, 2]
     shapes.clear()
     cli_grid = np.arange(1001) * 0.05
     entropies_at(ATOM, FieldConfig.from_mean_photons(5.0), PARAMS, cli_grid)
-    # a chunk counts each time's joint state and field marginal, (2W)^2 + W^2
-    # entries: 24 times of the m = 5 grid, so 42 chunks
-    assert len(shapes) == 3 * 42
+    # a chunk counts each time's joint state and eigvalsh's copy of it,
+    # 2 (2W)^2 entries: 15 times of the m = 5 grid, so 67 chunks
+    assert len(shapes) == 3 * 67
     assert sum(s[0] for s in shapes) == 3 * 1001
 
 
 def test_entropies_chunk_stays_within_the_chunk_budget():
-    # a chunk counts each time's joint state and field marginal, so on the
-    # m = 5 CLI grid its stacks stay within CHUNK_ELEMENTS complex entries
+    # a chunk counts each time's joint state and eigvalsh's copy of it, so on
+    # the m = 5 CLI grid its stacks stay within CHUNK_ELEMENTS complex entries
     field = FieldConfig.from_mean_photons(5.0)
     entropies_at(ATOM, field, PARAMS, 0.0)
     tracemalloc.start()
