@@ -206,8 +206,11 @@ def scan_lambda(
     if lambdas.ndim != 1 or len(lambdas) == 0:
         raise ValueError("lambda grid must be nonempty and 1-D, "
                          f"got shape {lambdas.shape}")
-    if list(k_list) != sorted(set(k_list)) or min(k_list, default=0) < 1:
-        raise ValueError(f"k_list must be strictly increasing positive, got {k_list}")
+    # only whole k name revival times, which conjecture_holds compares
+    if (not all(isinstance(k, (int, np.integer)) for k in k_list)
+            or list(k_list) != sorted(set(k_list)) or min(k_list, default=0) < 1):
+        raise ValueError("k_list must be strictly increasing positive integers, "
+                         f"got {k_list}")
     times = revival_period(field, params) * np.asarray(k_list, dtype=float)
     dem = np.array([
         entropies_at(AtomState(float(lam)), field, params, times).dem

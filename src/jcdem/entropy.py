@@ -1,9 +1,15 @@
 """Entropy functionals and the mutual-entropy degree of entanglement.
 
 Von Neumann entropies read only the spectra of states, a whole stack of
-them per eigvalsh call.  entropies_at alone forms the evolved joint state,
-its atom marginal and the field's Gram, all from the two evolved vectors.
+them per eigvalsh call.  entropies_at alone evolves the state: it writes
+the weighted amplitudes of both starts into one array per chunk of times
+and reads the joint state, its atom marginal and the field's Gram from it.
 All entropies are in nats.
+
+Basis ordering (single source of truth for every joint operator):
+    index = atom_index * W + (n - n_lo),   W = n_max - n_lo + 1
+with atom_index 0 the ground level |1> and 1 the excited level |2>,
+and n = n_lo..n_max the photon number.
 """
 
 from __future__ import annotations
@@ -12,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    AtomState,
-    FieldConfig,
-    ModelParams,
-    _walk_times,
-    _xlogx,
-    evolve_vectors,
-)
+from .model import AtomState, FieldConfig, ModelParams, _rotation, _walk_times, _xlogx
 
 # A state with an eigenvalue below -NEGATIVE_EIG_TOL is invalid.
 NEGATIVE_EIG_TOL = 1e-10
@@ -70,23 +69,36 @@ def entropies_at(
     """Entropies and DEM of the evolved joint state at a scalar or array of times.
 
     For a diagonal atom the joint state is lambda0 |psi_g><psi_g| + lambda1
-    |psi_e><psi_e| of the evolve_vectors states on levels n_lo..n_max.  Per
-    chunk of times the columns sqrt(lambda0) psi_g and sqrt(lambda1) psi_e
-    form B, shaped (T, 2W, 2): the joint state is B B^dag, the atom marginal
-    is contracted from B, and the rank <= 4 field marginal shares its nonzero
-    spectrum with the 4x4 Gram of B's (atom, column) rows.  One eigvalsh call
-    per chunk per kind of matrix.  Every field of the report has the shape
-    of t, and al_margins holds two such arrays; a scalar t gives scalars.
+    |psi_e><psi_e|, psi_g and psi_e the interaction-picture states evolved
+    from |1,theta> and |2,theta> on levels n_lo..n_max (the free phases are
+    a local unitary no entropy sees).  Each doublet {|2,n>, |1,n+1>} rotates
+    by _rotation's cos and sin of g sqrt(n+1) t; the edges |1,n_lo> and
+    |2,n_max>, whose partners lie outside the window, stay put (at n_lo = 0
+    the lower edge |1,0> is exact).  Per chunk of T times the amplitudes
+    sqrt(lambda_k) psi_k[a, n] fill b, shaped (T, 2, W, 2) by time, atom
+    level a, photon n - n_lo and start k: the joint state is B B^dag with
+    B = b as (T, 2W, 2), the atom marginal is contracted from b as
+    (T, 2, 2W), and the rank <= 4 field marginal shares its nonzero spectrum
+    with the 4x4 Gram of b's (a, k) rows.  One eigvalsh call per chunk per
+    kind of matrix.  Every field of the report has the shape of t, and
+    al_margins holds two such arrays; a scalar t gives scalars.
     """
-    width = field.n_levels
+    width, amps = field.n_levels, field.amplitudes
     weights = np.sqrt([atom.lambda0, atom.lambda1])
     def entropies(times):
-        b = np.stack(evolve_vectors(field, params, times), axis=-1)
+        cos, sin = (part[:, :-1] for part in _rotation(field, params, times))
+        off = -1j * sin
+        b = np.zeros((len(times), 2, width, 2), dtype=complex)
+        b[:, 0, 0, 0] = amps[0]
+        b[:, 0, 1:, 0] = cos * amps[1:]
+        b[:, 1, :-1, 0] = off * amps[1:]
+        b[:, 0, 1:, 1] = off * amps[:-1]
+        b[:, 1, :-1, 1] = cos * amps[:-1]
+        b[:, 1, -1, 1] = amps[-1]
         b *= weights
-        # B's entries (a, n, k) as rows a by columns (n, k), and (a, k) by n
         per_atom = b.reshape(-1, 2, 2 * width)
-        per_field = b.reshape(-1, 2, width, 2).swapaxes(2, 3).reshape(-1, 4, width)
+        per_field = b.swapaxes(2, 3).reshape(-1, 4, width)
         return [_entropies(m @ m.conj().swapaxes(-1, -2))
-                for m in (per_atom, per_field, b)]
+                for m in (per_atom, per_field, b.reshape(-1, 2 * width, 2))]
     # each time holds a joint state, (2W)^2 entries, and eigvalsh's copy of it
     return EntropyReport(*_walk_times(t, 8 * width**2, 3, entropies))

@@ -7,12 +7,8 @@ evolved analytically per 2x2 dressed doublet, so evolution is exact up to
 the photon-space truncation, which is controlled by a Poisson tail tolerance.
 
 Only the photon levels n_lo..n_max that the coherent field occupies above
-the tail tolerance are kept; FieldConfig derives both edges.
-
-Basis ordering (single source of truth for every joint operator):
-    index = atom_index * W + (n - n_lo),   W = n_max - n_lo + 1
-with atom_index 0 the ground level |1> and 1 the excited level |2>,
-and n = n_lo..n_max the photon number.
+the tail tolerance are kept; FieldConfig derives both edges.  The joint
+basis order is set where the evolved states are formed, in entropy.py.
 """
 
 from __future__ import annotations
@@ -267,8 +263,10 @@ def _window(mean_photons: float, tail_tol: float) -> tuple[int, np.ndarray]:
 
 
 def _rotation(field: FieldConfig, params: ModelParams, t) -> tuple[np.ndarray, ...]:
-    """(cos, sin) of g sqrt(n+1) t on n_lo..n_max, each shaped t.shape + (W,).  Checked
-    in Python floats first: ValueError unless 2 g sqrt(n_max + 1) max|t| is finite."""
+    """(cos, sin) of g sqrt(n+1) t on n_lo..n_max, each shaped t.shape + (W,): the Rabi
+    rotation of each doublet {|2,n>, |1,n+1>}, for entropies_at's evolved states and
+    closed_form_coeffs' sums.  Checked in Python floats first: ValueError unless
+    2 g sqrt(n_max + 1) max|t| is finite."""
     t_abs = float(np.abs(t).max(initial=0.0))
     if not math.isfinite(2.0 * (params.g * math.sqrt(field.n_max + 1.0) * t_abs)):
         raise ValueError("times must be finite, and so must the phase 2 g sqrt(n_max"
@@ -276,35 +274,6 @@ def _rotation(field: FieldConfig, params: ModelParams, t) -> tuple[np.ndarray, .
     omega = params.g * np.sqrt(np.arange(field.n_lo, field.n_max + 1) + 1.0)
     phase = np.multiply.outer(t, omega)
     return np.cos(phase), np.sin(phase)
-
-
-def evolve_vectors(
-    field: FieldConfig, params: ModelParams, t
-) -> tuple[np.ndarray, np.ndarray]:
-    """exp(+i t H0) U(t) |1,theta> and |2,theta>: interaction-picture states.
-
-    The free Hamiltonian H0 commutes with the coupling on resonance, so its
-    phases are a local unitary that no entropy or population can see, and
-    they are left out.  t is a scalar or an array of times; each state is
-    shaped t.shape + (2 W,), W = n_max - n_lo + 1, in the module's basis
-    order.  Each doublet {|2,n>, |1,n+1>} rotates at Omega_n = g sqrt(n+1);
-    the two edges |1,n_lo> and |2,n_max>, whose partners lie outside the
-    window, stay put (at n_lo = 0 the lower edge |1,0> is exact).  It gets
-    a long grid from entropies_at one _walk_times chunk at a time; the
-    transition columns need no state vector and come from closed_form_coeffs.
-    """
-    width, amps = field.n_levels, field.amplitudes
-    cos, sin = (part[..., :-1] for part in _rotation(field, params, t))
-    off = -1j * sin
-    psi_g = np.zeros(cos.shape[:-1] + (2 * width,), dtype=complex)
-    psi_e = np.zeros_like(psi_g)
-    psi_g[..., 0] = amps[0]
-    psi_g[..., 1:width] = cos * amps[1:]
-    psi_g[..., width:-1] = off * amps[1:]
-    psi_e[..., 1:width] = off * amps[:-1]
-    psi_e[..., width:-1] = cos * amps[:-1]
-    psi_e[..., -1] = amps[-1]
-    return psi_g, psi_e
 
 
 def closed_form_coeffs(
@@ -321,7 +290,7 @@ def closed_form_coeffs(
     The Poisson sums run over the kept levels n_lo..n_max, never
     renormalized.  c_exact = sum_{n<n_max} |a_n|^2 cos^2(Omega_n t) +
     |a_{n_max}|^2, with the renormalized amplitudes a_n, is the same sum as
-    the truncated evolution gives it: evolve_vectors holds |2,n_max> still.
+    the truncated evolution gives it: entropies_at holds |2,n_max> still.
     """
     w = field.weights
     # |a_n|^2; all but the edge |2,n_max> rotate, and it keeps its own

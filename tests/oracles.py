@@ -6,18 +6,20 @@ exponential by scaling and squaring instead of analytic phases, and Poisson
 terms by the recursion p_{n+1} = p_n m / (n + 1) instead of from log-space
 weights.  The dense joint-space path (the block-diagonal propagator
 conjugating the full product density matrix) is the package's former
-evolution path, kept here as the reference for the two-vector kernel.
+evolution path, kept here as the reference for entropies_at's evolution.
 Likewise partial_trace and dem_exact are the package's former entropy
 path: they take any dense bipartite state, check that it is Hermitian and
-trace out each factor, where entropies_at contracts its marginals from the
-two evolved vectors.  Their entropies come from von_neumann_entropy here,
-with its own eigenvalue cut, not from the package's spectrum-to-entropy
-code.  The full eigensystem and the relative entropy are only needed by
-these checks.  vector_joint alone is not independent: it assembles the
-dense joint state from the package's own evolved vectors, for tests of
-those vectors.  full_range_vectors is the two-vector kernel
-on every level 0..n_max, the reference for the package's photon window
-n_lo..n_max; it evolves whatever amplitudes it is given.
+trace out each factor, where entropies_at reads its marginals from one
+array of evolved amplitudes.  Their entropies come from
+von_neumann_entropy here, with its own eigenvalue cut, not from the
+package's spectrum-to-entropy code.  The full eigensystem and the relative entropy are only needed by
+these checks.  full_range_vectors evolves the two starts |1,theta> and
+|2,theta> per dressed doublet from whatever amplitudes it is given, on
+every level 0..n_max by default: the reference for the package's photon
+window n_lo..n_max.  evolve_vectors runs it on that window, the states
+entropies_at forms internally, and vector_joint assembles their dense
+joint state; none of the three uses package evolution code, only the
+FieldConfig's window and amplitudes.
 excited_population and atom_coherence write the atom's populations and
 coherence as Poisson sums, term by term, both exactly and under the
 substitutions that give the paper's closed form.  windowed_range is the
@@ -31,7 +33,6 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from jcdem import EntropyReport
-from jcdem.model import evolve_vectors
 
 # Probability mass sigma may place outside rho's support before the
 # relative entropy is declared infinite.
@@ -70,8 +71,8 @@ def free_evolution(t: float, omega0: float, n_max: int) -> np.ndarray:
     """exp(+i t H0) for the free Hamiltonian H0 = dense_hamiltonian(0, omega0, n_max).
 
     H0 is diagonal, so its exponential is taken entry by entry.  It takes
-    a Schroedinger-picture state to the interaction picture the package's
-    evolve_vectors works in.
+    a Schroedinger-picture state to the interaction picture evolve_vectors
+    and the package's entropies_at work in.
     """
     return np.diag(np.exp(1j * t * np.diag(dense_hamiltonian(0.0, omega0, n_max)).real))
 
@@ -229,27 +230,32 @@ def propagated_joint(atom, field, params, t: float) -> np.ndarray:
     return u @ initial_joint_state(atom, field) @ u.conj().T
 
 
-def full_range_vectors(amps, params, t) -> tuple[np.ndarray, np.ndarray]:
-    """evolve_vectors on every photon level 0..n_max from the amplitudes
-    amps of levels 0..n_max, ignoring any photon window.
+def full_range_vectors(amps, params, t, n_lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """exp(+i t H0) U(t) |1,theta> and |2,theta> from the amplitudes amps of
+    levels n_lo..n_max, ignoring any photon window (n_lo = 0 by default).
 
-    Each state is shaped t.shape + (2 (n_max + 1),), index
-    atom * (n_max + 1) + n; |1,0> and the edge |2,n_max> stay put.
+    Each state is shaped t.shape + (2 W,), W = len(amps), index
+    atom * W + (n - n_lo); |1,n_lo> and the edge |2,n_max> stay put.
     """
     t = np.asarray(t, dtype=float)
-    n_max = len(amps) - 1
-    rabi_t = params.g * np.sqrt(np.arange(1.0, n_max + 1)) * t[..., None]
+    width = len(amps)
+    rabi_t = params.g * np.sqrt(np.arange(n_lo + 1.0, n_lo + width)) * t[..., None]
     diag = np.cos(rabi_t)
     off = -1j * np.sin(rabi_t)
-    psi_g = np.zeros(t.shape + (2 * (n_max + 1),), dtype=complex)
+    psi_g = np.zeros(t.shape + (2 * width,), dtype=complex)
     psi_e = np.zeros_like(psi_g)
     psi_g[..., 0] = amps[0]
-    psi_g[..., 1 : n_max + 1] = diag * amps[1:]
-    psi_g[..., n_max + 1 : -1] = off * amps[1:]
-    psi_e[..., 1 : n_max + 1] = off * amps[:-1]
-    psi_e[..., n_max + 1 : -1] = diag * amps[:-1]
+    psi_g[..., 1:width] = diag * amps[1:]
+    psi_g[..., width:-1] = off * amps[1:]
+    psi_e[..., 1:width] = off * amps[:-1]
+    psi_e[..., width:-1] = diag * amps[:-1]
     psi_e[..., -1] = amps[-1]
     return psi_g, psi_e
+
+
+def evolve_vectors(field, params, t) -> tuple[np.ndarray, np.ndarray]:
+    """full_range_vectors on the field's window n_lo..n_max, from its amplitudes."""
+    return full_range_vectors(field.amplitudes, params, t, field.n_lo)
 
 
 def excited_population(
@@ -297,8 +303,8 @@ def atom_coherence(
 
 
 def vector_joint(atom, field, params, t: float) -> np.ndarray:
-    """lambda0 |psi_g><psi_g| + lambda1 |psi_e><psi_e| of the package's
-    evolve_vectors states at one time, as a dense matrix."""
+    """lambda0 |psi_g><psi_g| + lambda1 |psi_e><psi_e| of the evolve_vectors
+    states at one time, as a dense matrix."""
     psi_g, psi_e = evolve_vectors(field, params, float(t))
     return atom.lambda0 * np.outer(psi_g, psi_g.conj()) + atom.lambda1 * np.outer(
         psi_e, psi_e.conj()

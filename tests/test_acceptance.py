@@ -17,6 +17,7 @@ from oracles import (
     coherent_amplitudes,
     dem_exact,
     dense_hamiltonian,
+    evolve_vectors,
     expm_taylor,
     free_evolution,
     marginal_product,
@@ -26,7 +27,13 @@ from oracles import (
     windowed_range,
 )
 
-from jcdem.analysis import revival_analysis, revival_period, scan_lambda, scan_time
+from jcdem.analysis import (
+    revival_analysis,
+    revival_period,
+    scan_lambda,
+    scan_time,
+    scan_transition,
+)
 from jcdem.cli import main
 from jcdem.entropy import entropies_at
 from jcdem.model import (
@@ -34,7 +41,6 @@ from jcdem.model import (
     FieldConfig,
     ModelParams,
     closed_form_coeffs,
-    evolve_vectors,
 )
 
 FIELD = FieldConfig.from_mean_photons(5.0)
@@ -199,6 +205,44 @@ def test_the_closed_form_overstates_the_degree_at_half_the_revival_time(m):
     exact = entropies_at(atom, field, PARAMS, t_half).dem
     # measured 0.693 against 0.130, 0.058 and 0.017
     assert closed - exact > 0.5
+
+
+# Large-m asymptotics, beside criteria 6 and 7 and without the paper's closed
+# form, at m where the dense joint state is cheap (under 0.5 s a set).  Below
+# m = 50 the detector's error is not yet monotone (0.041 at m = 5, 0.049 at 20).
+ASYMPTOTIC_M = (50.0, 200.0, 1e3)
+
+
+def test_the_atom_nears_a_pure_state_at_half_the_revival_time():
+    # Gea-Banacloche: at T1/2 = pi sqrt(m) / g the excited-start atom is
+    # nearly pure, so the degree falls like a power of m; measured 0.0560,
+    # 0.0170 and 0.00409, with log-log slopes -0.86 and -0.88
+    dem = []
+    for m in ASYMPTOTIC_M:
+        field = FieldConfig.from_mean_photons(m)
+        t_half = 0.5 * revival_period(field, PARAMS)
+        dem.append(entropies_at(AtomState(0.0), field, PARAMS, t_half).dem)
+    assert np.abs(np.divide(dem, [0.0560, 0.0170, 0.00409]) - 1.0).max() <= 0.01
+    assert np.all(np.diff(dem) < 0.0)
+    slopes = np.diff(np.log(dem)) / np.diff(np.log(ASYMPTOTIC_M))
+    assert np.all((-1.1 <= slopes) & (slopes <= -0.7)), slopes
+
+
+def test_the_detected_revival_approaches_the_first_revival_time():
+    # Eberly, Narozhny and Sanchez-Mondragon: the revival centres on
+    # T1 = 2 pi sqrt(m) / g; the detector, on a grid of one eighth of the
+    # dominant Rabi period to 1.5 T1, misses it by 2.97e-2, 1.62e-2 and
+    # 7.50e-3 of T1
+    errors = []
+    for m in ASYMPTOTIC_M:
+        field = FieldConfig.from_mean_photons(m)
+        t1 = revival_period(field, PARAMS)
+        dt = 2.0 * math.pi / (PARAMS.g * math.sqrt(math.floor(m) + 1.0)) / 8.0
+        series = scan_transition(field, PARAMS, 1.5 * t1, dt)
+        detected = revival_analysis(field, PARAMS, series).detected_revival
+        errors.append(abs(detected - t1) / t1)
+    assert np.all(np.diff(errors) < 0.0), errors
+    assert np.all(np.array(errors) <= [0.035, 0.020, 0.010]), errors
 
 
 def test_criterion_08_entropy_triangle_inequalities(scans):

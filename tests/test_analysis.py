@@ -434,11 +434,23 @@ def test_scan_lambda_validation():
         scan_lambda(FIELD, PARAMS, [0.0, 1.0], k_list=(2, 1))
     with pytest.raises(ValueError):
         scan_lambda(FIELD, PARAMS, [0.0, 1.0], k_list=(0, 1))
+    # dem_at_T[1.5] would be the degree at 1.5 T1, which is no revival time,
+    # yet conjecture_holds would compare it as one
+    for k_list in ((1.5, 2), (1, 2.0), (1, np.float64(3.0))):
+        with pytest.raises(ValueError, match="strictly increasing positive integers"):
+            scan_lambda(FIELD, PARAMS, [0.3, 0.7], k_list=k_list)
 
 
 def test_scan_lambda_rejects_an_empty_k_list():
     with pytest.raises(ValueError, match="k_list must be strictly increasing positive"):
         scan_lambda(FIELD, PARAMS, [0.0, 1.0], k_list=())
+
+
+def test_scan_lambda_accepts_numpy_integer_revival_indices():
+    scan = scan_lambda(FIELD, PARAMS, [0.3, 0.7], k_list=np.array([1, 3]))
+    expected = scan_lambda(FIELD, PARAMS, [0.3, 0.7], k_list=(1, 3))
+    for k in (1, 3):
+        assert np.array_equal(scan.dem_at_T[k], expected.dem_at_T[k])
 
 
 def test_lambda_scan_validation():

@@ -137,8 +137,8 @@ def forbidden_references(source: str) -> list[str]:
 
 def test_oracles_reach_no_private_or_entropy_code():
     # the oracles check the package, so they may not share its private
-    # helpers or any of its entropy code; evolve_vectors is public, and
-    # vector_joint is documented as not independent
+    # helpers or any of its entropy code; evolve_vectors and vector_joint
+    # evolve their own states from FieldConfig's window and amplitudes
     assert forbidden_references(ORACLES.read_text(encoding="utf-8")) == []
     probe = "from jcdem.model import _xlogx\nimport jcdem.entropy\njcdem.model._window\n"
     assert forbidden_references(probe) == [

@@ -14,14 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import atom_coherence, excited_population, poisson_terms
+from oracles import atom_coherence, evolve_vectors, excited_population, poisson_terms
 
 from jcdem.model import (
     AtomState,
     FieldConfig,
     ModelParams,
     closed_form_coeffs,
-    evolve_vectors,
 )
 
 LAMBDA0 = 0.3

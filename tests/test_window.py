@@ -12,10 +12,14 @@ from hypothesis import strategies as st
 from oracles import (
     coherent_amplitudes,
     dem_exact,
+    evolve_vectors,
     full_range_vectors,
+    partial_trace,
     poisson_lower_tail,
     poisson_tail,
     poisson_terms,
+    vector_joint,
+    von_neumann_entropy,
 )
 
 from jcdem.analysis import revival_period, scan_transition
@@ -27,7 +31,6 @@ from jcdem.model import (
     FieldConfig,
     ModelParams,
     closed_form_coeffs,
-    evolve_vectors,
 )
 
 PARAMS = ModelParams()
@@ -64,12 +67,15 @@ def test_window_frozen_values(m, n_lo, n_max):
 
 def test_default_field_keeps_every_level():
     # at the CLI default m = 5 the window is all of 0..n_max, so the
-    # defaults run the full-range arithmetic unchanged
+    # defaults run the full-range evolution unchanged
     field = FieldConfig.from_mean_photons(5.0)
-    assert field.n_lo == 0
-    psi_g, psi_e = evolve_vectors(field, PARAMS, [0.0, 3.3, 14.05])
-    ref_g, ref_e = full_range_vectors(field.amplitudes, PARAMS, [0.0, 3.3, 14.05])
-    assert np.array_equal(psi_g, ref_g) and np.array_equal(psi_e, ref_e)
+    assert (field.n_lo, field.n_levels) == (0, field.n_max + 1)
+    times = np.array([0.0, 3.3, 14.05])
+    window = entropies_at(ATOM, field, PARAMS, times)
+    for i, t in enumerate(times):
+        full = full_range_point(ATOM, field, t)[0]
+        for name in ("s_atom", "s_field", "s_joint", "dem"):
+            assert abs(getattr(window, name)[i] - getattr(full, name)) <= 1e-12
 
 
 def test_n_lo_is_derived_and_read_only():
@@ -98,6 +104,27 @@ def test_window_matches_the_full_range_reference(m):
             assert abs(getattr(window, name)[i] - getattr(full, name)) <= 1e-12, (
                 name, t)
         assert abs(excited_weight(field, t) - c_full) <= 1e-12
+
+
+def test_complex_theta_on_a_window_above_the_vacuum():
+    # entropies_at applies the window's phases e^{i n arg theta} from n_lo
+    # upward; they are local unitaries, so the entropies are those of the
+    # real amplitude and of the oracle's own evolution of the complex one
+    field = FieldConfig(theta=math.sqrt(50.0) * np.exp(0.4j))
+    real = FieldConfig(theta=complex(math.sqrt(50.0)))
+    assert (field.n_lo, field.n_max) == (real.n_lo, real.n_max) == (4, 112)
+    times = np.array([0.0, 7.3, 0.5 * revival_period(field, PARAMS)])
+    report = entropies_at(ATOM, field, PARAMS, times)
+    phase_free = entropies_at(ATOM, real, PARAMS, times)
+    dims = (2, field.n_levels)
+    for i, t in enumerate(times):
+        joint = vector_joint(ATOM, field, PARAMS, t)
+        oracle = [von_neumann_entropy(partial_trace(joint, dims, keep))
+                  for keep in ("atom", "field")] + [von_neumann_entropy(joint)]
+        for name, value in zip(("s_atom", "s_field", "s_joint"), oracle):
+            assert abs(getattr(report, name)[i] - value) <= 1e-12, (name, t)
+            assert abs(getattr(report, name)[i] - getattr(phase_free, name)[i]) <= 1e-12
+    assert np.abs(report.dem - phase_free.dem).max() <= 1e-12
 
 
 def test_window_matches_the_full_range_closed_and_exact_c_at_m_1e3():
