@@ -206,8 +206,9 @@ def scan_lambda(
     if lambdas.ndim != 1 or len(lambdas) == 0:
         raise ValueError("lambda grid must be nonempty and 1-D, "
                          f"got shape {lambdas.shape}")
-    # only whole k name revival times, which conjecture_holds compares
-    if (not all(isinstance(k, (int, np.integer)) for k in k_list)
+    # only whole k, never a bool, name revival times, which conjecture_holds compares
+    whole = [isinstance(k, (int, np.integer)) and type(k) is not bool for k in k_list]
+    if (not all(whole)
             or list(k_list) != sorted(set(k_list)) or min(k_list, default=0) < 1):
         raise ValueError("k_list must be strictly increasing positive integers, "
                          f"got {k_list}")

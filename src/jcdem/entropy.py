@@ -2,8 +2,9 @@
 
 Von Neumann entropies read only the spectra of states, a whole stack of
 them per eigvalsh call.  entropies_at alone evolves the state: it writes
-the weighted amplitudes of both starts into one array per chunk of times
-and reads the joint state, its atom marginal and the field's Gram from it.
+the weighted amplitudes of both starts into one array per chunk of times,
+reads the joint state and the field's Gram from it, and the atom marginal
+from that Gram.
 All entropies are in nats.
 
 Basis ordering (single source of truth for every joint operator):
@@ -77,10 +78,10 @@ def entropies_at(
     the lower edge |1,0> is exact).  Per chunk of T times the amplitudes
     sqrt(lambda_k) psi_k[a, n] fill b, shaped (T, 2, W, 2) by time, atom
     level a, photon n - n_lo and start k: the joint state is B B^dag with
-    B = b as (T, 2W, 2), the atom marginal is contracted from b as
-    (T, 2, 2W), and the rank <= 4 field marginal shares its nonzero spectrum
-    with the 4x4 Gram of b's (a, k) rows.  One eigvalsh call per chunk per
-    kind of matrix.  Every field of the report has the shape of t, and
+    B = b as (T, 2W, 2), the rank <= 4 field marginal shares its nonzero
+    spectrum with the 4x4 Gram of b's (a, k) rows, and the atom marginal is
+    that Gram's partial trace over k.  One eigvalsh call per chunk per kind
+    of matrix.  Every field of the report has the shape of t, and
     al_margins holds two such arrays; a scalar t gives scalars.
     """
     width, amps = field.n_levels, field.amplitudes
@@ -96,9 +97,9 @@ def entropies_at(
         b[:, 1, :-1, 1] = cos * amps[:-1]
         b[:, 1, -1, 1] = amps[-1]
         b *= weights
-        per_atom = b.reshape(-1, 2, 2 * width)
-        per_field = b.swapaxes(2, 3).reshape(-1, 4, width)
-        return [_entropies(m @ m.conj().swapaxes(-1, -2))
-                for m in (per_atom, per_field, b.reshape(-1, 2 * width, 2))]
+        gram, joint = (m @ m.conj().swapaxes(-1, -2) for m in (
+            b.swapaxes(2, 3).reshape(-1, 4, width), b.reshape(-1, 2 * width, 2)))
+        atom_marginal = gram[:, ::2, ::2] + gram[:, 1::2, 1::2]
+        return [_entropies(m) for m in (atom_marginal, gram, joint)]
     # each time holds a joint state, (2W)^2 entries, and eigvalsh's copy of it
     return EntropyReport(*_walk_times(t, 8 * width**2, 3, entropies))

@@ -283,34 +283,28 @@ def closed_form_coeffs(
 
     With Omega_n = g sqrt(n+1) and the Poisson weights p_n,
     c(t) = sum_n p_n cos^2(Omega_n t) is the excited-start survival
-    probability and s(t) = sum_n p_n sin^2(Omega_n t).
+    probability and s(t) = sum_n p_n sin^2(Omega_n t) = sum_n p_n - c(t).
     e1 = lambda0*s + lambda1*c and e4 = lambda0*c + lambda1*s weight the
     excited and ground levels; the off-diagonal magnitude is
     |e2| = |e3| = (1/2) |lambda1 - lambda0| |sum_n p_n sin(2 Omega_n t)|.
     The Poisson sums run over the kept levels n_lo..n_max, never
-    renormalized.  c_exact = sum_{n<n_max} |a_n|^2 cos^2(Omega_n t) +
-    |a_{n_max}|^2, with the renormalized amplitudes a_n, is the same sum as
-    the truncated evolution gives it: entropies_at holds |2,n_max> still.
+    renormalized.  c_exact = (c + p_{n_max} sin^2(Omega_{n_max} t)) / sum_n p_n
+    is c on the renormalized window with the edge |2,n_max> held still, the
+    same sum as the truncated evolution gives it (entropies_at).
     """
     w = field.weights
-    # |a_n|^2; all but the edge |2,n_max> rotate, and it keeps its own
-    pops = np.abs(field.amplitudes) ** 2
     def sums(times):
         cos, sin = _rotation(field, params, times)
-        cos2 = cos**2
-        return (
-            cos2 @ w,
-            sin**2 @ w,
-            2.0 * ((sin * cos) @ w),
-            cos2[:, :-1] @ pops[:-1] + pops[-1],
-        )
+        return cos**2 @ w, 2.0 * ((sin * cos) @ w), sin[:, -1] ** 2
     # each time holds the W cosines, sines, cos^2 and one W-wide product
-    c, s, sin2, c_exact = _walk_times(t, 4 * len(w), 4, sums)
+    c, sin2, edge_sin2 = _walk_times(t, 4 * len(w), 3, sums)
+    total = w.sum()
+    s = total - c
     return ClosedFormCoeffs(
         s=s,
         c=c,
         e1=atom.lambda0 * s + atom.lambda1 * c,
         e4=atom.lambda0 * c + atom.lambda1 * s,
         e2_mag=0.5 * abs(atom.lambda1 - atom.lambda0) * np.abs(sin2),
-        c_exact=c_exact,
+        c_exact=(c + w[-1] * edge_sin2) / total,
     )

@@ -18,8 +18,8 @@ these checks.  full_range_vectors evolves the two starts |1,theta> and
 every level 0..n_max by default: the reference for the package's photon
 window n_lo..n_max.  evolve_vectors runs it on that window, the states
 entropies_at forms internally, and vector_joint assembles their dense
-joint state; none of the three uses package evolution code, only the
-FieldConfig's window and amplitudes.
+joint state; none of the three uses package evolution code or weights,
+only the FieldConfig's theta and window edges.
 excited_population and atom_coherence write the atom's populations and
 coherence as Poisson sums, term by term, both exactly and under the
 substitutions that give the paper's closed form.  windowed_range is the
@@ -254,8 +254,10 @@ def full_range_vectors(amps, params, t, n_lo: int = 0) -> tuple[np.ndarray, np.n
 
 
 def evolve_vectors(field, params, t) -> tuple[np.ndarray, np.ndarray]:
-    """full_range_vectors on the field's window n_lo..n_max, from its amplitudes."""
-    return full_range_vectors(field.amplitudes, params, t, field.n_lo)
+    """full_range_vectors on the field's window n_lo..n_max, from
+    coherent_amplitudes there, not the package's weights."""
+    amps = coherent_amplitudes(field.theta, field.n_max, field.n_lo)
+    return full_range_vectors(amps, params, t, field.n_lo)
 
 
 def excited_population(

@@ -435,8 +435,9 @@ def test_scan_lambda_validation():
     with pytest.raises(ValueError):
         scan_lambda(FIELD, PARAMS, [0.0, 1.0], k_list=(0, 1))
     # dem_at_T[1.5] would be the degree at 1.5 T1, which is no revival time,
-    # yet conjecture_holds would compare it as one
-    for k_list in ((1.5, 2), (1, 2.0), (1, np.float64(3.0))):
+    # yet conjecture_holds would compare it as one; a bool is an int in
+    # Python but names no revival
+    for k_list in ((1.5, 2), (1, 2.0), (1, np.float64(3.0)), (True, 2), (np.True_, 2)):
         with pytest.raises(ValueError, match="strictly increasing positive integers"):
             scan_lambda(FIELD, PARAMS, [0.3, 0.7], k_list=k_list)
 

@@ -135,14 +135,25 @@ def forbidden_references(source: str) -> list[str]:
         part == "entropy" or part.startswith("_") for part in ref.split(".")[1:])]
 
 
+def weight_reads(source: str) -> list[str]:
+    """Each .amplitudes or .weights attribute that source reads."""
+    return [node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in ("amplitudes", "weights")]
+
+
 def test_oracles_reach_no_private_or_entropy_code():
     # the oracles check the package, so they may not share its private
-    # helpers or any of its entropy code; evolve_vectors and vector_joint
-    # evolve their own states from FieldConfig's window and amplitudes
-    assert forbidden_references(ORACLES.read_text(encoding="utf-8")) == []
+    # helpers, any of its entropy code or its Poisson weights; evolve_vectors
+    # and vector_joint evolve their own states from FieldConfig's theta and
+    # window edges
+    source = ORACLES.read_text(encoding="utf-8")
+    assert forbidden_references(source) == []
+    assert weight_reads(source) == []
     probe = "from jcdem.model import _xlogx\nimport jcdem.entropy\njcdem.model._window\n"
     assert forbidden_references(probe) == [
         "jcdem.model._xlogx", "jcdem.entropy", "jcdem.model._window"]
+    assert weight_reads("a = field.amplitudes\nfield.weights[0]\n") == [
+        "amplitudes", "weights"]
 
 
 def test_the_package_imports_only_its_declared_dependencies():
