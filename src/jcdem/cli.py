@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
+from os.path import realpath
 from typing import Optional, Sequence
 
 import numpy as np
@@ -99,7 +99,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
                      f"got {args.lambda_points}")
     if "" in (args.out_csv, args.out_svg):
         parser.error("--out-csv and --out-svg need a non-empty path")
-    if args.out_svg and os.path.abspath(args.out_svg) == os.path.abspath(args.out_csv):
+    if args.out_svg and realpath(args.out_svg) == realpath(args.out_csv):
         parser.error(f"--out-csv and --out-svg name the same file: {args.out_csv}")
     try:
         args.params = ModelParams(g=args.g, omega0=args.omega0)

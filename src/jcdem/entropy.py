@@ -55,8 +55,8 @@ class EntropyReport:
 
     @property
     def dem(self) -> float:
-        """S(rho_A) + S(rho_F) - S(rho), the upper Araki-Lieb margin."""
-        return self.s_atom + self.s_field - self.s_joint
+        """S(rho_A) + S(rho_F) - S(rho) clipped at 0; al_margins keeps it raw."""
+        return np.maximum(self.s_atom + self.s_field - self.s_joint, 0.0)[()]
 
     @property
     def araki_lieb_ok(self) -> bool:
@@ -71,8 +71,9 @@ def entropies_at(
 
     For a diagonal atom the joint state is lambda0 |psi_g><psi_g| + lambda1
     |psi_e><psi_e|, psi_g and psi_e the interaction-picture states evolved
-    from |1,theta> and |2,theta> on levels n_lo..n_max (the free phases are
-    a local unitary no entropy sees).  Each doublet {|2,n>, |1,n+1>} rotates
+    from |1,theta> and |2,theta> on levels n_lo..n_max, as sqrt(p_n)
+    renormalized there (the free phases and theta's phase are local unitaries
+    no entropy sees; see FieldConfig).  Each doublet {|2,n>, |1,n+1>} rotates
     by _rotation's cos and sin of g sqrt(n+1) t; the edges |1,n_lo> and
     |2,n_max>, whose partners lie outside the window, stay put (at n_lo = 0
     the lower edge |1,0> is exact).  Per chunk of T times the amplitudes
@@ -84,7 +85,8 @@ def entropies_at(
     of matrix.  Every field of the report has the shape of t, and
     al_margins holds two such arrays; a scalar t gives scalars.
     """
-    width, amps = field.n_levels, field.amplitudes
+    width, amps = field.n_levels, np.sqrt(field.weights)
+    amps /= np.linalg.norm(amps)
     weights = np.sqrt([atom.lambda0, atom.lambda1])
     def entropies(times):
         cos, sin = (part[:, :-1] for part in _rotation(field, params, times))

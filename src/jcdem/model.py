@@ -88,8 +88,9 @@ class AtomState:
 class FieldConfig:
     """Coherent field amplitude theta and the Poisson tail tolerance.
 
-    The kept levels n_lo..n_max, their Poisson weights (both from _window)
-    and the coherent amplitudes on them are derived and read-only.
+    The kept levels n_lo..n_max and their Poisson weights (both from _window)
+    are derived and read-only.  No output reads arg theta: e^{i arg(theta) N},
+    N = a^dag a + sigma+ sigma-, is a local unitary commuting with the coupling.
     """
 
     theta: complex
@@ -133,16 +134,6 @@ class FieldConfig:
     def n_max(self) -> int:
         """Highest kept photon level, n_lo + W - 1."""
         return self.n_lo + self.n_levels - 1
-
-    @functools.cached_property
-    def amplitudes(self) -> np.ndarray:
-        """Amplitudes sqrt(p_n) e^{i n arg theta} of |theta> on n_lo..n_max,
-        renormalized there."""
-        n = np.arange(self.n_lo, self.n_max + 1)
-        amps = np.sqrt(self.weights) * np.exp(1j * np.angle(self.theta) * n)
-        amps /= np.linalg.norm(amps)
-        amps.flags.writeable = False
-        return amps
 
 
 def _xlogx(x) -> np.ndarray:

@@ -123,6 +123,16 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_symlink_naming_the_csv_as_the_svg_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "d")
+    argv = ["transition", "--out-csv", str(tmp_path / "d" / "out.csv"),
+            "--out-svg", str(tmp_path / "link" / "out.csv")]
+    assert main(argv) == 2
+    assert "name the same file" in capsys.readouterr().err
+    assert list((tmp_path / "d").iterdir()) == []
+
+
 def test_usage_errors_carry_the_model_message(tmp_path, capsys):
     assert main(["scan-time", "--mean-photons", "nan"]) == 2
     assert "mean_photons must be finite and nonnegative" in capsys.readouterr().err

@@ -21,8 +21,8 @@ from oracles import (
     von_neumann_entropy,
 )
 
-from jcdem.analysis import revival_period
-from jcdem.entropy import AL_SLACK, _entropies, entropies_at
+from jcdem.analysis import revival_period, scan_time
+from jcdem.entropy import AL_SLACK, EntropyReport, _entropies, entropies_at
 from jcdem.model import (
     AtomState,
     ClosedFormCoeffs,
@@ -108,6 +108,20 @@ def test_dem_of_product_state_is_zero():
     report = dem_exact(joint, (2, 3))
     assert abs(report.dem) <= 1e-10
     assert report.araki_lieb_ok
+
+
+def test_dem_is_clipped_at_zero_and_its_margin_kept_raw():
+    # at t = 0 the state is a product, where rounding left the unclipped sum
+    # at -1.1e-16 (m = 50) and one row of the m = 200 scan below zero
+    field = FieldConfig.from_mean_photons(50.0)
+    assert entropies_at(AtomState(0.4), field, ModelParams(), 0.0).dem == 0.0
+    series = scan_time(AtomState(0.7), FieldConfig.from_mean_photons(200.0),
+                       ModelParams(), 100.0, 5.0)
+    assert np.all(series.columns["dem_exact"] >= 0.0)
+    # a real Araki-Lieb violation still shows in the raw margin
+    report = EntropyReport(s_atom=0.1, s_field=0.2, s_joint=0.5)
+    assert report.dem == 0.0 and report.al_margins[1] == pytest.approx(-0.2)
+    assert not report.araki_lieb_ok
 
 
 def test_dem_of_pure_entangled_state_doubles_marginal_entropy():

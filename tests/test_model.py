@@ -98,9 +98,7 @@ def test_truncation_dim_tail_actually_below_tol():
 def test_truncation_holds_over_the_parameter_range(m, tol):
     field = FieldConfig.from_mean_photons(m, tol)
     assert poisson_tail(m, field.n_max) < tol
-    amps = field.amplitudes
-    assert np.all(np.isfinite(amps))
-    assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
+    assert np.all(np.isfinite(field.weights))
     c0 = closed_form_coeffs(0.0, AtomState(0.0), field, ModelParams()).c
     # c(0) is the kept Poisson mass, 1 - tail, and the weights carry no
     # error that grows with m
@@ -116,12 +114,12 @@ def test_truncation_holds_over_the_parameter_range(m, tol):
 def test_window_is_computed_once_per_mean_and_tolerance():
     _window.cache_clear()
     field = FieldConfig.from_mean_photons(1e5)
-    # both window edges, the weights and the amplitudes read one cached pass
-    assert len(field.amplitudes) == field.n_levels == field.n_max - field.n_lo + 1
+    # both window edges and the weights read one cached pass
+    assert len(field.weights) == field.n_levels == field.n_max - field.n_lo + 1
     assert _window.cache_info().misses == 1
     FieldConfig.from_mean_photons(1e5).n_max
     assert _window.cache_info().misses == 1
-    FieldConfig.from_mean_photons(1e5, 1e-9).amplitudes
+    FieldConfig.from_mean_photons(1e5, 1e-9).weights
     assert _window.cache_info().misses == 2
     assert not field.weights.flags.writeable
 
@@ -132,7 +130,7 @@ def test_window_pass_peaks_below_16_mb_at_m_1e6():
     _window.cache_clear()
     tracemalloc.start()
     try:
-        FieldConfig.from_mean_photons(1e6).amplitudes
+        FieldConfig.from_mean_photons(1e6).weights
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -177,10 +175,20 @@ def test_coherent_state_vacuum_projector():
 
 
 def test_coherent_amplitudes_normalized():
-    field = FieldConfig(theta=math.sqrt(5.0) * np.exp(0.3j))
-    amps = field.amplitudes
-    assert np.isclose(np.linalg.norm(amps), 1.0, atol=1e-14)
-    assert np.abs(amps - coherent_amplitudes(field.theta, field.n_max)).max() <= 1e-15
+    # the oracle's |a_n|^2 are the window's renormalized weights (measured to
+    # 1.4e-16 for m from 5 to 1e6), and at complex theta its amplitudes carry
+    # e^{i n arg theta}, the phase the package drops (see FieldConfig); the
+    # 1e-14 allows for |theta|^2 rounding away from m by up to ~1e-12
+    for m in (5.0, 200.0, 1e4, 1e6):
+        field = FieldConfig.from_mean_photons(m)
+        real = coherent_amplitudes(field.theta, field.n_max, field.n_lo)
+        window = field.weights / field.weights.sum()
+        assert np.abs(np.abs(real) ** 2 - window).max() <= 1.4e-16, m
+        theta = field.theta * np.exp(0.3j)
+        amps = coherent_amplitudes(theta, field.n_max, field.n_lo)
+        assert abs(np.linalg.norm(amps) - 1.0) <= 1e-14, m
+        phase = np.exp(1j * np.angle(theta) * np.arange(field.n_lo, field.n_max + 1))
+        assert np.abs(amps - real * phase).max() <= 1e-14, m
 
 
 def test_coherent_state_purity_and_mean():

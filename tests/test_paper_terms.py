@@ -43,7 +43,7 @@ def test_term_sums_match_the_evolved_vectors(m):
     params = ModelParams(g=1.3)
     field = FieldConfig.from_mean_photons(m)
     width = field.n_levels
-    p = padded(np.abs(field.amplitudes) ** 2, field)
+    p = padded(field.weights / field.weights.sum(), field)
     for t in sample_times(m, params.g):
         psi_g, psi_e = evolve_vectors(field, params, t)
         population = LAMBDA0 * np.sum(np.abs(psi_g[width:]) ** 2) + (
