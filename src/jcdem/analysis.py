@@ -96,7 +96,7 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
 
 
 def revival_period(field: FieldConfig, params: ModelParams) -> float:
-    """First revival time 2*pi*|theta|/g."""
+    """First revival time 2*pi*sqrt(m)/g."""
     return 2.0 * math.pi * math.sqrt(field.mean_photons) / params.g
 
 

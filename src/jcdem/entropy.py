@@ -71,10 +71,10 @@ def entropies_at(
 
     For a diagonal atom the joint state is lambda0 |psi_g><psi_g| + lambda1
     |psi_e><psi_e|, psi_g and psi_e the interaction-picture states evolved
-    from |1,theta> and |2,theta> on levels n_lo..n_max, as sqrt(p_n)
-    renormalized there (the free phases and theta's phase are local unitaries
-    no entropy sees; see FieldConfig).  Each doublet {|2,n>, |1,n+1>} rotates
-    by _rotation's cos and sin of g sqrt(n+1) t; the edges |1,n_lo> and
+    from |1,theta> and |2,theta>, theta = sqrt(m), on levels n_lo..n_max, as
+    sqrt(p_n) renormalized there (the free phases are local unitaries no
+    entropy sees).  Each doublet {|2,n>, |1,n+1>} rotates by _rotation's
+    cos and sin of g sqrt(n+1) t; the edges |1,n_lo> and
     |2,n_max>, whose partners lie outside the window, stay put (at n_lo = 0
     the lower edge |1,0> is exact).  Per chunk of T times the amplitudes
     sqrt(lambda_k) psi_k[a, n] fill b, shaped (T, 2, W, 2) by time, atom

@@ -19,7 +19,10 @@ every level 0..n_max by default: the reference for the package's photon
 window n_lo..n_max.  evolve_vectors runs it on that window, the states
 entropies_at forms internally, and vector_joint assembles their dense
 joint state; none of the three uses package evolution code or weights,
-only the FieldConfig's theta and window edges.
+only the FieldConfig's mean photon number and window edges.  Where a phase
+is under test, the caller passes it: coherent_amplitudes, evolve_vectors
+and vector_joint take theta = sqrt(m) e^{i phase} as m and phase, so
+|theta|^2 is m exactly, as the package's is.
 excited_population and atom_coherence write the atom's populations and
 coherence as Poisson sums, term by term, both exactly and under the
 substitutions that give the paper's closed form.  windowed_range is the
@@ -170,19 +173,19 @@ def poisson_terms(mean_photons: float, n_max: int) -> np.ndarray:
     return terms[: n_max + 1] / math.fsum(terms)
 
 
-def coherent_amplitudes(theta: complex, n_max: int, n_lo: int = 0) -> np.ndarray:
-    """Amplitudes of |theta> on levels n_lo..n_max from poisson_terms,
-    renormalized there."""
+def coherent_amplitudes(
+    mean_photons: float, n_max: int, n_lo: int = 0, phase: float = 0.0
+) -> np.ndarray:
+    """Amplitudes sqrt(p_n) e^{i n phase} of |theta>, theta = sqrt(m) e^{i phase},
+    on levels n_lo..n_max from poisson_terms, renormalized there."""
     n = np.arange(n_lo, n_max + 1)
-    amps = np.sqrt(poisson_terms(abs(theta) ** 2, n_max)[n_lo:]) * np.exp(
-        1j * np.angle(theta) * n
-    )
+    amps = np.sqrt(poisson_terms(mean_photons, n_max)[n_lo:]) * np.exp(1j * phase * n)
     return amps / np.linalg.norm(amps)
 
 
-def coherent_state(theta: complex, n_max: int) -> np.ndarray:
-    """Rank-1 density matrix of the truncated coherent state."""
-    amps = coherent_amplitudes(theta, n_max)
+def coherent_state(mean_photons: float, n_max: int) -> np.ndarray:
+    """Rank-1 density matrix of the truncated coherent state |sqrt(m)>."""
+    amps = coherent_amplitudes(mean_photons, n_max)
     return np.outer(amps, amps.conj())
 
 
@@ -193,7 +196,7 @@ def atom_matrix(atom) -> np.ndarray:
 
 def initial_joint_state(atom, field) -> np.ndarray:
     """Product state atom (x) field in the joint basis ordering."""
-    return np.kron(atom_matrix(atom), coherent_state(field.theta, field.n_max))
+    return np.kron(atom_matrix(atom), coherent_state(field.mean_photons, field.n_max))
 
 
 def propagator(t: float, params, n_max: int) -> np.ndarray:
@@ -253,10 +256,10 @@ def full_range_vectors(amps, params, t, n_lo: int = 0) -> tuple[np.ndarray, np.n
     return psi_g, psi_e
 
 
-def evolve_vectors(field, params, t) -> tuple[np.ndarray, np.ndarray]:
+def evolve_vectors(field, params, t, phase: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """full_range_vectors on the field's window n_lo..n_max, from
-    coherent_amplitudes there, not the package's weights."""
-    amps = coherent_amplitudes(field.theta, field.n_max, field.n_lo)
+    coherent_amplitudes there at the given phase, not the package's weights."""
+    amps = coherent_amplitudes(field.mean_photons, field.n_max, field.n_lo, phase)
     return full_range_vectors(amps, params, t, field.n_lo)
 
 
@@ -304,10 +307,10 @@ def atom_coherence(
     return 1j * math.fsum(pair * terms)
 
 
-def vector_joint(atom, field, params, t: float) -> np.ndarray:
+def vector_joint(atom, field, params, t: float, phase: float = 0.0) -> np.ndarray:
     """lambda0 |psi_g><psi_g| + lambda1 |psi_e><psi_e| of the evolve_vectors
     states at one time, as a dense matrix."""
-    psi_g, psi_e = evolve_vectors(field, params, float(t))
+    psi_g, psi_e = evolve_vectors(field, params, float(t), phase)
     return atom.lambda0 * np.outer(psi_g, psi_g.conj()) + atom.lambda1 * np.outer(
         psi_e, psi_e.conj()
     )

@@ -144,8 +144,8 @@ def weight_reads(source: str) -> list[str]:
 def test_oracles_reach_no_private_or_entropy_code():
     # the oracles check the package, so they may not share its private
     # helpers, any of its entropy code or its Poisson weights; evolve_vectors
-    # and vector_joint evolve their own states from FieldConfig's theta and
-    # window edges
+    # and vector_joint evolve their own states from FieldConfig's mean photon
+    # number and window edges
     source = ORACLES.read_text(encoding="utf-8")
     assert forbidden_references(source) == []
     assert weight_reads(source) == []
@@ -157,26 +157,21 @@ def test_oracles_reach_no_private_or_entropy_code():
 
 
 def phase_reads(source: str) -> list[str]:
-    """Each .angle or .theta attribute that source reads outside
-    FieldConfig.mean_photons."""
-    tree = ast.parse(source)
-    modulus = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
-               and cls.name == "FieldConfig" for fn in cls.body
-               if isinstance(fn, ast.FunctionDef) and fn.name == "mean_photons"
-               for node in ast.walk(fn)}
-    return [node.attr for node in ast.walk(tree) if id(node) not in modulus
-            and isinstance(node, ast.Attribute) and node.attr in ("angle", "theta")]
+    """Each .angle or .theta attribute that source reads."""
+    return [node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in ("angle", "theta")]
 
 
 def test_the_package_reads_theta_only_for_its_modulus():
-    # no output depends on arg theta (FieldConfig), so the package reads theta
-    # only as |theta|^2 and never takes a phase with np.angle
+    # no output depends on arg theta, so the package knows theta only through
+    # its modulus: FieldConfig stores m = |theta|^2 itself, and no code takes
+    # a phase with np.angle or reads a theta, in FieldConfig or elsewhere
     reads = {path.name: phase_reads(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: found for name, found in reads.items() if found} == {}
     probe = ("z = field.theta\nnp.angle(z)\nclass FieldConfig:\n"
              "    def mean_photons(self):\n        return abs(self.theta) ** 2\n")
-    assert phase_reads(probe) == ["theta", "angle"]
+    assert phase_reads(probe) == ["theta", "angle", "theta"]
 
 
 def test_the_package_imports_only_its_declared_dependencies():

@@ -111,10 +111,11 @@ def test_dem_of_product_state_is_zero():
 
 
 def test_dem_is_clipped_at_zero_and_its_margin_kept_raw():
-    # at t = 0 the state is a product, where rounding left the unclipped sum
-    # at -1.1e-16 (m = 50) and one row of the m = 200 scan below zero
-    field = FieldConfig.from_mean_photons(50.0)
-    assert entropies_at(AtomState(0.4), field, ModelParams(), 0.0).dem == 0.0
+    # at t = 0 the state is a product, where rounding leaves the unclipped
+    # sum at -4.4e-16 at the CLI defaults (m = 5, lambda0 = 0.7)
+    field = FieldConfig.from_mean_photons(5.0)
+    product = entropies_at(AtomState(0.7), field, ModelParams(), 0.0)
+    assert product.al_margins[1] < 0.0 and product.dem == 0.0
     series = scan_time(AtomState(0.7), FieldConfig.from_mean_photons(200.0),
                        ModelParams(), 100.0, 5.0)
     assert np.all(series.columns["dem_exact"] >= 0.0)
@@ -342,7 +343,7 @@ def test_entropies_hold_their_identities_up_to_m_200(log_m, g, lam, revivals):
     assert min(report.al_margins) >= -AL_SLACK
     assert abs(closed_form_coeffs(0.0, atom, field, params).c_exact - 1.0) <= 1e-15
     p = np.zeros(field.n_max + 1)
-    amps = coherent_amplitudes(field.theta, field.n_max, field.n_lo)
+    amps = coherent_amplitudes(field.mean_photons, field.n_max, field.n_lo)
     p[field.n_lo :] = np.abs(amps) ** 2
     excited = excited_population(p, lam, g, t)
     coherence = atom_coherence(p, lam, g, t)

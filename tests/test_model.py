@@ -162,7 +162,7 @@ def test_poisson_weights_match_direct_formula():
 
 
 def test_poisson_weights_vacuum():
-    w = FieldConfig(theta=0.0).weights
+    w = FieldConfig(0.0).weights
     assert len(w) == GUARD_LEVELS + 1
     assert w[0] == 1.0 and np.all(w[1:] == 0.0)
 
@@ -176,24 +176,22 @@ def test_coherent_state_vacuum_projector():
 
 def test_coherent_amplitudes_normalized():
     # the oracle's |a_n|^2 are the window's renormalized weights (measured to
-    # 1.4e-16 for m from 5 to 1e6), and at complex theta its amplitudes carry
-    # e^{i n arg theta}, the phase the package drops (see FieldConfig); the
-    # 1e-14 allows for |theta|^2 rounding away from m by up to ~1e-12
+    # 1.4e-16 for m from 5 to 1e6), and at theta = sqrt(m) e^{0.3i} its
+    # amplitudes carry e^{0.3 i n}, a phase FieldConfig has no field for
     for m in (5.0, 200.0, 1e4, 1e6):
         field = FieldConfig.from_mean_photons(m)
-        real = coherent_amplitudes(field.theta, field.n_max, field.n_lo)
+        real = coherent_amplitudes(m, field.n_max, field.n_lo)
         window = field.weights / field.weights.sum()
         assert np.abs(np.abs(real) ** 2 - window).max() <= 1.4e-16, m
-        theta = field.theta * np.exp(0.3j)
-        amps = coherent_amplitudes(theta, field.n_max, field.n_lo)
+        amps = coherent_amplitudes(m, field.n_max, field.n_lo, phase=0.3)
         assert abs(np.linalg.norm(amps) - 1.0) <= 1e-14, m
-        phase = np.exp(1j * np.angle(theta) * np.arange(field.n_lo, field.n_max + 1))
+        phase = np.exp(0.3j * np.arange(field.n_lo, field.n_max + 1))
         assert np.abs(amps - real * phase).max() <= 1e-14, m
 
 
 def test_coherent_state_purity_and_mean():
     field = default_field()
-    omega = coherent_state(field.theta, field.n_max)
+    omega = coherent_state(field.mean_photons, field.n_max)
     purity = np.trace(omega @ omega).real
     assert purity >= 1.0 - 2.0 * field.tail_tol
     mean = np.sum(np.arange(field.n_max + 1) * np.diag(omega).real)
@@ -203,28 +201,25 @@ def test_coherent_state_purity_and_mean():
 def test_field_config_from_mean_photons():
     field = default_field()
     assert field.n_max == 32
-    assert np.isclose(field.theta, math.sqrt(5.0))
-    assert np.isclose(field.mean_photons, 5.0)
+    assert field.mean_photons == 5.0
     assert field.tail_tol == DEFAULT_TAIL_TOL
 
 
-def test_mean_photons_never_rounds_below_the_requested_mean():
-    # sqrt(m) squared lands one ulp below m for 218 of the integers 1..1000
-    # (3, 6, 12, 13, ...) unless theta rounds up, and floor(m) then lost a photon
+def test_mean_photons_is_stored_exactly():
+    # FieldConfig stores m itself, not sqrt(m), whose square misses m by an
+    # ulp for 218 of the integers 1..1000 (3, 6, 12, 13, ...); floor(m), which
+    # sets revival's Rabi period, is then exact
     rng = np.random.default_rng(26)
     integers = [*range(10_001), *rng.integers(10_001, 10**6, size=5000, endpoint=True)]
-    for m in integers:
-        assert math.floor(FieldConfig.from_mean_photons(m).mean_photons) == m, m
     for m in [*integers, *rng.uniform(0.0, 1e6, size=5000)]:
         field = FieldConfig.from_mean_photons(m)
-        assert field.mean_photons >= m, m
-        assert 0.0 <= field.theta.real - math.sqrt(m) <= math.ulp(math.sqrt(m)), m
+        assert field.mean_photons == m and field == FieldConfig(m), m
 
 
 def test_field_config_validation():
     for tol in (0.0, 1.0, 2.0):
         with pytest.raises(ValueError, match="tail_tol"):
-            FieldConfig(theta=0.0, tail_tol=tol)
+            FieldConfig(0.0, tail_tol=tol)
     with pytest.raises(ValueError):
         FieldConfig.from_mean_photons(-1.0)
 
@@ -234,18 +229,17 @@ def test_field_config_rejects_non_finite_mean(m):
     with pytest.raises(ValueError, match="finite"):
         FieldConfig.from_mean_photons(m)
     with pytest.raises(ValueError, match="finite"):
-        FieldConfig(theta=complex(m))
+        FieldConfig(m)
 
 
 def test_field_config_bounds_the_mean():
     # construction alone builds no Poisson table, so the edge costs nothing
     edge = FieldConfig.from_mean_photons(MAX_MEAN_PHOTONS)
     assert edge.mean_photons == MAX_MEAN_PHOTONS == 1e6
-    assert FieldConfig(theta=1000.0j).mean_photons == MAX_MEAN_PHOTONS
     with pytest.raises(ValueError, match="at most 1000000"):
         FieldConfig.from_mean_photons(2e6)
     with pytest.raises(ValueError, match="at most 1000000"):
-        FieldConfig(theta=1e4 * (0.6 + 0.8j))
+        FieldConfig(math.nextafter(MAX_MEAN_PHOTONS, math.inf))
 
 
 def test_atom_state():
@@ -367,14 +361,15 @@ def test_propagator_exact_block_structure():
 @pytest.mark.parametrize("omega0", [0.0, 1.0, 5.0])
 def test_evolve_vectors_match_the_dense_propagator(omega0):
     # at tail_tol = 0.99 the levels are 0..5, and m = 3 puts p_5 = 0.10 on
-    # the edge level |2,5>
-    field = FieldConfig(theta=math.sqrt(3.0) * np.exp(0.4j), tail_tol=0.99)
+    # the edge level |2,5>; the oracle evolves the complex amplitudes of
+    # theta = sqrt(3) e^{0.4i}
+    field = FieldConfig(3.0, tail_tol=0.99)
     assert (field.n_lo, field.n_max) == (0, 5)
     params = ModelParams(g=0.9, omega0=omega0)
-    amps = coherent_amplitudes(field.theta, 5)
+    amps = coherent_amplitudes(3.0, 5, phase=0.4)
     starts = (np.kron([1.0, 0.0], amps), np.kron([0.0, 1.0], amps))
     times = np.array([0.0, 0.37, 5.0, 17.7, 50.0])
-    vectors = evolve_vectors(field, params, times)
+    vectors = evolve_vectors(field, params, times, phase=0.4)
     assert all(psi.shape == (5, 12) for psi in vectors)
     assert abs(vectors[1][-1, -1]) > 0.1
     for i, t in enumerate(times):
@@ -437,8 +432,8 @@ def test_evolve_t0_is_product_state():
     field = default_field()
     atom = AtomState.from_ground_weight(0.7)
     joint = vector_joint(atom, field, ModelParams(), 0.0)
-    expected = np.kron(atom_matrix(atom), coherent_state(field.theta, field.n_max))
-    assert np.abs(joint - expected).max() <= 1e-14
+    omega = coherent_state(field.mean_photons, field.n_max)
+    assert np.abs(joint - np.kron(atom_matrix(atom), omega)).max() <= 1e-14
 
 
 def test_evolve_preserves_trace():

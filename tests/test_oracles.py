@@ -33,7 +33,7 @@ def test_tensor_product_matches_index_formula():
     field = FieldConfig.from_mean_photons(1.0)
     na = field.n_max + 1
     rho_a = atom_matrix(atom)
-    omega = coherent_state(field.theta, field.n_max)
+    omega = coherent_state(field.mean_photons, field.n_max)
     joint = initial_joint_state(atom, field)
     expected = np.empty((2 * na, 2 * na), dtype=complex)
     for i in range(2):
