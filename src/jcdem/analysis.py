@@ -121,11 +121,7 @@ def _revival_grid(field: FieldConfig, params: ModelParams,
 
 
 def scan_time(
-    atom: AtomState,
-    field: FieldConfig,
-    params: ModelParams,
-    t_max: float,
-    dt: float,
+    atom: AtomState, field: FieldConfig, params: ModelParams, t_max: float, dt: float
 ) -> TimeSeries:
     """Exact pipeline and closed forms sampled on a uniform time grid.
 
@@ -134,7 +130,7 @@ def scan_time(
     lambda1 = 1.  The entropies are entropies_at's over the grid.
     """
     times = time_grid(t_max, dt)
-    coeffs = closed_form_coeffs(times, atom, field, params)
+    coeffs = closed_form_coeffs(atom, field, params, times)
     report = entropies_at(atom, field, params, times)
     columns = (coeffs.c, coeffs.c_exact, report.dem, coeffs.dem,
                report.s_atom, report.s_field, report.s_joint)
@@ -151,7 +147,7 @@ def scan_transition(
     memory stays bounded on long grids.
     """
     times = time_grid(t_max, dt)
-    coeffs = closed_form_coeffs(times, AtomState(0.0), field, params)
+    coeffs = closed_form_coeffs(AtomState(0.0), field, params, times)
     return TimeSeries(times, {"c_closed": coeffs.c, "c_exact": coeffs.c_exact})
 
 
@@ -194,9 +190,7 @@ def revival_analysis(
 
 
 def scan_lambda(
-    field: FieldConfig,
-    params: ModelParams,
-    lambda_grid,
+    field: FieldConfig, params: ModelParams, lambda_grid,
     k_list: tuple[int, ...] = tuple(range(1, REVIVALS + 1)),
 ) -> LambdaScan:
     """Entanglement degree at the revival times T_k over a lambda0 grid,

@@ -103,7 +103,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
         parser.error(f"--out-csv and --out-svg name the same file: {args.out_csv}")
     try:
         args.params = ModelParams(g=args.g, omega0=args.omega0)
-        args.field = FieldConfig.from_mean_photons(args.mean_photons, args.tail_tol)
+        args.field = FieldConfig(args.mean_photons, args.tail_tol)
         args.atom = AtomState(args.lambda0)
         n_times = _grid_size(args.t_max, args.dt)
         t_end = (REVIVALS * revival_period(args.field, args.params)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AtomState, FieldConfig, ModelParams, _rotation, _walk_times, _xlogx
+from .model import (EIG_CLIP, AtomState, FieldConfig, ModelParams, _rotation,
+                    _walk_times, _xlogx)
 
 # A state with an eigenvalue below -NEGATIVE_EIG_TOL is invalid.
 NEGATIVE_EIG_TOL = 1e-10
@@ -28,12 +29,16 @@ AL_SLACK = 1e-8
 
 def _entropies(rho):
     """-tr(rho ln rho) of each matrix in a (..., d, d) stack, from one eigvalsh
-    call on its lower triangles; zero exactly on pure states."""
+    call on its lower triangles.  The eigenvalues above EIG_CLIP, renormalized to
+    unit trace, make a pure state's exactly 1, so its entropy is exactly +0.0."""
     eigs = np.linalg.eigvalsh(rho)
     lowest = eigs.min(initial=0.0)
     if lowest < -NEGATIVE_EIG_TOL:
         raise ValueError(f"state has negative eigenvalue {lowest:.3e}")
-    return np.maximum(-np.sum(_xlogx(eigs), axis=-1), 0.0)[()]
+    eigs = np.where(eigs > EIG_CLIP, eigs, 0.0)
+    probs = eigs / eigs.sum(axis=-1, keepdims=True)
+    # 0.0 - x, unlike -x, turns a zero sum into +0.0
+    return (0.0 - np.sum(_xlogx(probs), axis=-1))[()]
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ class AtomState:
 
     @classmethod
     def from_ground_weight(cls, lambda0: float) -> "AtomState":
-        """AtomState(lambda0); bench/workloads.py calls it until ROADMAP item 2."""
+        """AtomState(lambda0), for the bench alone; ROADMAP items 1 and 15 delete it."""
         return cls(lambda0)
 
     @property
@@ -100,7 +100,8 @@ class FieldConfig:
     def from_mean_photons(
         cls, mean_photons: float, tail_tol: float = DEFAULT_TAIL_TOL
     ) -> "FieldConfig":
-        """FieldConfig(mean_photons, tail_tol), as the CLI and the bench spell it."""
+        """FieldConfig(mean_photons, tail_tol), for the bench alone; ROADMAP items 1
+        and 15 delete it."""
         return cls(mean_photons, tail_tol)
 
     @property
@@ -268,7 +269,7 @@ def _rotation(field: FieldConfig, params: ModelParams, t) -> tuple[np.ndarray, .
 
 
 def closed_form_coeffs(
-    t, atom: AtomState, field: FieldConfig, params: ModelParams
+    atom: AtomState, field: FieldConfig, params: ModelParams, t
 ) -> ClosedFormCoeffs:
     """Analytic entangled-state coefficients at a scalar or array of times.
 

@@ -32,7 +32,7 @@ from jcdem.model import AtomState, FieldConfig, ModelParams, closed_form_coeffs
 T1_FROZEN = 14.049629462081453  # 2*pi*sqrt(5)
 BINARY_ENTROPY_07 = 0.6108643020548935
 
-FIELD = FieldConfig.from_mean_photons(5.0)
+FIELD = FieldConfig(5.0)
 PARAMS = ModelParams()
 
 
@@ -43,7 +43,7 @@ def excited_series():
 
 @pytest.fixture(scope="module")
 def mixed_series():
-    return scan_time(AtomState.from_ground_weight(0.7), FIELD, PARAMS, 10.0, 0.05)
+    return scan_time(AtomState(0.7), FIELD, PARAMS, 10.0, 0.05)
 
 
 def test_time_grid_default_row_count():
@@ -126,7 +126,7 @@ def test_transition_and_revival_compute_no_entropies(tmp_path, monkeypatch):
 
 
 def test_scan_transition_memory_is_bounded_on_long_grids():
-    field = FieldConfig.from_mean_photons(200.0)
+    field = FieldConfig(200.0)
     tracemalloc.start()
     try:
         series = scan_transition(field, PARAMS, 1000.0, 0.01)
@@ -140,7 +140,7 @@ def test_scan_transition_memory_is_bounded_on_long_grids():
 def test_closed_form_chunks_count_each_times_footprint(monkeypatch):
     # each time in a chunk holds about 4 W entries: the W phases, their cos^2
     # and the two W-wide temporaries of a sin term
-    field = FieldConfig.from_mean_photons(50.0)
+    field = FieldConfig(50.0)
     monkeypatch.setattr(jcdem.model, "CHUNK_ELEMENTS", 1 << 30)
     whole = scan_transition(field, PARAMS, 30.0, 0.05).columns
     budget = 4096
@@ -200,7 +200,7 @@ def _oracle_revival(m, field, params, series):
     ids=["cli-grid", "ends-in-last-window", "half-window-1110"],
 )
 def test_revival_detector_matches_the_window_oracle(m, g, t_max, dt):
-    field, params = FieldConfig.from_mean_photons(m), ModelParams(g=g)
+    field, params = FieldConfig(m), ModelParams(g=g)
     series = scan_transition(field, params, t_max, dt)
     detected = revival_analysis(field, params, series).detected_revival
     assert detected == _oracle_revival(m, field, params, series)
@@ -299,7 +299,7 @@ def test_revival_rejects_a_grid_coarser_than_half_the_rabi_period(m, t_max, dt, 
     # the detector's window would hold one sample, so every amplitude would
     # read 0 and argmax would return the first point of the search window;
     # at dt = 22 no grid point even falls in [0.5, 1.5] T1
-    field = FieldConfig.from_mean_photons(m)
+    field = FieldConfig(m)
     series = scan_transition(field, PARAMS, t_max, dt)
     message = f"dt={dt:g} is more than half the dominant Rabi period {period:.4f}"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -308,7 +308,7 @@ def test_revival_rejects_a_grid_coarser_than_half_the_rabi_period(m, t_max, dt, 
 
 def test_revival_detector_resolves_a_grid_just_below_half_the_rabi_period():
     # at m = 1e3 half the period is 0.0993
-    field = FieldConfig.from_mean_photons(1e3)
+    field = FieldConfig(1e3)
     report = revival_analysis(field, PARAMS, scan_transition(field, PARAMS, 320.0, 0.09))
     assert abs(report.detected_revival / report.revival_times[0] - 1.0) <= 3e-3
 
@@ -317,7 +317,7 @@ def test_revival_rejects_a_vacuum_field():
     # below one photon the dominant Rabi period 2 pi / g outlasts T1, so every
     # window reaches back to the collapse and the scores cannot place a revival
     for m in (0.0, 0.3, 0.5, 0.9):
-        field = FieldConfig.from_mean_photons(m)
+        field = FieldConfig(m)
         series = scan_transition(field, PARAMS, 10.0, 0.05)
         message = f"m = {m:g} has no revival to detect (dt=0.05)"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -358,7 +358,7 @@ def test_revival_cli_refuses_its_grid_before_scanning(tmp_path, capsys, monkeypa
     # T1 = 14.04963 at m = 5: the grid to 14.0496 stops at 14.0 and misses it
 )
 def test_revival_cli_and_detector_refuse_the_same_grids(m, t_max, dt, capsys):
-    field = FieldConfig.from_mean_photons(m)
+    field = FieldConfig(m)
     try:
         revival_analysis(field, PARAMS, scan_transition(field, PARAMS, t_max, dt))
         refused = None
@@ -417,7 +417,7 @@ def test_scan_lambda_matches_the_dense_oracle_at_revival_times():
     for i, lam in enumerate(lambdas):
         for k in (1, 2, 3):
             joint = propagated_joint(
-                AtomState.from_ground_weight(lam), FIELD, PARAMS, k * T1_FROZEN
+                AtomState(lam), FIELD, PARAMS, k * T1_FROZEN
             )
             oracle = relative_entropy(joint, marginal_product(joint, dims))
             assert abs(scan.dem_at_T[k][i] - oracle) <= 1e-10, (lam, k)
@@ -468,9 +468,9 @@ def test_closed_form_degree_is_monotone_across_revivals():
     # endpoints, which the acceptance gate reports.
     t1 = revival_period(FIELD, PARAMS)
     for lam in np.linspace(0.0, 1.0, 21):
-        atom = AtomState.from_ground_weight(float(lam))
+        atom = AtomState(float(lam))
         d1, d2, d3 = (
-            closed_form_coeffs(k * t1, atom, FIELD, PARAMS).dem
+            closed_form_coeffs(atom, FIELD, PARAMS, k * t1).dem
             for k in (1, 2, 3)
         )
         assert d1 <= d2 + CONJECTURE_SLACK

@@ -29,7 +29,8 @@ from jcdem.cli import main, parse_args
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(jcdem.__file__).resolve().parent
-ORACLES = Path(__file__).resolve().parent / "oracles.py"
+TESTS = Path(__file__).resolve().parent
+ORACLES = TESTS / "oracles.py"
 
 
 def test_every_public_name_is_documented():
@@ -37,6 +38,19 @@ def test_every_public_name_is_documented():
     assert sorted(set(jcdem.__all__) - documented) == []
     for name in jcdem.__all__:
         assert getattr(jcdem, name) is not None
+
+
+def test_every_function_takes_the_model_before_its_times():
+    # atom, field and params lead, in that order, whichever a function takes;
+    # its time, grid or series follows them
+    model = ("atom", "field", "params")
+    for name in jcdem.__all__:
+        fn = getattr(jcdem, name)
+        if inspect.isfunction(fn):
+            names = list(inspect.signature(fn).parameters)
+            taken = [arg for arg in model if arg in names]
+            assert names[: len(taken)] == taken, name
+    assert list(inspect.signature(closed_form_coeffs).parameters) == [*model, "t"]
 
 
 def test_library_entropies_are_in_nats():
@@ -71,12 +85,12 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
 
 
 def test_records_store_only_their_independent_values():
-    field, params, atom = FieldConfig.from_mean_photons(5.0), ModelParams(), AtomState(0.7)
+    field, params, atom = FieldConfig(5.0), ModelParams(), AtomState(0.7)
     times = np.array([0.0, 3.1, 7.0])
     lambdas = np.array([0.0, 0.4, 1.0])
     grids = {
         EntropyReport: entropies_at(atom, field, params, times),
-        ClosedFormCoeffs: closed_form_coeffs(times, atom, field, params),
+        ClosedFormCoeffs: closed_form_coeffs(atom, field, params, times),
         LambdaScan: scan_lambda(field, params, lambdas),
         AtomState: atom,
     }
@@ -108,7 +122,7 @@ def test_records_store_only_their_independent_values():
         assert point.al_margins == tuple(m[i] for m in grid.al_margins)
         coeffs = grids[ClosedFormCoeffs]
         assert ClosedFormCoeffs(*(v[i] for v in coeffs)).dem == coeffs.dem[i]
-        point = closed_form_coeffs(t, atom, field, params)
+        point = closed_form_coeffs(atom, field, params, t)
         assert abs(point.dem - coeffs.dem[i]) <= 1e-14
     for i, lam in enumerate(lambdas):
         single = scan_lambda(field, params, [lam])
@@ -194,10 +208,10 @@ def test_the_package_imports_only_its_declared_dependencies():
     assert stray == []
 
 
-def time_chunks_callers(source: str, module: str) -> list[str]:
-    """module.function for each call of time_chunks, by name or attribute,
+def callers(source: str, module: str, names: tuple[str, ...]) -> list[str]:
+    """module.function for each call of one of names, by name or attribute,
     in source, named after the innermost function that makes it."""
-    callers = []
+    found = []
 
     def visit(node, owner):
         if isinstance(node, ast.FunctionDef):
@@ -205,22 +219,39 @@ def time_chunks_callers(source: str, module: str) -> list[str]:
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "time_chunks":
-                callers.append(owner)
+            if name in names:
+                found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(source), f"{module}.<module>")
-    return callers
+    return found
+
+
+def package_callers(names: tuple[str, ...], *dirs: Path) -> list[str]:
+    """callers of names over every module in dirs, sorted."""
+    return sorted(caller for folder in dirs for path in folder.glob("*.py")
+                  for caller in callers(path.read_text(encoding="utf-8"), path.stem, names))
 
 
 def test_only_the_time_walk_and_the_plot_call_time_chunks():
     # the kernels share one walk over time, model._walk_times; render_plot
     # streams its polylines in chunks of the x values, which are not kernel times
-    callers = sorted(caller for path in PACKAGE.glob("*.py") for caller in
-                     time_chunks_callers(path.read_text(encoding="utf-8"), path.stem))
-    assert callers == ["model._walk_times", "svgplot.render_plot"]
+    assert package_callers(("time_chunks",), PACKAGE) == [
+        "model._walk_times", "svgplot.render_plot"]
     probe = ("def kernel(t):\n    def fill(x):\n        return x\n"
              "    for sl in model.time_chunks(len(t), 4):\n        fill(t[sl])\n"
              "chunks = time_chunks(3, 1)\n")
-    assert time_chunks_callers(probe, "m") == ["m.kernel", "m.<module>"]
+    assert callers(probe, "m", ("time_chunks",)) == ["m.kernel", "m.<module>"]
+
+
+def test_only_the_bench_spells_a_record_through_its_alias():
+    # FieldConfig(m, tail_tol) and AtomState(lambda0) are the one way to build
+    # each record; the two aliases stay only for bench/, and one test each
+    # pins that they equal the constructor
+    aliases = ("from_mean_photons", "from_ground_weight")
+    assert set(package_callers(aliases, PACKAGE, TESTS)) == {
+        "test_model.test_atom_state", "test_model.test_field_config_from_mean_photons"}
+    probe = ("field = FieldConfig.from_mean_photons(5.0)\n"
+             "def build(cls):\n    return cls.from_ground_weight(0.7)\n")
+    assert callers(probe, "m", aliases) == ["m.<module>", "m.build"]

@@ -200,8 +200,8 @@ def record(n_times, entries_per_time):
     return chunks(n_times, entries_per_time)
 jcdem.model.time_chunks = record
 atom, params = AtomState(0.7), ModelParams()
-entropies_at(atom, FieldConfig.from_mean_photons(5.0), params, 1.0)
-field = FieldConfig.from_mean_photons(float(sys.argv[1]))
+entropies_at(atom, FieldConfig(5.0), params, 1.0)
+field = FieldConfig(float(sys.argv[1]))
 entropies_at(atom, field, params, [])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 entropies_at(atom, field, params, 7.0)

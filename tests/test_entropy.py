@@ -67,6 +67,20 @@ def test_entropy_clips_round_off_eigenvalues():
     assert 0.0 <= s <= 1e-10
 
 
+def test_entropy_of_a_pure_state_is_exactly_zero():
+    # the eigenvalues above EIG_CLIP are renormalized to unit trace, so a pure
+    # state's one eigenvalue is exactly 1, however its last bit rounds
+    assert _entropies(np.diag([1 - 1e-16, 1e-17])) == 0.0
+    # the field of the product state at t = 0 is pure; it read 1.1e-16 at
+    # m = 50, lambda0 = 0.4 before the renormalization, and now reads +0.0
+    for m in (5.0, 50.0, 200.0):
+        for lam in (0.0, 0.4, 0.7, 1.0):
+            report = entropies_at(AtomState(lam), FieldConfig(m), ModelParams(), 0.0)
+            assert report.s_field == 0.0 and math.copysign(1.0, report.s_field) > 0
+            if lam in (0.0, 1.0):  # a pure atom: every state is pure
+                assert report.s_atom == report.s_joint == report.dem == 0.0
+
+
 def test_entropy_rejects_negative_eigenvalue():
     with pytest.raises(ValueError):
         _entropies(np.diag([1.001, -0.001]))
@@ -112,11 +126,11 @@ def test_dem_of_product_state_is_zero():
 
 def test_dem_is_clipped_at_zero_and_its_margin_kept_raw():
     # at t = 0 the state is a product, where rounding leaves the unclipped
-    # sum at -4.4e-16 at the CLI defaults (m = 5, lambda0 = 0.7)
-    field = FieldConfig.from_mean_photons(5.0)
+    # sum at -1.1e-16 at the CLI defaults (m = 5, lambda0 = 0.7)
+    field = FieldConfig(5.0)
     product = entropies_at(AtomState(0.7), field, ModelParams(), 0.0)
     assert product.al_margins[1] < 0.0 and product.dem == 0.0
-    series = scan_time(AtomState(0.7), FieldConfig.from_mean_photons(200.0),
+    series = scan_time(AtomState(0.7), FieldConfig(200.0),
                        ModelParams(), 100.0, 5.0)
     assert np.all(series.columns["dem_exact"] >= 0.0)
     # a real Araki-Lieb violation still shows in the raw margin
@@ -219,19 +233,19 @@ def test_closed_form_dem_balanced_atom_keeps_diagonal_terms():
 
 
 def test_closed_form_dem_over_times_matches_pointwise():
-    field = FieldConfig.from_mean_photons(5.0)
-    atom = AtomState.from_ground_weight(0.7)
+    field = FieldConfig(5.0)
+    atom = AtomState(0.7)
     times = np.arange(0.0, 10.0, 0.5)
-    grid = closed_form_coeffs(times, atom, field, ModelParams()).dem
+    grid = closed_form_coeffs(atom, field, ModelParams(), times).dem
     assert grid.shape == times.shape
     for t, value in zip(times, grid):
-        co = closed_form_coeffs(float(t), atom, field, ModelParams())
+        co = closed_form_coeffs(atom, field, ModelParams(), float(t))
         assert abs(value - co.dem) <= 1e-14
 
 
 def test_dem_exact_on_evolved_state_matches_relative_entropy():
-    field = FieldConfig.from_mean_photons(5.0)
-    atom = AtomState.from_ground_weight(0.7)
+    field = FieldConfig(5.0)
+    atom = AtomState(0.7)
     joint = propagated_joint(atom, field, ModelParams(), 7.0)
     dims = (2, field.n_max + 1)
     report = dem_exact(joint, dims)
@@ -242,8 +256,8 @@ def test_dem_exact_on_evolved_state_matches_relative_entropy():
 
 
 def test_entropies_at_keeps_the_shape_of_t(chunk_starts):
-    field = FieldConfig.from_mean_photons(2.0)
-    atom = AtomState.from_ground_weight(0.7)
+    field = FieldConfig(2.0)
+    atom = AtomState(0.7)
     times = np.linspace(0.0, 9.0, 6).reshape(2, 3)
     grid = entropies_at(atom, field, ModelParams(), times)
     for value in (grid.s_atom, grid.s_field, grid.s_joint, grid.dem,
@@ -256,7 +270,7 @@ def test_entropies_at_keeps_the_shape_of_t(chunk_starts):
     assert grid.dem[1, 2] == point.dem
     # the CLI grid at m = 5 spans many stacked chunks: both sides of the
     # first two edges match the single-time call bit for bit
-    field = FieldConfig.from_mean_photons(5.0)
+    field = FieldConfig(5.0)
     times = np.arange(1001) * 0.05
     chunk_starts.clear()
     grid = entropies_at(atom, field, ModelParams(), times)
@@ -274,8 +288,8 @@ def test_entropies_at_keeps_the_shape_of_t(chunk_starts):
 @example(m=40.0, lam=0.0, t=60.0)
 @example(m=5.0, lam=1.0, t=7.0)
 def test_entropies_at_match_the_dense_oracle(m, lam, t):
-    field = FieldConfig.from_mean_photons(m)
-    atom = AtomState.from_ground_weight(lam)
+    field = FieldConfig(m)
+    atom = AtomState(lam)
     report = entropies_at(atom, field, ModelParams(), t)
     joint = propagated_joint(atom, field, ModelParams(), t)
     dims = (2, field.n_max + 1)
@@ -290,7 +304,7 @@ def test_entropies_at_match_the_dense_oracle(m, lam, t):
     # the transition column: the excited-start population of the dense run
     excited = propagated_joint(AtomState(0.0), field, ModelParams(), t)
     population = np.trace(excited[field.n_max + 1 :, field.n_max + 1 :]).real
-    c_exact = closed_form_coeffs(t, atom, field, ModelParams()).c_exact
+    c_exact = closed_form_coeffs(atom, field, ModelParams(), t).c_exact
     assert abs(c_exact - population) <= 1e-10
 
 
@@ -311,7 +325,7 @@ def test_field_entropy_matches_the_dense_marginal_where_the_gram_degenerates(m, 
     # near-zero columns for a pure joint state (lambda0 in {0, 1}), a product
     # state (t = 0), the vacuum (m = 0) and near T1/2, where the atom is close
     # to pure
-    field = FieldConfig.from_mean_photons(m)
+    field = FieldConfig(m)
     atom = AtomState(lam)
     report = entropies_at(atom, field, ModelParams(), t)
     joint = vector_joint(atom, field, ModelParams(), t)
@@ -331,9 +345,9 @@ def test_field_entropy_matches_the_dense_marginal_where_the_gram_degenerates(m, 
 def test_entropies_hold_their_identities_up_to_m_200(log_m, g, lam, revivals):
     # m log-uniform in [1, 200] and t in [0, 3 T1]; the atom marginal is
     # checked against the O(W) Poisson sums, not the dense propagator
-    field = FieldConfig.from_mean_photons(math.exp(log_m))
+    field = FieldConfig(math.exp(log_m))
     params = ModelParams(g=g)
-    atom = AtomState.from_ground_weight(lam)
+    atom = AtomState(lam)
     t = revivals * revival_period(field, params)
     report = entropies_at(atom, field, params, t)
     binary = -sum(p * math.log(p) for p in (atom.lambda0, atom.lambda1) if p > 0)
@@ -341,7 +355,7 @@ def test_entropies_hold_their_identities_up_to_m_200(log_m, g, lam, revivals):
     if lam in (0.0, 1.0):
         assert abs(report.s_atom - report.s_field) <= 1e-8
     assert min(report.al_margins) >= -AL_SLACK
-    assert abs(closed_form_coeffs(0.0, atom, field, params).c_exact - 1.0) <= 1e-15
+    assert abs(closed_form_coeffs(atom, field, params, 0.0).c_exact - 1.0) <= 1e-15
     p = np.zeros(field.n_max + 1)
     amps = coherent_amplitudes(field.mean_photons, field.n_max, field.n_lo)
     p[field.n_lo :] = np.abs(amps) ** 2

@@ -43,12 +43,12 @@ BINARY_ENTROPY_07 = 0.6108643020548935  # -0.7 ln 0.7 - 0.3 ln 0.3
 
 
 def default_field():
-    return FieldConfig.from_mean_photons(5.0)
+    return FieldConfig(5.0)
 
 
 def truncation_dim(mean_photons, tail_tol):
     """The photon cutoff n_max that FieldConfig derives."""
-    return FieldConfig.from_mean_photons(mean_photons, tail_tol).n_max
+    return FieldConfig(mean_photons, tail_tol).n_max
 
 
 def sector_block(u, n, n_max):
@@ -96,10 +96,10 @@ def test_truncation_dim_tail_actually_below_tol():
 @example(m=1e5, tol=1e-15)
 @example(m=732.0, tol=1e-3)
 def test_truncation_holds_over_the_parameter_range(m, tol):
-    field = FieldConfig.from_mean_photons(m, tol)
+    field = FieldConfig(m, tol)
     assert poisson_tail(m, field.n_max) < tol
     assert np.all(np.isfinite(field.weights))
-    c0 = closed_form_coeffs(0.0, AtomState(0.0), field, ModelParams()).c
+    c0 = closed_form_coeffs(AtomState(0.0), field, ModelParams(), 0.0).c
     # c(0) is the kept Poisson mass, 1 - tail, and the weights carry no
     # error that grows with m
     assert abs(c0 - 1.0) <= tol + 1e-14
@@ -113,13 +113,13 @@ def test_truncation_holds_over_the_parameter_range(m, tol):
 
 def test_window_is_computed_once_per_mean_and_tolerance():
     _window.cache_clear()
-    field = FieldConfig.from_mean_photons(1e5)
+    field = FieldConfig(1e5)
     # both window edges and the weights read one cached pass
     assert len(field.weights) == field.n_levels == field.n_max - field.n_lo + 1
     assert _window.cache_info().misses == 1
-    FieldConfig.from_mean_photons(1e5).n_max
+    FieldConfig(1e5).n_max
     assert _window.cache_info().misses == 1
-    FieldConfig.from_mean_photons(1e5, 1e-9).weights
+    FieldConfig(1e5, 1e-9).weights
     assert _window.cache_info().misses == 2
     assert not field.weights.flags.writeable
 
@@ -130,7 +130,7 @@ def test_window_pass_peaks_below_16_mb_at_m_1e6():
     _window.cache_clear()
     tracemalloc.start()
     try:
-        FieldConfig.from_mean_photons(1e6).weights
+        FieldConfig(1e6).weights
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -179,7 +179,7 @@ def test_coherent_amplitudes_normalized():
     # 1.4e-16 for m from 5 to 1e6), and at theta = sqrt(m) e^{0.3i} its
     # amplitudes carry e^{0.3 i n}, a phase FieldConfig has no field for
     for m in (5.0, 200.0, 1e4, 1e6):
-        field = FieldConfig.from_mean_photons(m)
+        field = FieldConfig(m)
         real = coherent_amplitudes(m, field.n_max, field.n_lo)
         window = field.weights / field.weights.sum()
         assert np.abs(np.abs(real) ** 2 - window).max() <= 1.4e-16, m
@@ -199,10 +199,10 @@ def test_coherent_state_purity_and_mean():
 
 
 def test_field_config_from_mean_photons():
-    field = default_field()
-    assert field.n_max == 32
-    assert field.mean_photons == 5.0
-    assert field.tail_tol == DEFAULT_TAIL_TOL
+    # the bench's spelling of FieldConfig(m, tail_tol); nothing else calls it
+    field = FieldConfig.from_mean_photons(5.0)
+    assert field == FieldConfig(5.0, DEFAULT_TAIL_TOL) and field.n_max == 32
+    assert FieldConfig.from_mean_photons(5.0, 1e-6) == FieldConfig(5.0, 1e-6)
 
 
 def test_mean_photons_is_stored_exactly():
@@ -212,8 +212,7 @@ def test_mean_photons_is_stored_exactly():
     rng = np.random.default_rng(26)
     integers = [*range(10_001), *rng.integers(10_001, 10**6, size=5000, endpoint=True)]
     for m in [*integers, *rng.uniform(0.0, 1e6, size=5000)]:
-        field = FieldConfig.from_mean_photons(m)
-        assert field.mean_photons == m and field == FieldConfig(m), m
+        assert FieldConfig(m).mean_photons == m, m
 
 
 def test_field_config_validation():
@@ -221,30 +220,29 @@ def test_field_config_validation():
         with pytest.raises(ValueError, match="tail_tol"):
             FieldConfig(0.0, tail_tol=tol)
     with pytest.raises(ValueError):
-        FieldConfig.from_mean_photons(-1.0)
+        FieldConfig(-1.0)
 
 
 @pytest.mark.parametrize("m", [math.inf, math.nan])
 def test_field_config_rejects_non_finite_mean(m):
-    with pytest.raises(ValueError, match="finite"):
-        FieldConfig.from_mean_photons(m)
     with pytest.raises(ValueError, match="finite"):
         FieldConfig(m)
 
 
 def test_field_config_bounds_the_mean():
     # construction alone builds no Poisson table, so the edge costs nothing
-    edge = FieldConfig.from_mean_photons(MAX_MEAN_PHOTONS)
+    edge = FieldConfig(MAX_MEAN_PHOTONS)
     assert edge.mean_photons == MAX_MEAN_PHOTONS == 1e6
     with pytest.raises(ValueError, match="at most 1000000"):
-        FieldConfig.from_mean_photons(2e6)
+        FieldConfig(2e6)
     with pytest.raises(ValueError, match="at most 1000000"):
         FieldConfig(math.nextafter(MAX_MEAN_PHOTONS, math.inf))
 
 
 def test_atom_state():
-    atom = AtomState.from_ground_weight(0.7)
-    assert atom == AtomState(0.7)
+    # from_ground_weight is the bench's spelling of AtomState(lambda0)
+    atom = AtomState(0.7)
+    assert atom == AtomState.from_ground_weight(0.7)
     assert atom.lambda1 == pytest.approx(0.3)
     for bad in (-1e-12, 1.2, math.inf, math.nan):
         with pytest.raises(ValueError, match="lambda0 must lie in"):
@@ -380,7 +378,7 @@ def test_evolve_vectors_match_the_dense_propagator(omega0):
 
 
 def test_evolve_vectors_over_time_arrays_match_scalar_calls():
-    field = FieldConfig.from_mean_photons(200.0)
+    field = FieldConfig(200.0)
     times = np.linspace(0.0, 100.0, 1000).reshape(10, 100)
     psi_g, psi_e = evolve_vectors(field, ModelParams(), times)
     assert psi_g.shape == psi_e.shape == (10, 100, 2 * field.n_levels)
@@ -401,7 +399,7 @@ def test_kernels_reject_non_finite_times(g, t):
     # phase, or g sqrt(n+1) or 2 g sqrt(n+1) t overflowing, gives NaN with a
     # RuntimeWarning; g sqrt(n+1) = inf times t = 0 is NaN too
     field, params, atom = default_field(), ModelParams(g=g), AtomState(0.7)
-    for kernel in (lambda: closed_form_coeffs(t, atom, field, params),
+    for kernel in (lambda: closed_form_coeffs(atom, field, params, t),
                    lambda: entropies_at(atom, field, params, t)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -413,7 +411,7 @@ def test_kernels_reject_non_finite_times(g, t):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(m=st.floats(0.0, 300.0), t=st.floats(0.0, 500.0))
 def test_evolved_states_stay_orthonormal(m, t):
-    psi_g, psi_e = evolve_vectors(FieldConfig.from_mean_photons(m), ModelParams(), t)
+    psi_g, psi_e = evolve_vectors(FieldConfig(m), ModelParams(), t)
     assert abs(np.vdot(psi_g, psi_g).real - 1.0) <= 1e-13
     assert abs(np.vdot(psi_e, psi_e).real - 1.0) <= 1e-13
     assert abs(np.vdot(psi_g, psi_e)) <= 1e-13
@@ -421,7 +419,7 @@ def test_evolved_states_stay_orthonormal(m, t):
 
 def test_initial_joint_state_ordering():
     # excited-start support must sit entirely in the upper atom block
-    field = FieldConfig.from_mean_photons(2.0)
+    field = FieldConfig(2.0)
     joint = initial_joint_state(AtomState(0.0), field)
     na = field.n_max + 1
     assert np.all(joint[:na, :] == 0.0) and np.all(joint[:, :na] == 0.0)
@@ -430,7 +428,7 @@ def test_initial_joint_state_ordering():
 
 def test_evolve_t0_is_product_state():
     field = default_field()
-    atom = AtomState.from_ground_weight(0.7)
+    atom = AtomState(0.7)
     joint = vector_joint(atom, field, ModelParams(), 0.0)
     omega = coherent_state(field.mean_photons, field.n_max)
     assert np.abs(joint - np.kron(atom_matrix(atom), omega)).max() <= 1e-14
@@ -438,14 +436,14 @@ def test_evolve_t0_is_product_state():
 
 def test_evolve_preserves_trace():
     field = default_field()
-    joint = vector_joint(AtomState.from_ground_weight(0.7), field, ModelParams(), 5.0)
+    joint = vector_joint(AtomState(0.7), field, ModelParams(), 5.0)
     assert abs(np.trace(joint).real - 1.0) <= 1e-10
     assert np.abs(joint - joint.conj().T).max() <= 1e-12
 
 
 def test_evolve_entropy_is_time_invariant():
     field = default_field()
-    atom = AtomState.from_ground_weight(0.7)
+    atom = AtomState(0.7)
     s_joint = entropies_at(atom, field, ModelParams(), [1.0, 5.0, 14.0]).s_joint
     assert np.abs(s_joint - BINARY_ENTROPY_07).max() <= 1e-8
 
@@ -454,17 +452,17 @@ EXCITED = AtomState(0.0)
 
 
 def test_transition_probability_starts_at_one():
-    c0 = closed_form_coeffs(0.0, EXCITED, default_field(), ModelParams()).c
+    c0 = closed_form_coeffs(EXCITED, default_field(), ModelParams(), 0.0).c
     assert abs(c0 - 1.0) <= 1e-12
 
 
 def test_transition_probability_shapes_and_range():
     field = default_field()
     t = np.linspace(0.0, 30.0, 121)
-    co = closed_form_coeffs(t, AtomState.from_ground_weight(0.7), field, ModelParams())
+    co = closed_form_coeffs(AtomState(0.7), field, ModelParams(), t)
     assert all(np.shape(value) == t.shape for value in co)
     assert np.all(co.c >= 0.0) and np.all(co.c <= 1.0 + 1e-12)
-    assert isinstance(closed_form_coeffs(1.0, EXCITED, field, ModelParams()).c, float)
+    assert isinstance(closed_form_coeffs(EXCITED, field, ModelParams(), 1.0).c, float)
 
 
 def test_transition_probability_matches_exact_excited_start():
@@ -472,31 +470,31 @@ def test_transition_probability_matches_exact_excited_start():
     params = ModelParams()
     na = field.n_max + 1
     times = np.linspace(0.0, 30.0, 61)
-    closed = closed_form_coeffs(times, EXCITED, field, params).c
+    closed = closed_form_coeffs(EXCITED, field, params, times).c
     psi_e = evolve_vectors(field, params, times)[1]
     exact = np.sum(np.abs(psi_e[:, na:]) ** 2, axis=1)
     assert np.abs(closed - exact).max() <= 1e-8
 
 
 def test_transition_probability_matches_exact_at_large_m():
-    field = FieldConfig.from_mean_photons(300.0)
+    field = FieldConfig(300.0)
     params = ModelParams()
     na = field.n_levels
     revival = 2.0 * math.pi * math.sqrt(300.0)
     for t in (3.0, revival):
         psi_e = evolve_vectors(field, params, t)[1]
         exact = np.sum(np.abs(psi_e[na:]) ** 2)
-        closed = closed_form_coeffs(t, EXCITED, field, params).c
+        closed = closed_form_coeffs(EXCITED, field, params, t).c
         assert abs(closed - exact) <= 1e-10
 
 
 def test_closed_form_coeffs_vectorised_matches_scalar_calls():
     field = default_field()
-    atom = AtomState.from_ground_weight(0.7)
+    atom = AtomState(0.7)
     times = np.array([0.0, 1.05, 7.0, 14.05])
-    grid = closed_form_coeffs(times, atom, field, ModelParams())
+    grid = closed_form_coeffs(atom, field, ModelParams(), times)
     for i, t in enumerate(times):
-        point = closed_form_coeffs(float(t), atom, field, ModelParams())
+        point = closed_form_coeffs(atom, field, ModelParams(), float(t))
         for name in grid._fields:
             assert abs(getattr(grid, name)[i] - getattr(point, name)) <= 1e-15
 
@@ -504,21 +502,21 @@ def test_closed_form_coeffs_vectorised_matches_scalar_calls():
 def test_closed_form_coeffs_over_chunks_match_scalar_calls(chunk_starts):
     # 1000 times at m = 200 split into chunks: probe both sides of the
     # first two edges the kernel's own time_chunks call hands out
-    field = FieldConfig.from_mean_photons(200.0)
-    atom = AtomState.from_ground_weight(0.7)
+    field = FieldConfig(200.0)
+    atom = AtomState(0.7)
     times = np.linspace(0.0, 100.0, 1000)
-    grid = closed_form_coeffs(times, atom, field, ModelParams())
+    grid = closed_form_coeffs(atom, field, ModelParams(), times)
     first, second = chunk_starts[:2]
     for i in (0, first - 1, first, second - 1, second, 999):
-        point = closed_form_coeffs(times[i], atom, field, ModelParams())
+        point = closed_form_coeffs(atom, field, ModelParams(), times[i])
         for name in grid._fields:
             assert abs(getattr(grid, name)[i] - getattr(point, name)) <= 1e-15
 
 
 def test_closed_form_coeffs_at_t0():
     field = default_field()
-    atom = AtomState.from_ground_weight(0.7)
-    co = closed_form_coeffs(0.0, atom, field, ModelParams())
+    atom = AtomState(0.7)
+    co = closed_form_coeffs(atom, field, ModelParams(), 0.0)
     assert co.s == pytest.approx(0.0, abs=1e-12)
     assert co.c == pytest.approx(1.0, abs=1e-12)
     assert co.e1 == pytest.approx(0.3, abs=1e-12)
@@ -530,15 +528,15 @@ def test_closed_form_coeffs_balanced_atom_has_no_coherence():
     field = default_field()
     atom = AtomState(0.5)
     for t in (0.7, 3.0, 14.0):
-        co = closed_form_coeffs(t, atom, field, ModelParams())
+        co = closed_form_coeffs(atom, field, ModelParams(), t)
         assert co.e2_mag == 0.0
 
 
 def test_closed_form_coeffs_invariants_at_default_truncation():
     field = default_field()
-    atom = AtomState.from_ground_weight(0.7)
+    atom = AtomState(0.7)
     for t in (0.0, 1.05, 7.0, 14.05):
-        co = closed_form_coeffs(t, atom, field, ModelParams())
+        co = closed_form_coeffs(atom, field, ModelParams(), t)
         assert abs(co.c + co.s - 1.0) <= 1e-12
         assert abs(co.e1 + co.e4 - 1.0) <= 1e-12
 
@@ -552,7 +550,7 @@ def test_closed_form_ground_start_carries_index_shift():
     params = ModelParams()
     ground = AtomState(1.0)
     times = np.arange(0.0, 10.0, 0.05)
-    co = closed_form_coeffs(times, ground, field, params)
+    co = closed_form_coeffs(ground, field, params, times)
     psi_g = evolve_vectors(field, params, times)[0]
     p_ground = np.sum(np.abs(psi_g[:, : field.n_max + 1]) ** 2, axis=1)
     worst = np.abs(co.e4 - p_ground).max()
@@ -565,7 +563,7 @@ def test_atom_marginal_develops_real_coherence():
     # independent matrix-exponential evolution.
     field = default_field()
     params = ModelParams()
-    atom = AtomState.from_ground_weight(0.7)
+    atom = AtomState(0.7)
     t = 6.45
     joint = vector_joint(atom, field, params, t)
     marginal = partial_trace(joint, (2, field.n_max + 1), "atom")

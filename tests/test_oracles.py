@@ -29,8 +29,8 @@ def random_hermitian(rng, dim):
 
 def test_tensor_product_matches_index_formula():
     # the joint state puts the atom outermost, the layout partial_trace reads
-    atom = AtomState.from_ground_weight(0.7)
-    field = FieldConfig.from_mean_photons(1.0)
+    atom = AtomState(0.7)
+    field = FieldConfig(1.0)
     na = field.n_max + 1
     rho_a = atom_matrix(atom)
     omega = coherent_state(field.mean_photons, field.n_max)
@@ -47,7 +47,7 @@ def test_tensor_product_matches_index_formula():
 
 def test_tensor_product_projectors():
     # excited atom (x) vacuum is the projector onto |2,0>
-    field = FieldConfig.from_mean_photons(0.0)
+    field = FieldConfig(0.0)
     joint = initial_joint_state(AtomState(0.0), field)
     expected = np.zeros_like(joint)
     expected[field.n_max + 1, field.n_max + 1] = 1.0

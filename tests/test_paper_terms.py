@@ -41,7 +41,7 @@ def sample_times(m, g):
 @pytest.mark.parametrize("m", [5.0, 50.0, 200.0])
 def test_term_sums_match_the_evolved_vectors(m):
     params = ModelParams(g=1.3)
-    field = FieldConfig.from_mean_photons(m)
+    field = FieldConfig(m)
     width = field.n_levels
     p = padded(field.weights / field.weights.sum(), field)
     for t in sample_times(m, params.g):
@@ -59,12 +59,12 @@ def test_term_sums_match_the_evolved_vectors(m):
 @pytest.mark.parametrize("m", [5.0, 50.0, 200.0])
 def test_paper_forms_follow_from_the_two_substitutions(m):
     params = ModelParams(g=1.3)
-    field = FieldConfig.from_mean_photons(m)
+    field = FieldConfig(m)
     # the closed form sums the window's weights as they are, unrenormalized
     p = padded(field.weights, field)
-    atom = AtomState.from_ground_weight(LAMBDA0)
+    atom = AtomState(LAMBDA0)
     for t in sample_times(m, params.g):
-        coeffs = closed_form_coeffs(t, atom, field, params)
+        coeffs = closed_form_coeffs(atom, field, params, t)
         e1 = excited_population(p, LAMBDA0, params.g, t, paper=True)
         e2 = atom_coherence(p, LAMBDA0, params.g, t, paper=True)
         assert abs(coeffs.e1 - e1) <= 1e-14
@@ -77,7 +77,7 @@ def test_coherence_gap_persists_while_population_gap_falls():
     # paper's |e2| is below 1e-4; the population is read at t = 0.5
     population_gaps = []
     for m in (5.0, 50.0, 1e3):
-        p = poisson_terms(m, FieldConfig.from_mean_photons(m).n_max)
+        p = poisson_terms(m, FieldConfig(m).n_max)
         half_revival = math.pi * math.sqrt(m)
         exact = abs(atom_coherence(p, LAMBDA0, 1.0, half_revival))
         paper = abs(atom_coherence(p, LAMBDA0, 1.0, half_revival, paper=True))

@@ -34,7 +34,7 @@ from jcdem.model import (
 )
 
 PARAMS = ModelParams()
-ATOM = AtomState.from_ground_weight(0.7)
+ATOM = AtomState(0.7)
 
 
 def full_range_point(atom, field, t):
@@ -61,14 +61,14 @@ def excited_weight(field, t):
      (1e4, 9283, 10716), (1e5, 97689, 102238)],
 )
 def test_window_frozen_values(m, n_lo, n_max):
-    field = FieldConfig.from_mean_photons(m)
+    field = FieldConfig(m)
     assert (field.n_lo, field.n_max) == (n_lo, n_max)
 
 
 def test_default_field_keeps_every_level():
     # at the CLI default m = 5 the window is all of 0..n_max, so the
     # defaults run the full-range evolution unchanged
-    field = FieldConfig.from_mean_photons(5.0)
+    field = FieldConfig(5.0)
     assert (field.n_lo, field.n_levels) == (0, field.n_max + 1)
     times = np.array([0.0, 3.3, 14.05])
     window = entropies_at(ATOM, field, PARAMS, times)
@@ -79,7 +79,7 @@ def test_default_field_keeps_every_level():
 
 
 def test_n_lo_is_derived_and_read_only():
-    field = FieldConfig.from_mean_photons(200.0)
+    field = FieldConfig(200.0)
     assert [f.name for f in dataclasses.fields(field)] == ["mean_photons", "tail_tol"]
     for name in ("n_lo", "n_max", "weights"):
         with pytest.raises(AttributeError):
@@ -92,7 +92,7 @@ def test_n_lo_is_derived_and_read_only():
 
 @pytest.mark.parametrize("m", [50.0, 200.0])
 def test_window_matches_the_full_range_reference(m):
-    field = FieldConfig.from_mean_photons(m)
+    field = FieldConfig(m)
     assert field.n_lo > 0
     t1 = 2.0 * math.pi * math.sqrt(m)
     times = np.array([0.0, 3.7, 0.5 * t1, t1])
@@ -125,10 +125,10 @@ def test_complex_theta_on_a_window_above_the_vacuum():
 
 
 def test_window_matches_the_full_range_closed_and_exact_c_at_m_1e3():
-    field = FieldConfig.from_mean_photons(1e3)
+    field = FieldConfig(1e3)
     t1 = 2.0 * math.pi * math.sqrt(1e3)
     times = np.array([0.0, 2.5, 0.5 * t1, t1])
-    c_closed = closed_form_coeffs(times, AtomState(0.0), field, PARAMS).c
+    c_closed = closed_form_coeffs(AtomState(0.0), field, PARAMS, times).c
     w = poisson_terms(1e3, field.n_max)
     amps = coherent_amplitudes(field.mean_photons, field.n_max)
     omega = np.sqrt(np.arange(field.n_max + 1) + 1.0)
@@ -148,10 +148,10 @@ def test_closed_and_exact_c_agree_with_the_evolved_states(m, closed_bound):
     # c_exact is the oracle's windowed survival up to rounding; c_closed
     # keeps the dropped tails, below tail_tol, and at m = 1e6 the weights'
     # own error of a few 1e-12 (MAX_MEAN_PHOTONS)
-    field = FieldConfig.from_mean_photons(m)
+    field = FieldConfig(m)
     t1 = revival_period(field, PARAMS)
     times = np.array([0.0, 1.0, 0.5 * t1, t1, 3.0 * t1])
-    coeffs = closed_form_coeffs(times, AtomState(0.0), field, PARAMS)
+    coeffs = closed_form_coeffs(AtomState(0.0), field, PARAMS, times)
     survival = excited_weight(field, times)
     assert np.abs(coeffs.c_exact - survival).max() <= 1e-14
     assert np.abs(coeffs.c - survival).max() <= closed_bound
@@ -161,7 +161,7 @@ def test_closed_and_exact_c_agree_with_the_evolved_states(m, closed_bound):
 def test_closed_and_exact_c_agree_at_large_m(m):
     # c_exact renormalizes the window, c_closed does not, so they differ by
     # the dropped tails (below tail_tol) plus any error in the weights' sum
-    field = FieldConfig.from_mean_photons(m)
+    field = FieldConfig(m)
     series = scan_transition(field, PARAMS, 20.0, 0.5)
     gap = np.abs(series.columns["c_closed"] - series.columns["c_exact"]).max()
     assert gap <= 1e-12
@@ -175,9 +175,9 @@ def test_closed_form_c_is_accurate_at_large_m(m):
     # float time and weights.  So is the sin(2 Omega_n t) sum, 2 |e2| at
     # lambda0 = 1, formed as 2 sin cos: its phase error is doubled
     mpmath = pytest.importorskip("mpmath")
-    field = FieldConfig.from_mean_photons(m)
+    field = FieldConfig(m)
     t3 = 3.0 * revival_period(field, PARAMS)
-    coeffs = closed_form_coeffs(t3, AtomState(1.0), field, PARAMS)
+    coeffs = closed_form_coeffs(AtomState(1.0), field, PARAMS, t3)
     with mpmath.workdps(40):
         t = mpmath.mpf(t3)
         levels = range(field.n_lo + 1, field.n_max + 2)
@@ -196,7 +196,7 @@ def test_window_weights_match_40_digit_poisson(m, bound):
     # the bd0 series near the mode the deviance cancels, and m = 1e4 and 1e6
     # measured 1.8e-13 and 1.1e-12
     mpmath = pytest.importorskip("mpmath")
-    field = FieldConfig.from_mean_photons(m)
+    field = FieldConfig(m)
     levels = np.unique(np.linspace(field.n_lo, field.n_max, 400).round().astype(int))
     with mpmath.workdps(40):
         mean = mpmath.mpf(m)
@@ -214,7 +214,7 @@ def test_window_weights_match_40_digit_poisson(m, bound):
 @example(m=0.4)
 @example(m=1e5)
 def test_window_holds_over_the_parameter_range(m):
-    field = FieldConfig.from_mean_photons(m)
+    field = FieldConfig(m)
     dropped = poisson_lower_tail(m, field.n_lo) + poisson_tail(m, field.n_max)
     assert dropped < DEFAULT_TAIL_TOL
     assert 0 <= field.n_lo <= math.floor(m) <= field.n_max
@@ -228,7 +228,7 @@ def test_entropies_diagonalise_only_the_window(monkeypatch):
     # the matrices diagonalised are the 2W-wide joint state, the field's
     # 4x4 Gram and the 2x2 atom marginal, none of them W wide; and each chunk
     # of times takes one eigvalsh call per kind of matrix, not one per time
-    field = FieldConfig.from_mean_photons(200.0)
+    field = FieldConfig(200.0)
     width = field.n_levels
     assert width == 209
     shapes = []
@@ -243,7 +243,7 @@ def test_entropies_diagonalise_only_the_window(monkeypatch):
     assert sorted((s[-1] for s in shapes), reverse=True) == [2 * width, 4, 2]
     shapes.clear()
     cli_grid = np.arange(1001) * 0.05
-    entropies_at(ATOM, FieldConfig.from_mean_photons(5.0), PARAMS, cli_grid)
+    entropies_at(ATOM, FieldConfig(5.0), PARAMS, cli_grid)
     # a chunk counts each time's joint state and eigvalsh's copy of it,
     # 2 (2W)^2 entries: 15 times of the m = 5 grid, so 67 chunks
     assert len(shapes) == 3 * 67
@@ -253,7 +253,7 @@ def test_entropies_diagonalise_only_the_window(monkeypatch):
 def test_entropies_chunk_stays_within_the_chunk_budget():
     # a chunk counts each time's joint state and eigvalsh's copy of it, so on
     # the m = 5 CLI grid its stacks stay within CHUNK_ELEMENTS complex entries
-    field = FieldConfig.from_mean_photons(5.0)
+    field = FieldConfig(5.0)
     entropies_at(ATOM, field, PARAMS, 0.0)
     tracemalloc.start()
     try:
