@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (EIG_CLIP, AtomState, FieldConfig, ModelParams, _rotation,
-                    _walk_times, _xlogx)
+from .model import AtomState, FieldConfig, ModelParams, _rotation, _walk_times, _xlogx
 
 # A state with an eigenvalue below -NEGATIVE_EIG_TOL is invalid.
 NEGATIVE_EIG_TOL = 1e-10
@@ -29,13 +28,15 @@ AL_SLACK = 1e-8
 
 def _entropies(rho):
     """-tr(rho ln rho) of each matrix in a (..., d, d) stack, from one eigvalsh
-    call on its lower triangles.  The eigenvalues above EIG_CLIP, renormalized to
-    unit trace, make a pure state's exactly 1, so its entropy is exactly +0.0."""
+    call on its lower triangles.  Eigenvalues at or below d eps max|eig|, the
+    floor eigvalsh resolves a d x d spectrum to, are zero; the rest, renormalized
+    to unit trace, make a pure state's exactly 1, so its entropy is exactly +0.0."""
     eigs = np.linalg.eigvalsh(rho)
     lowest = eigs.min(initial=0.0)
     if lowest < -NEGATIVE_EIG_TOL:
         raise ValueError(f"state has negative eigenvalue {lowest:.3e}")
-    eigs = np.where(eigs > EIG_CLIP, eigs, 0.0)
+    floor = eigs.shape[-1] * np.finfo(float).eps * np.abs(eigs).max(-1, keepdims=True)
+    eigs = np.where(eigs > floor, eigs, 0.0)
     probs = eigs / eigs.sum(axis=-1, keepdims=True)
     # 0.0 - x, unlike -x, turns a zero sum into +0.0
     return (0.0 - np.sum(_xlogx(probs), axis=-1))[()]

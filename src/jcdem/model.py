@@ -35,8 +35,6 @@ MAX_MEAN_PHOTONS = 1e6
 CHUNK_ELEMENTS = 1 << 17
 # Most bytes (16 an entry) one time of a kernel may hold: no chunk splits a time.
 MAX_TIME_BYTES = 1 << 30
-# Eigenvalues at or below EIG_CLIP contribute nothing to entropy sums.
-EIG_CLIP = 1e-12
 # The Stirling series for stirlerr(n) is accurate to rounding from STIRLING_MIN on.
 STIRLING_MIN = 16
 
@@ -126,9 +124,9 @@ class FieldConfig:
 
 
 def _xlogx(x) -> np.ndarray:
-    """Elementwise x ln x, zero at or below EIG_CLIP."""
+    """Elementwise x ln x, zero where x <= 0."""
     x = np.asarray(x, dtype=float)
-    live = x > EIG_CLIP
+    live = x > 0.0
     return np.where(live, x * np.log(np.where(live, x, 1.0)), 0.0)
 
 

@@ -2,11 +2,22 @@
 
 Criterion results are echoed immediately and repeated in a terminal
 summary section so the pass/fail lines survive output capture.
+
+The suite runs its BLAS on one thread unless the environment says
+otherwise: at the default, one thread per core, the stacked eigvalsh calls
+slow down many times over when two BLAS-heavy processes share the cores.
+The variables must be set before numpy is first imported, here by
+jcdem.model.
 """
+
+import os
 
 import pytest
 
-import jcdem.model
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import jcdem.model  # noqa: E402
 
 CRITERION_LINES = []
 

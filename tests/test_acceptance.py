@@ -202,7 +202,7 @@ def conjecture_margin(m):
 
 
 @pytest.mark.parametrize("m", [20.0, 50.0, 200.0])
-def test_the_exact_conjecture_holds_with_margin_from_m_20(m):
+def test_the_exact_conjecture_holds_with_margin_at_m_20_50_200(m):
     failed, margin = conjecture_margin(m)
     # measured 0.028, 0.050 and 0.055
     assert failed == [] and margin > 0.02

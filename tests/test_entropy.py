@@ -13,6 +13,7 @@ from oracles import (
     coherent_amplitudes,
     dem_exact,
     excited_population,
+    full_range_vectors,
     marginal_product,
     partial_trace,
     propagated_joint,
@@ -67,9 +68,19 @@ def test_entropy_clips_round_off_eigenvalues():
     assert 0.0 <= s <= 1e-10
 
 
+def test_entropy_keeps_an_eigenvalue_above_the_rounding_floor():
+    # 1e-13 lies far above the floor 2 eps of this 2x2 spectrum, so its
+    # -p ln p counts: the binary entropy of the matrix's own entries (1 - 1e-13
+    # rounded to float), 3.1e-12, to 1e-14 relative
+    p, q = 1e-13, 1.0 - 1e-13
+    binary = -p * math.log(p) - q * math.log(q)
+    assert abs(_entropies(np.diag([q, p])) / binary - 1.0) <= 1e-14
+
+
 def test_entropy_of_a_pure_state_is_exactly_zero():
-    # the eigenvalues above EIG_CLIP are renormalized to unit trace, so a pure
-    # state's one eigenvalue is exactly 1, however its last bit rounds
+    # the eigenvalues above the rounding floor d eps max|eig| are renormalized
+    # to unit trace, so a pure state's one eigenvalue is exactly 1, however its
+    # last bit rounds
     assert _entropies(np.diag([1 - 1e-16, 1e-17])) == 0.0
     # the field of the product state at t = 0 is pure; it read 1.1e-16 at
     # m = 50, lambda0 = 0.4 before the renormalization, and now reads +0.0
@@ -243,6 +254,29 @@ def test_closed_form_dem_over_times_matches_pointwise():
         assert abs(value - co.dem) <= 1e-14
 
 
+def test_closed_form_dem_matches_the_paper_formula_at_40_digits():
+    # at m = 200, t = 65 the coherence |e2| is 9.7e-13, and its 2 |e2| ln |e2|
+    # counts: a fixed 1e-12 clip of x ln x put the DEM 5.3e-11 off.  The
+    # formula is evaluated at 40 digits on the float weights and on the float
+    # phases g sqrt(n+1) t the kernel rounds to (measured gap 1.1e-16); those
+    # phases' own rounding, 3.7e-14 in this DEM, is test_window's to bound
+    mpmath = pytest.importorskip("mpmath")
+    atom, field, params, t = AtomState(0.7), FieldConfig(200.0), ModelParams(), 65.0
+    dem = closed_form_coeffs(atom, field, params, t).dem
+    phases = params.g * np.sqrt(np.arange(field.n_lo, field.n_max + 1) + 1.0) * t
+    with mpmath.workdps(40):
+        weights = [mpmath.mpf(float(w)) for w in field.weights]
+        x = [mpmath.mpf(float(phase)) for phase in phases]
+        c = mpmath.fsum(w * mpmath.cos(y) ** 2 for w, y in zip(weights, x))
+        s = mpmath.fsum(weights) - c
+        sin2 = mpmath.fsum(w * mpmath.sin(2 * y) for w, y in zip(weights, x))
+        lam0, lam1 = mpmath.mpf(atom.lambda0), mpmath.mpf(atom.lambda1)
+        e1, e4 = lam0 * s + lam1 * c, lam0 * c + lam1 * s
+        e2 = abs(lam1 - lam0) * abs(sin2) / 2
+        exact = -e1 * mpmath.log(e1) - e4 * mpmath.log(e4) + 2 * e2 * mpmath.log(e2)
+    assert abs(dem - float(exact)) <= 1e-14
+
+
 def test_dem_exact_on_evolved_state_matches_relative_entropy():
     field = FieldConfig(5.0)
     atom = AtomState(0.7)
@@ -331,6 +365,69 @@ def test_field_entropy_matches_the_dense_marginal_where_the_gram_degenerates(m, 
     joint = vector_joint(atom, field, ModelParams(), t)
     marginal = partial_trace(joint, (2, field.n_levels), "field")
     assert abs(report.s_field - von_neumann_entropy(marginal)) <= 1e-12
+
+
+def gram_at_40_digits(mpmath, atom, field, params, t):
+    """The field's 4x4 Gram at time t, as entropies_at forms it from
+    field.weights, at mpmath's working precision.  The excited level is
+    multiplied by i and psi_e by -i, local unitaries that make every entry
+    real and leave the spectrum as it is."""
+    weights = [mpmath.mpf(float(w)) for w in field.weights]
+    norm = mpmath.sqrt(mpmath.fsum(weights))
+    amps = [mpmath.sqrt(w) / norm for w in weights]
+    phases = [mpmath.mpf(params.g) * mpmath.sqrt(n + 1) * mpmath.mpf(t)
+              for n in range(field.n_lo, field.n_max)]
+    cos, sin = [mpmath.cos(x) for x in phases], [mpmath.sin(x) for x in phases]
+    zero = mpmath.mpf(0)
+    rows = [  # sqrt(lambda_k) psi_k[a, :] by start k and atom level a
+        [amps[0], *(c * a for c, a in zip(cos, amps[1:]))],
+        [*(s * a for s, a in zip(sin, amps[1:])), zero],
+        [zero, *(-s * a for s, a in zip(sin, amps[:-1]))],
+        [*(c * a for c, a in zip(cos, amps[:-1])), amps[-1]],
+    ]
+    scale = [mpmath.sqrt(mpmath.mpf(lam)) for lam in
+             (atom.lambda0, atom.lambda0, atom.lambda1, atom.lambda1)]
+    return mpmath.matrix([[si * sj * mpmath.fsum(a * b for a, b in zip(ri, rj))
+                           for sj, rj in zip(scale, rows)] for si, ri in zip(scale, rows)])
+
+
+def test_field_entropy_matches_a_40_digit_gram():
+    # at the CLI defaults the field Gram has an eigenvalue 8.4e-15 at t = 0.05
+    # and 9.8e-13 at t = 0.75, and each -p ln p counts: a fixed 1e-12 clip
+    # left s_field 2.8e-13 and 2.8e-11 low (measured gaps now 1.5e-16, 2.2e-16)
+    mpmath = pytest.importorskip("mpmath")
+    atom, field, params = AtomState(0.7), FieldConfig(5.0), ModelParams()
+    times = [0.05, 0.75]
+    s_field = entropies_at(atom, field, params, times).s_field
+    for t, value in zip(times, s_field):
+        with mpmath.workdps(40):
+            gram = gram_at_40_digits(mpmath, atom, field, params, t)
+            spectrum = mpmath.eigsy(gram, eigvals_only=True)
+            exact = -mpmath.fsum(p * mpmath.log(p) for p in spectrum if p > 0)
+        assert abs(value - float(exact)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [5.0, 50.0, 200.0, 1e3])
+def test_field_entropy_matches_the_vector_oracle_gram(m):
+    # s_field at a mixed lambda0 against the 4x4 Gram of the oracle's own
+    # evolved vectors on its own Poisson amplitudes, summed as -p ln p over
+    # every p > 0 with no floor.  At t = 0.75 the smallest eigenvalue is
+    # 9.6e-13, 3.0e-10, 8.2e-12 and 1.9e-13 at m = 5, 50, 200 and 1e3;
+    # measured gap at most 2.1e-15 (m = 50, lambda0 = 0.3, t = 0.75)
+    field, params = FieldConfig(m), ModelParams()
+    t1 = revival_period(field, params)
+    times = np.array([0.75, 0.5 * t1, 2.3 * t1])
+    amps = coherent_amplitudes(field.mean_photons, field.n_max, field.n_lo)
+    psi_g, psi_e = full_range_vectors(amps, params, times, field.n_lo)
+    # each state's rows by atom level, shaped (T, 2, W)
+    psi_g, psi_e = (psi.reshape(len(times), 2, -1) for psi in (psi_g, psi_e))
+    for lam in (0.3, 0.7):
+        rows = np.concatenate([math.sqrt(lam) * psi_g, math.sqrt(1.0 - lam) * psi_e], axis=1)
+        p = np.linalg.eigvalsh(rows @ rows.conj().swapaxes(-1, -2))
+        live = np.where(p > 0.0, p, 1.0)
+        oracle = -np.sum(live * np.log(live), axis=-1)
+        s_field = entropies_at(AtomState(lam), field, params, times).s_field
+        assert np.abs(s_field - oracle).max() <= 5e-15
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
