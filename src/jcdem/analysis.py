@@ -130,8 +130,9 @@ def scan_time(
     lambda1 = 1.  The entropies are entropies_at's over the grid.
     """
     times = time_grid(t_max, dt)
-    coeffs = closed_form_coeffs(atom, field, params, times)
+    # entropies_at first: a time too large for it is refused before any work
     report = entropies_at(atom, field, params, times)
+    coeffs = closed_form_coeffs(atom, field, params, times)
     columns = (coeffs.c, coeffs.c_exact, report.dem, coeffs.dem,
                report.s_atom, report.s_field, report.s_joint)
     return TimeSeries(times=times, columns=dict(zip(TIME_COLUMNS, columns)))

@@ -15,16 +15,13 @@ import numpy as np
 
 from .analysis import (
     MAX_GRID_POINTS,
-    REVIVALS,
     _grid_size,
     _revival_grid,
     revival_analysis,
-    revival_period,
     scan_lambda,
     scan_time,
     scan_transition,
 )
-from .entropy import entropies_at
 from .model import (
     DEFAULT_G,
     DEFAULT_OMEGA0,
@@ -32,7 +29,6 @@ from .model import (
     AtomState,
     FieldConfig,
     ModelParams,
-    _rotation,
 )
 from .svgplot import atomic_writer, render_plot
 
@@ -88,9 +84,9 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """Parse flags and validate them by building the model objects, which
     stay on the namespace as params, field and atom for run.
 
-    Any ValueError they, _rotation at --t-max or scan-lambda's T3, an entropy
-    command's entropies_at on no times or revival's grid guards raise becomes a
-    usage error, exit code 2.
+    Any ValueError they, the time grid's size or revival's grid guards raise
+    becomes a usage error, exit code 2.  These read only the flags; what a
+    kernel refuses before it computes, run reports the same way.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -106,11 +102,6 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
         args.field = FieldConfig(args.mean_photons, args.tail_tol)
         args.atom = AtomState(args.lambda0)
         n_times = _grid_size(args.t_max, args.dt)
-        t_end = (REVIVALS * revival_period(args.field, args.params)
-                 if args.command == "scan-lambda" else args.t_max)
-        _rotation(args.field, args.params, t_end)
-        if args.command in ("scan-time", "scan-lambda"):  # one time's memory
-            entropies_at(args.atom, args.field, args.params, [])
         if args.command == "revival":  # the grid's own guards, before any scan
             last = (n_times - 1) * args.dt
             _revival_grid(args.field, args.params, 0.0, last, args.dt)
@@ -132,31 +123,37 @@ def _write_csv(path: str, x_name: str, x, columns: dict) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one command; raises on numerical or I/O failure before any print."""
+    """Execute one command; raises on a failure to write, before any print.
+
+    A ValueError while the table is computed, before anything is written, is
+    an input a kernel refuses to evaluate: a usage error, exit code 2."""
     params, field = args.params, args.field
     flags, lines = {}, []
-
-    if args.command == "scan-lambda":
-        lambdas = np.linspace(0.0, 1.0, args.lambda_points)
-        scan = scan_lambda(field, params, lambdas)
-        x_name, x = "lambda0", scan.lambdas
-        columns = {f"dem_T{k}": col for k, col in scan.dem_at_T.items()}
-        flags = {"conjecture_holds": scan.conjecture_holds}
-        held = int(scan.conjecture_holds.sum())
-        lines = [f"conjecture holds at {held}/{len(scan.lambdas)} grid points"]
-    else:
-        if args.command == "scan-time":
-            series = scan_time(args.atom, field, params, args.t_max, args.dt)
+    try:
+        if args.command == "scan-lambda":
+            lambdas = np.linspace(0.0, 1.0, args.lambda_points)
+            scan = scan_lambda(field, params, lambdas)
+            x_name, x = "lambda0", scan.lambdas
+            columns = {f"dem_T{k}": col for k, col in scan.dem_at_T.items()}
+            flags = {"conjecture_holds": scan.conjecture_holds}
+            held = int(scan.conjecture_holds.sum())
+            lines = [f"conjecture holds at {held}/{len(scan.lambdas)} grid points"]
         else:
-            # transition and revival follow the excited-start convention
-            # regardless of --lambda0, and need no entropies
-            series = scan_transition(field, params, args.t_max, args.dt)
-        if args.command == "revival":
-            report = revival_analysis(field, params, series)
-            lines = [f"t_collapse={report.t_collapse:.4f}",
-                     *(f"T{k}={t:.4f}" for k, t in enumerate(report.revival_times, 1)),
-                     f"detected_revival={report.detected_revival:.4f}"]
-        x_name, x, columns = "t", series.times, series.columns
+            if args.command == "scan-time":
+                series = scan_time(args.atom, field, params, args.t_max, args.dt)
+            else:
+                # transition and revival follow the excited-start convention
+                # regardless of --lambda0, and need no entropies
+                series = scan_transition(field, params, args.t_max, args.dt)
+            if args.command == "revival":
+                report = revival_analysis(field, params, series)
+                revivals = enumerate(report.revival_times, 1)
+                lines = [f"t_collapse={report.t_collapse:.4f}",
+                         *(f"T{k}={t:.4f}" for k, t in revivals),
+                         f"detected_revival={report.detected_revival:.4f}"]
+            x_name, x, columns = "t", series.times, series.columns
+    except ValueError as exc:
+        build_parser().error(str(exc))
 
     if args.log_base == "2":
         columns = {name: col * BITS_PER_NAT if name.startswith(("dem_", "s_")) else col
@@ -171,11 +168,9 @@ def run(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parse_args(argv)
+        return run(parse_args(argv))
     except SystemExit as exc:  # argparse exits 0 on --help, 2 on a usage error
         return exc.code
-    try:
-        return run(args)
     except Exception as exc:
         print(f"jc-entangle: error: {exc}", file=sys.stderr)
         return 1

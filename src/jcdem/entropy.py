@@ -110,4 +110,4 @@ def entropies_at(
         atom_marginal = gram[:, ::2, ::2] + gram[:, 1::2, 1::2]
         return [_entropies(m) for m in (atom_marginal, gram, joint)]
     # each time holds a joint state, (2W)^2 entries, and eigvalsh's copy of it
-    return EntropyReport(*_walk_times(t, 8 * width**2, 3, entropies))
+    return EntropyReport(*_walk_times(field, params, t, 8 * width**2, 3, entropies))

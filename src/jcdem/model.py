@@ -164,13 +164,20 @@ def time_chunks(n_times: int, entries_per_time: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n_times, step)]
 
 
-def _walk_times(t, entries_per_time: int, rows: int, fill) -> tuple:
+def _walk_times(field: FieldConfig, params: ModelParams, t, entries_per_time: int,
+                rows: int, fill) -> tuple:
     """The kernels' one walk: fill's `rows` values per time of t, chunk by time_chunks
-    chunk, in rows shaped like t ([()] unwraps 0-d); ValueError past MAX_TIME_BYTES."""
+    chunk, in rows shaped like t ([()] unwraps 0-d).  Before the first chunk, in Python
+    floats, ValueError unless 2 g sqrt(n_max + 1) max|t|, twice the largest phase
+    _rotation forms, is finite, or if one time needs more than MAX_TIME_BYTES."""
+    t = np.asarray(t, dtype=float)
+    t_abs = float(np.abs(t).max(initial=0.0))
+    if not math.isfinite(2.0 * (params.g * math.sqrt(field.n_max + 1.0) * t_abs)):
+        raise ValueError("times must be finite, and so must the phase 2 g sqrt(n_max"
+                         f" + 1) t: got g={params.g:g}, |t| up to {t_abs:g}")
     if (need := 16 * entries_per_time) > MAX_TIME_BYTES:
         raise ValueError(f"one time needs {need >> 20} MiB > {MAX_TIME_BYTES >> 20}"
                          " MiB: lower --mean-photons or raise --tail-tol")
-    t = np.asarray(t, dtype=float)
     out = np.empty((rows, t.size))
     for sl in time_chunks(t.size, entries_per_time):
         out[:, sl] = fill(t.reshape(-1)[sl])
@@ -255,12 +262,7 @@ def _window(mean_photons: float, tail_tol: float) -> tuple[int, np.ndarray]:
 def _rotation(field: FieldConfig, params: ModelParams, t) -> tuple[np.ndarray, ...]:
     """(cos, sin) of g sqrt(n+1) t on n_lo..n_max, each shaped t.shape + (W,): the Rabi
     rotation of each doublet {|2,n>, |1,n+1>}, for entropies_at's evolved states and
-    closed_form_coeffs' sums.  Checked in Python floats first: ValueError unless
-    2 g sqrt(n_max + 1) max|t| is finite."""
-    t_abs = float(np.abs(t).max(initial=0.0))
-    if not math.isfinite(2.0 * (params.g * math.sqrt(field.n_max + 1.0) * t_abs)):
-        raise ValueError("times must be finite, and so must the phase 2 g sqrt(n_max"
-                         f" + 1) t: got g={params.g:g}, |t| up to {t_abs:g}")
+    closed_form_coeffs' sums, on times whose phases _walk_times has checked."""
     omega = params.g * np.sqrt(np.arange(field.n_lo, field.n_max + 1) + 1.0)
     phase = np.multiply.outer(t, omega)
     return np.cos(phase), np.sin(phase)
@@ -287,7 +289,7 @@ def closed_form_coeffs(
         cos, sin = _rotation(field, params, times)
         return cos**2 @ w, 2.0 * ((sin * cos) @ w), sin[:, -1] ** 2
     # each time holds the W cosines, sines, cos^2 and one W-wide product
-    c, sin2, edge_sin2 = _walk_times(t, 4 * len(w), 3, sums)
+    c, sin2, edge_sin2 = _walk_times(field, params, t, 4 * len(w), 3, sums)
     total = w.sum()
     s = total - c
     return ClosedFormCoeffs(

@@ -6,8 +6,8 @@ summary section so the pass/fail lines survive output capture.
 The suite runs its BLAS on one thread unless the environment says
 otherwise: at the default, one thread per core, the stacked eigvalsh calls
 slow down many times over when two BLAS-heavy processes share the cores.
-The variables must be set before numpy is first imported, here by
-jcdem.model.
+The variables must be set before numpy is first imported, here by the
+jcdem modules the fixtures patch.
 """
 
 import os
@@ -17,6 +17,7 @@ import pytest
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
+import jcdem.entropy  # noqa: E402
 import jcdem.model  # noqa: E402
 
 CRITERION_LINES = []
@@ -49,3 +50,19 @@ def chunk_starts(monkeypatch):
 
     monkeypatch.setattr(jcdem.model, "time_chunks", record)
     return starts
+
+
+@pytest.fixture
+def rotation_calls(monkeypatch):
+    """The size of each chunk of times the kernels hand model._rotation during
+    the test, in call order: one call per chunk they evaluate."""
+    calls = []
+    original = jcdem.model._rotation
+
+    def record(field, params, t):
+        calls.append(t.size)
+        return original(field, params, t)
+
+    for module in (jcdem.model, jcdem.entropy):
+        monkeypatch.setattr(module, "_rotation", record)
+    return calls

@@ -11,9 +11,11 @@ Likewise partial_trace and dem_exact are the package's former entropy
 path: they take any dense bipartite state, check that it is Hermitian and
 trace out each factor, where entropies_at reads its marginals from one
 array of evolved amplitudes.  Their entropies come from
-von_neumann_entropy here, with its own eigenvalue cut, not from the
-package's spectrum-to-entropy code.  The full eigensystem and the relative entropy are only needed by
-these checks.  full_range_vectors evolves the two starts |1,theta> and
+von_neumann_entropy here, not from the package's spectrum-to-entropy code;
+it and relative_entropy zero an eigenvalue by the package's rule, at or
+below d eps max|eig| of its own d x d matrix, and renormalize nothing.
+The full eigensystem and the relative entropy are only needed by these
+checks.  full_range_vectors evolves the two starts |1,theta> and
 |2,theta> per dressed doublet from whatever amplitudes it is given, on
 every level 0..n_max by default: the reference for the package's photon
 window n_lo..n_max.  evolve_vectors runs it on that window, the states
@@ -40,9 +42,7 @@ from jcdem import EntropyReport
 # Probability mass sigma may place outside rho's support before the
 # relative entropy is declared infinite.
 SUPPORT_TOL = 1e-9
-# Eigenvalues at or below ZERO_EIG count as zero in p ln p sums; one below
-# -NEGATIVE_EIG makes the state invalid.
-ZERO_EIG = 1e-12
+# An eigenvalue below -NEGATIVE_EIG makes the state invalid.
 NEGATIVE_EIG = 1e-10
 # A joint state further than this from Hermitian is a bug in its caller.
 HERMITICITY_ATOL = 1e-10
@@ -341,13 +341,19 @@ def partial_trace(
     raise ValueError(f"keep must be 'atom' or 'field', got {keep!r}")
 
 
+def zero_floor(p) -> np.ndarray:
+    """d eps max|p| of each spectrum p along the last axis of length d: the
+    resolution of a d x d eigenvalue problem, at or below which p is zero."""
+    return p.shape[-1] * np.finfo(float).eps * np.abs(p).max(axis=-1, keepdims=True)
+
+
 def von_neumann_entropy(rho):
-    """-sum p ln p over the eigenvalues p > ZERO_EIG of each matrix in a
+    """-sum p ln p over the eigenvalues p above zero_floor of each matrix in a
     (..., d, d) stack; ValueError if one lies below -NEGATIVE_EIG."""
     p = np.linalg.eigvalsh(rho)
     if p.min(initial=0.0) < -NEGATIVE_EIG:
         raise ValueError(f"state has negative eigenvalue {p.min():.3e}")
-    live = np.where(p > ZERO_EIG, p, 1.0)
+    live = np.where(p > zero_floor(p), p, 1.0)
     return -np.sum(live * np.log(live), axis=-1)
 
 
@@ -418,8 +424,8 @@ def relative_entropy(sigma, rho) -> float:
     if lam[0] < -NEGATIVE_EIG or mu[0] < -NEGATIVE_EIG:
         raise ValueError("negative eigenvalue in relative entropy argument")
     overlaps = np.abs(v.conj().T @ w) ** 2
-    lam_live = lam > ZERO_EIG
-    mu_dead = mu <= ZERO_EIG
+    lam_live = lam > zero_floor(lam)
+    mu_dead = mu <= zero_floor(mu)
     stray = float(lam[lam_live] @ overlaps[np.ix_(lam_live, mu_dead)].sum(axis=1))
     if stray > SUPPORT_TOL:
         return math.inf

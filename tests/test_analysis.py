@@ -165,6 +165,15 @@ def test_closed_form_chunks_count_each_times_footprint(monkeypatch):
     assert max(sizes) * counts[0] <= budget
 
 
+def test_scan_time_refuses_a_time_beyond_the_memory_limit_before_any_work(
+        rotation_calls):
+    # at m = 1e5 one time of the dense entropies needs 2527 MiB: entropies_at
+    # refuses it before the closed forms walk their 143 chunks of the grid
+    with pytest.raises(ValueError, match="one time needs 2527 MiB > 1024 MiB"):
+        scan_time(AtomState(0.7), FieldConfig(1e5), PARAMS, 50.0, 0.05)
+    assert rotation_calls == []
+
+
 def test_scan_time_joint_entropy_constant(mixed_series):
     err = np.abs(mixed_series.columns["s_joint"] - BINARY_ENTROPY_07).max()
     assert err <= 1e-8

@@ -12,6 +12,7 @@ from oracles import (
     atom_coherence,
     coherent_amplitudes,
     dem_exact,
+    evolve_vectors,
     excited_population,
     full_range_vectors,
     marginal_product,
@@ -287,6 +288,38 @@ def test_dem_exact_on_evolved_state_matches_relative_entropy():
         relative_entropy(joint, marginal_product(joint, dims)), abs=1e-8
     )
     assert report.dem >= -1e-9
+
+
+def test_dense_oracle_entropies_match_the_kernel_where_an_eigenvalue_is_small():
+    # at m = 5, lambda0 = 0.7, t = 0.75 the field marginal holds an eigenvalue
+    # near 1e-12: an oracle that zeroed every eigenvalue below 1e-12 read
+    # s_field and the DEM 2.70e-11 low; zeroing by d eps max|eig| it reads 1.4e-15
+    field, atom = FieldConfig(5.0), AtomState(0.7)
+    joint = vector_joint(atom, field, ModelParams(), 0.75)
+    oracle = dem_exact(joint, (2, field.n_levels))
+    kernel = entropies_at(atom, field, ModelParams(), 0.75)
+    for name in ("s_atom", "s_field", "s_joint", "dem"):
+        assert abs(getattr(oracle, name) - getattr(kernel, name)) <= 1e-13, name
+
+
+@pytest.mark.parametrize("m", [5.0, 50.0, 200.0])
+def test_joint_entropy_is_that_of_the_two_state_gram(m):
+    # rho = B B^dag with B = [sqrt(lambda0) psi_g, sqrt(lambda1) psi_e] shares
+    # its nonzero spectrum with the 2x2 Gram B^dag B: the identity a rank-2
+    # joint entropy rests on.  Both gaps measured at most 8.9e-16 (4 eps).
+    field, params = FieldConfig(m), ModelParams()
+    times = np.array([0.0, 0.75, 3.1, 7.0, revival_period(field, params)])
+    psi_g, psi_e = evolve_vectors(field, params, times)
+    for lam in (0.05, 0.3, 0.7, 0.95):
+        atom = AtomState(lam)
+        b = np.stack([math.sqrt(atom.lambda0) * psi_g,
+                      math.sqrt(atom.lambda1) * psi_e], axis=-1)
+        gram = von_neumann_entropy(b.conj().swapaxes(-1, -2) @ b)
+        dense = [von_neumann_entropy(vector_joint(atom, field, params, t))
+                 for t in times]
+        kernel = entropies_at(atom, field, params, times).s_joint
+        assert np.abs(gram - dense).max() <= 2e-15, lam
+        assert np.abs(gram - kernel).max() <= 2e-15, lam
 
 
 def test_entropies_at_keeps_the_shape_of_t(chunk_starts):

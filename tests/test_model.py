@@ -408,6 +408,21 @@ def test_kernels_reject_non_finite_times(g, t):
         assert caught == []
 
 
+@pytest.mark.parametrize("kernel, zeros", [(closed_form_coeffs, 200_000),
+                                           (entropies_at, 3_000)])
+def test_kernels_refuse_an_overflowing_phase_before_any_chunk(kernel, zeros,
+                                                              rotation_calls):
+    # the one overflowing time comes last: a check per chunk would first
+    # evaluate the 202 closed-form or 201 entropy chunks of zeros before it
+    field, params, atom = default_field(), ModelParams(), AtomState(0.7)
+    times = np.append(np.zeros(zeros), 1e308)
+    with pytest.raises(ValueError, match="times must be finite.*phase"):
+        kernel(atom, field, params, times)
+    assert rotation_calls == []
+    kernel(atom, field, params, 1.0)
+    assert rotation_calls == [1]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(m=st.floats(0.0, 300.0), t=st.floats(0.0, 500.0))
 def test_evolved_states_stay_orthonormal(m, t):
