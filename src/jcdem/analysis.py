@@ -71,6 +71,7 @@ class RevivalReport:
     t_collapse: float
     revival_times: tuple[float, ...]
     detected_revival: float
+    series: TimeSeries
 
 
 def _grid_size(t_max: float, dt: float) -> int:
@@ -98,26 +99,6 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
 def revival_period(field: FieldConfig, params: ModelParams) -> float:
     """First revival time 2*pi*sqrt(m)/g."""
     return 2.0 * math.pi * math.sqrt(field.mean_photons) / params.g
-
-
-def _revival_grid(field: FieldConfig, params: ModelParams,
-                  first: float, last: float, step: float) -> float:
-    """The dominant Rabi period, once a grid from first to last in steps of step
-    covers [0.5, 1] T1, m >= 1 and step is at most half that period; else ValueError."""
-    t1 = revival_period(field, params)
-    if not (first <= 0.5 * t1 and last >= t1):
-        raise ValueError(f"time grid does not cover [{0.5 * t1:.4f}, {t1:.4f}], "
-                         "up to the first revival")
-    width = 2.0 * math.pi / (params.g * math.sqrt(math.floor(field.mean_photons) + 1.0))
-    if width >= t1:
-        raise ValueError(f"mean photon number m = {field.mean_photons:g} has no "
-                         f"revival to detect (dt={step:g})")
-    if 2.0 * step > width:
-        raise ValueError(
-            f"dt={step:g} is more than half the dominant Rabi period {width:.4f}, "
-            "so no detector window holds an oscillation"
-        )
-    return width
 
 
 def scan_time(
@@ -153,31 +134,37 @@ def scan_transition(
 
 
 def revival_analysis(
-    field: FieldConfig, params: ModelParams, series: TimeSeries
+    field: FieldConfig, params: ModelParams, t_max: float, dt: float
 ) -> RevivalReport:
     """The collapse time, revival times T1..T{REVIVALS} and a data-driven
-    revival locator.
+    revival locator on scan_transition's grid, which the report keeps.
 
     The detector scores each center within [0.5, 1.5] revival periods by the
     max - min of c_exact over a window one dominant Rabi period wide, clipped
-    to the series, and picks the best.  It needs a series of at least two
-    points that covers [0.5, 1] T1, a dominant Rabi period shorter than T1
-    (exactly when m >= 1), a step at most half that period, a uniform grid
-    and a finite c_exact; each failure raises ValueError.  These put a grid
-    point in the search range and keep the half-window below the series length.
+    to the series, and picks the best.  Before it scans, it needs a grid that
+    reaches T1, a dominant Rabi period shorter than T1 (exactly when m >= 1)
+    and a step at most half that period; each failure raises ValueError.
+    These put a grid point in the search range and keep the half-window below
+    the series length.
     """
     t1 = revival_period(field, params)
-    times = np.asarray(series.times)
-    # fewer than two times span nothing: NaN ends fail the coverage guard
-    first, second, last = times[[0, 1, -1]] if len(times) > 1 else (math.nan,) * 3
-    step = second - first
-    width = _revival_grid(field, params, first, last, step)
-    if np.ptp(times - step * np.arange(len(times))) > 1e-6 * step:
-        raise ValueError("times must be a uniform grid")
-    if not np.isfinite(series.columns["c_exact"]).all():
-        raise ValueError("c_exact must be finite")
+    if (_grid_size(t_max, dt) - 1) * dt < t1:
+        raise ValueError(f"time grid does not cover [{0.5 * t1:.4g}, {t1:.4g}], "
+                         "up to the first revival")
+    # dividing twice keeps the period from overflowing with g sqrt(floor(m) + 1)
+    width = 2.0 * math.pi / params.g / math.sqrt(math.floor(field.mean_photons) + 1.0)
+    if width >= t1:
+        raise ValueError(f"mean photon number m = {field.mean_photons:g} has no "
+                         f"revival to detect (dt={dt:g})")
+    if 2.0 * dt > width:
+        raise ValueError(
+            f"dt={dt:g} is more than half the dominant Rabi period {width:.4g}, "
+            "so no detector window holds an oscillation"
+        )
+    series = scan_transition(field, params, t_max, dt)
+    times = series.times
     # the epsilon keeps sample k in a half-width of k steps
-    half = math.floor(width / 2.0 / step + 1e-9)
+    half = math.floor(width / 2.0 / dt + 1e-9)
     lo, hi = times.searchsorted(0.5 * t1), times.searchsorted(1.5 * t1, "right")
     # edge padding keeps each clipped window's max and min; slicing copies no window
     padded = np.pad(series.columns["c_exact"], half, mode="edge")
@@ -187,6 +174,7 @@ def revival_analysis(
         t_collapse=1.0 / params.g,
         revival_times=tuple(k * t1 for k in range(1, REVIVALS + 1)),
         detected_revival=detected,
+        series=series,
     )
 
 

@@ -15,8 +15,6 @@ import numpy as np
 
 from .analysis import (
     MAX_GRID_POINTS,
-    _grid_size,
-    _revival_grid,
     revival_analysis,
     scan_lambda,
     scan_time,
@@ -84,9 +82,9 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """Parse flags and validate them by building the model objects, which
     stay on the namespace as params, field and atom for run.
 
-    Any ValueError they, the time grid's size or revival's grid guards raise
-    becomes a usage error, exit code 2.  These read only the flags; what a
-    kernel refuses before it computes, run reports the same way.
+    Any ValueError they raise becomes a usage error, exit code 2.  The time
+    grid is checked by the command that reads it: what a scan refuses before
+    it computes, run reports the same way.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -101,10 +99,6 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
         args.params = ModelParams(g=args.g, omega0=args.omega0)
         args.field = FieldConfig(args.mean_photons, args.tail_tol)
         args.atom = AtomState(args.lambda0)
-        n_times = _grid_size(args.t_max, args.dt)
-        if args.command == "revival":  # the grid's own guards, before any scan
-            last = (n_times - 1) * args.dt
-            _revival_grid(args.field, args.params, 0.0, last, args.dt)
     except ValueError as exc:
         parser.error(str(exc))
     return args
@@ -126,7 +120,8 @@ def run(args: argparse.Namespace) -> int:
     """Execute one command; raises on a failure to write, before any print.
 
     A ValueError while the table is computed, before anything is written, is
-    an input a kernel refuses to evaluate: a usage error, exit code 2."""
+    an input a scan refuses to evaluate, a time grid included: a usage error,
+    exit code 2.  scan-lambda reads neither --t-max nor --dt."""
     params, field = args.params, args.field
     flags, lines = {}, []
     try:
@@ -139,14 +134,15 @@ def run(args: argparse.Namespace) -> int:
             held = int(scan.conjecture_holds.sum())
             lines = [f"conjecture holds at {held}/{len(scan.lambdas)} grid points"]
         else:
+            # transition and revival follow the excited-start convention
+            # regardless of --lambda0, and need no entropies
             if args.command == "scan-time":
                 series = scan_time(args.atom, field, params, args.t_max, args.dt)
-            else:
-                # transition and revival follow the excited-start convention
-                # regardless of --lambda0, and need no entropies
+            elif args.command == "transition":
                 series = scan_transition(field, params, args.t_max, args.dt)
-            if args.command == "revival":
-                report = revival_analysis(field, params, series)
+            else:
+                report = revival_analysis(field, params, args.t_max, args.dt)
+                series = report.series
                 revivals = enumerate(report.revival_times, 1)
                 lines = [f"t_collapse={report.t_collapse:.4f}",
                          *(f"T{k}={t:.4f}" for k, t in revivals),

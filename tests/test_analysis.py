@@ -10,7 +10,6 @@ import pytest
 from oracles import marginal_product, propagated_joint, relative_entropy, windowed_range
 
 import jcdem.analysis
-import jcdem.cli
 import jcdem.entropy
 import jcdem.model
 from jcdem.analysis import (
@@ -119,8 +118,7 @@ def test_transition_and_revival_compute_no_entropies(tmp_path, monkeypatch):
         raise AssertionError("an entropy was computed")
 
     monkeypatch.setattr(jcdem.entropy, "_entropies", refuse)
-    series = scan_transition(FIELD, PARAMS, 22.0, 0.05)
-    revival_analysis(FIELD, PARAMS, series)
+    revival_analysis(FIELD, PARAMS, 22.0, 0.05)
     for command in ("transition", "revival"):
         assert main([command, "--out-csv", str(tmp_path / f"{command}.csv")]) == 0
 
@@ -189,6 +187,15 @@ def test_time_series_validation():
         TimeSeries(times=np.array([0.0, math.nan, 1.0]), columns={})
 
 
+@pytest.fixture
+def no_scan(monkeypatch):
+    """Fail any scan_transition call: a refusal must come before the scan."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series was scanned")
+
+    monkeypatch.setattr(jcdem.analysis, "scan_transition", refuse)
+
+
 def _oracle_revival(m, field, params, series):
     """The detector's pick by brute force: the center in [0.5, 1.5] T1 whose
     window one dominant Rabi period, 2 pi / (g sqrt(floor(m) + 1)) at the
@@ -210,60 +217,39 @@ def _oracle_revival(m, field, params, series):
 )
 def test_revival_detector_matches_the_window_oracle(m, g, t_max, dt):
     field, params = FieldConfig(m), ModelParams(g=g)
+    report = revival_analysis(field, params, t_max, dt)
     series = scan_transition(field, params, t_max, dt)
-    detected = revival_analysis(field, params, series).detected_revival
-    assert detected == _oracle_revival(m, field, params, series)
+    assert np.array_equal(report.series.times, series.times)
+    for name, col in series.columns.items():
+        assert np.array_equal(report.series.columns[name], col)
+    assert report.detected_revival == _oracle_revival(m, field, params, report.series)
 
 
-def test_revival_detector_on_a_constant_series_picks_the_first_center():
-    times = time_grid(50.0, 0.05)
-    series = TimeSeries(times, {"c_exact": np.full(len(times), 0.3)})
-    detected = revival_analysis(FIELD, PARAMS, series).detected_revival
-    assert detected == _oracle_revival(5.0, FIELD, PARAMS, series)
-    assert detected == times[times >= 0.5 * T1_FROZEN][0]
-
-
-def test_revival_rejects_a_non_uniform_grid():
-    times = time_grid(50.0, 0.05)
-    times[600] += 0.01
-    series = TimeSeries(times, {"c_exact": np.cos(times) ** 2})
-    with pytest.raises(ValueError, match="uniform"):
-        revival_analysis(FIELD, PARAMS, series)
-
-
-def test_revival_rejects_a_non_finite_c_exact():
-    # unchecked, one NaN in the searched windows moved the detected revival
-    # from 14.25 to 8.75 on this series
-    series = scan_transition(FIELD, PARAMS, 30.0, 0.05)
-    detected = revival_analysis(FIELD, PARAMS, series).detected_revival
-    assert detected == pytest.approx(14.25)
-    for bad in (math.nan, math.inf):
-        c_exact = series.columns["c_exact"].copy()
-        c_exact[200] = bad
-        broken = TimeSeries(series.times, {"c_exact": c_exact})
-        with pytest.raises(ValueError, match="c_exact must be finite"):
-            revival_analysis(FIELD, PARAMS, broken)
+def _traced_peak(call):
+    """Peak bytes tracemalloc sees while call() runs, and call()'s result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def test_revival_detector_copies_no_window_of_the_largest_grid():
     # at g = 0.15 the search range holds 9366 centers and each window 1711
-    # samples: a copy of those windows would take 128 MB
-    times = time_grid(0.01 * (MAX_GRID_POINTS - 1), 0.01)
-    assert len(times) == MAX_GRID_POINTS
-    series = TimeSeries(times, {"c_exact": np.cos(times) ** 2})
-    params = ModelParams(g=0.15)
-    tracemalloc.start()
-    try:
-        report = revival_analysis(FIELD, params, series)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * times.nbytes
+    # samples: a copy of those windows would take 128 MB.  Past the scan's own
+    # peak the detector may hold the edge-padded c_exact and its scores.
+    t_max, dt, params = 0.01 * (MAX_GRID_POINTS - 1), 0.01, ModelParams(g=0.15)
+    scan_peak, series = _traced_peak(lambda: scan_transition(FIELD, params, t_max, dt))
+    assert len(series.times) == MAX_GRID_POINTS
+    del series
+    peak, report = _traced_peak(lambda: revival_analysis(FIELD, params, t_max, dt))
+    assert peak < scan_peak + 2 * report.series.times.nbytes
     assert 0.5 <= report.detected_revival / report.revival_times[0] <= 1.5
 
 
-def test_revival_report_analytic_times(excited_series):
-    report = revival_analysis(FIELD, PARAMS, excited_series)
+def test_revival_report_analytic_times():
+    report = revival_analysis(FIELD, PARAMS, 22.0, 0.05)
     assert report.t_collapse == pytest.approx(1.0)
     assert report.revival_times[0] == pytest.approx(T1_FROZEN, abs=1e-12)
     assert np.allclose(
@@ -272,29 +258,23 @@ def test_revival_report_analytic_times(excited_series):
     assert revival_period(FIELD, PARAMS) == pytest.approx(T1_FROZEN, abs=1e-12)
 
 
-def test_revival_detector_lands_near_first_revival(excited_series):
-    report = revival_analysis(FIELD, PARAMS, excited_series)
+def test_revival_detector_lands_near_first_revival():
+    report = revival_analysis(FIELD, PARAMS, 22.0, 0.05)
     assert report.detected_revival == pytest.approx(14.25, abs=1e-9)
     assert abs(report.detected_revival - T1_FROZEN) <= 2.0
 
 
 def test_revival_scaling_with_coupling():
     params2 = ModelParams(g=2.0)
-    series = scan_time(AtomState(0.0), FIELD, params2, 12.0, 0.025)
-    report = revival_analysis(FIELD, params2, series)
+    report = revival_analysis(FIELD, params2, 12.0, 0.025)
     assert report.t_collapse == pytest.approx(0.5)
     assert report.revival_times[0] == pytest.approx(T1_FROZEN / 2.0, abs=1e-12)
     assert abs(report.detected_revival - T1_FROZEN / 2.0) <= 1.0
 
 
-def test_revival_requires_series_through_first_revival():
-    short = scan_time(AtomState(0.0), FIELD, PARAMS, 5.0, 0.1)
-    times = np.arange(8.0, 30.0, 0.05)
-    late = TimeSeries(times, {"c_exact": np.zeros_like(times)})
-    single = TimeSeries(np.array([T1_FROZEN]), {"c_exact": np.array([0.5])})
-    for series in (short, late, single):
-        with pytest.raises(ValueError, match=r"does not cover \[7\.0248, 14\.0496\]"):
-            revival_analysis(FIELD, PARAMS, series)
+def test_revival_requires_series_through_first_revival(no_scan):
+    with pytest.raises(ValueError, match=r"does not cover \[7\.025, 14\.05\]"):
+        revival_analysis(FIELD, PARAMS, 5.0, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -304,37 +284,36 @@ def test_revival_requires_series_through_first_revival():
     # m = 3's square root squares back to 3 only if rounded up: a floor of
     # 2.9999999999999996 took the period 2 pi / sqrt(3) = 3.6276 and passed dt = 1.7
 )
-def test_revival_rejects_a_grid_coarser_than_half_the_rabi_period(m, t_max, dt, period):
+def test_revival_rejects_a_grid_coarser_than_half_the_rabi_period(
+        m, t_max, dt, period, no_scan):
     # the detector's window would hold one sample, so every amplitude would
     # read 0 and argmax would return the first point of the search window;
     # at dt = 22 no grid point even falls in [0.5, 1.5] T1
     field = FieldConfig(m)
-    series = scan_transition(field, PARAMS, t_max, dt)
-    message = f"dt={dt:g} is more than half the dominant Rabi period {period:.4f}"
+    message = f"dt={dt:g} is more than half the dominant Rabi period {period:.4g}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        revival_analysis(field, PARAMS, series)
+        revival_analysis(field, PARAMS, t_max, dt)
 
 
 def test_revival_detector_resolves_a_grid_just_below_half_the_rabi_period():
     # at m = 1e3 half the period is 0.0993
     field = FieldConfig(1e3)
-    report = revival_analysis(field, PARAMS, scan_transition(field, PARAMS, 320.0, 0.09))
+    report = revival_analysis(field, PARAMS, 320.0, 0.09)
     assert abs(report.detected_revival / report.revival_times[0] - 1.0) <= 3e-3
 
 
-def test_revival_rejects_a_vacuum_field():
+def test_revival_rejects_a_vacuum_field(no_scan):
     # below one photon the dominant Rabi period 2 pi / g outlasts T1, so every
     # window reaches back to the collapse and the scores cannot place a revival
     for m in (0.0, 0.3, 0.5, 0.9):
         field = FieldConfig(m)
-        series = scan_transition(field, PARAMS, 10.0, 0.05)
         message = f"m = {m:g} has no revival to detect (dt=0.05)"
         with pytest.raises(ValueError, match=re.escape(message)):
-            revival_analysis(field, PARAMS, series)
+            revival_analysis(field, PARAMS, 10.0, 0.05)
 
 
 def test_revival_cli_reports_the_empty_window(tmp_path, capsys):
-    cases = [(["--t-max", "10"], "does not cover [7.0248, 14.0496]"),
+    cases = [(["--t-max", "10"], "does not cover [7.025, 14.05]"),
              (["--mean-photons", "0"], "m = 0 has no revival to detect"),
              (["--mean-photons", "0.5"], "m = 0.5 has no revival to detect"),
              (["--mean-photons", "1000", "--t-max", "320", "--dt", "0.1"],
@@ -345,19 +324,25 @@ def test_revival_cli_reports_the_empty_window(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
-def test_revival_cli_refuses_its_grid_before_scanning(tmp_path, capsys, monkeypatch):
+def test_revival_cli_refuses_its_grid_before_scanning(tmp_path, capsys, no_scan):
     # the grid guards read only the flags: this grid's 100 001 times took
     # 2.5 s to scan before its step was refused, and the run exited 1
-    def refuse(*args, **kwargs):
-        raise AssertionError("the series was scanned")
-
-    monkeypatch.setattr(jcdem.cli, "scan_transition", refuse)
     argv = ["revival", "--mean-photons", "1e4", "--t-max", "5000", "--dt", "0.05",
             "--out-csv", str(tmp_path / "r.csv")]
     assert main(argv) == 2
-    assert "dt=0.05 is more than half the dominant Rabi period 0.0628" in (
+    assert "dt=0.05 is more than half the dominant Rabi period 0.06283" in (
         capsys.readouterr().err)
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_revival_cli_names_the_rabi_period_of_a_huge_coupling(tmp_path, capsys, no_scan):
+    # 2 pi / (g sqrt(6)) overflows in its product at g = 1e308 and read 0.0;
+    # the period itself, 2.565e-308, is a normal float
+    argv = ["revival", "--g", "1e308", "--t-max", "1", "--dt", "0.5",
+            "--out-csv", str(tmp_path / "r.csv")]
+    assert main(argv) == 2
+    assert "dt=0.5 is more than half the dominant Rabi period 2.565e-308" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize(
@@ -366,19 +351,20 @@ def test_revival_cli_refuses_its_grid_before_scanning(tmp_path, capsys, monkeypa
      (1e3, 320.0, 0.1), (1e3, 320.0, 0.09), (5.0, 23.0, 22.0), (3.0, 30.0, 1.7)],
     # T1 = 14.04963 at m = 5: the grid to 14.0496 stops at 14.0 and misses it
 )
-def test_revival_cli_and_detector_refuse_the_same_grids(m, t_max, dt, capsys):
+def test_revival_cli_and_detector_refuse_the_same_grids(m, t_max, dt, tmp_path, capsys):
     field = FieldConfig(m)
     try:
-        revival_analysis(field, PARAMS, scan_transition(field, PARAMS, t_max, dt))
+        revival_analysis(field, PARAMS, t_max, dt)
         refused = None
     except ValueError as exc:
         refused = str(exc)
-    argv = ["revival", "--mean-photons", str(m), "--t-max", str(t_max), "--dt", str(dt)]
+    argv = ["revival", "--mean-photons", str(m), "--t-max", str(t_max), "--dt", str(dt),
+            "--out-csv", str(tmp_path / "r.csv")]
+    code, err = main(argv), capsys.readouterr().err
     if refused is None:
-        assert jcdem.cli.parse_args(argv).command == "revival"
+        assert (code, err) == (0, "")
     else:
-        assert main(argv) == 2
-        assert capsys.readouterr().err.endswith(f"error: {refused}\n")
+        assert code == 2 and err.endswith(f"error: {refused}\n")
 
 
 def test_collapse_amplitude_profile(excited_series):

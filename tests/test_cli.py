@@ -1,6 +1,8 @@
 """Tests for argument parsing, the CLI commands, and plot rendering."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -15,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jcdem.cli
 from jcdem.analysis import TimeSeries, time_grid
@@ -78,10 +83,15 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_parse_args_checks_the_grid_without_building_it():
-    # 999 981 points, 8 MB as a float grid: the check builds no grid
-    argv = ["transition", "--t-max", "49999", "--dt", "0.05"]
-    assert _traced_peak(lambda: parse_args(argv)) < 1 << 20
+def test_parse_args_checks_the_grid_without_building_it(tmp_path, capsys):
+    # 1 000 001 points, 8 MB as a float grid, and a grid whose size overflows:
+    # the command refuses both without building them
+    csv = tmp_path / "tr.csv"
+    for argv in (["transition", "--t-max", "50000", "--dt", "0.05"],
+                 ["transition", "--t-max", "1e308", "--dt", "1e-10"]):
+        assert _traced_peak(lambda: main([*argv, "--out-csv", str(csv)])) < 1 << 20
+        assert "exceeds 1000000 points" in capsys.readouterr().err
+    assert not csv.exists()
 
 
 def test_parse_args_default_csv_name_follows_command():
@@ -121,6 +131,65 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert main(argv) == 2
     assert "usage" in capsys.readouterr().err.lower()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_lambda_reads_no_time_grid(tmp_path, capsys):
+    # scan-lambda samples T1..T3 alone, so a grid transition refuses is no
+    # error for it
+    plain = tmp_path / "plain.csv"
+    assert main(["scan-lambda", "--out-csv", str(plain)]) == 0
+    for flags in (["--dt", "100"], ["--t-max", "1e308", "--dt", "1e-10"]):
+        csv = tmp_path / "flags.csv"
+        assert main(["scan-lambda", *flags, "--out-csv", str(csv)]) == 0
+        assert csv.read_bytes() == plain.read_bytes()
+    assert main(["transition", "--t-max", "1e308", "--dt", "1e-10",
+                 "--out-csv", str(tmp_path / "tr.csv")]) == 2
+    assert "usage" in capsys.readouterr().err
+    assert not (tmp_path / "tr.csv").exists()
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _box(usual, refused):
+    """usual's values five times in six, else one of refused."""
+    return st.tuples(st.integers(0, 5), st.sampled_from(refused), usual).map(
+        lambda pick: pick[1] if pick[0] == 5 else pick[2])
+
+
+# Each flag draws from a box that also holds values the model refuses, or
+# extremes such as g = 1e308, whose phases overflow; the usual values keep a
+# run cheap: m <= 20 and at most 401 grid points.
+FLAG_VALUES = {
+    "--g": _box(st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+                (*NON_FINITE, -1.0, 0.0, 5e-324, 1e308)),
+    "--mean-photons": _box(st.floats(0.0, 20.0), (*NON_FINITE, -1.0, 1e8)),
+    "--t-max": _box(st.floats(2.0, 40.0), (*NON_FINITE, -1.0, 0.0, 1e308)),
+    "--dt": _box(st.floats(0.1, 2.0), (*NON_FINITE, -1.0, 0.0)),
+    "--tail-tol": _box(st.floats(-15.0, -0.3).map(lambda e: 10.0**e),
+                       (*NON_FINITE, -1.0, 0.0, 1.0)),
+    "--lambda0": _box(st.floats(0.0, 1.0), (*NON_FINITE, -1.0, 1.5)),
+    "--lambda-points": _box(st.integers(2, 50), (1,)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(flags=st.fixed_dictionaries(FLAG_VALUES))
+def test_every_command_exits_0_with_a_finite_table_or_2_with_usage(command, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "out.csv"
+        argv = [command, *(f"{name}={value}" for name, value in flags.items()),
+                "--out-csv", str(csv)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            table = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+            assert table.size and np.isfinite(table).all(), argv
+        else:
+            assert code == 2 and "usage" in err.getvalue(), (argv, err.getvalue())
+            assert list(Path(tmp).iterdir()) == [], argv
 
 
 def test_a_symlink_naming_the_csv_as_the_svg_is_a_usage_error(tmp_path, capsys):
