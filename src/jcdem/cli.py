@@ -143,10 +143,12 @@ def run(args: argparse.Namespace) -> int:
             else:
                 report = revival_analysis(field, params, args.t_max, args.dt)
                 series = report.series
-                revivals = enumerate(report.revival_times, 1)
-                lines = [f"t_collapse={report.t_collapse:.4f}",
-                         *(f"T{k}={t:.4f}" for k, t in revivals),
-                         f"detected_revival={report.detected_revival:.4f}"]
+                times = {"t_collapse": report.t_collapse,
+                         **{f"T{k}": t for k, t in enumerate(report.revival_times, 1)},
+                         "detected_revival": report.detected_revival}
+                # four decimals, as at the defaults, where they hold four to ten digits
+                lines = [f"{name}={t:.4f}" if 0.1 <= t < 1e6 else f"{name}={t:#.4g}"
+                         for name, t in times.items()]
             x_name, x, columns = "t", series.times, series.columns
     except ValueError as exc:
         build_parser().error(str(exc))

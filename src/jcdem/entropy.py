@@ -21,8 +21,6 @@ import numpy as np
 
 from .model import AtomState, FieldConfig, ModelParams, _rotation, _walk_times, _xlogx
 
-# A state with an eigenvalue below -NEGATIVE_EIG_TOL is invalid.
-NEGATIVE_EIG_TOL = 1e-10
 AL_SLACK = 1e-8
 
 
@@ -30,11 +28,10 @@ def _entropies(rho):
     """-tr(rho ln rho) of each matrix in a (..., d, d) stack, from one eigvalsh
     call on its lower triangles.  Eigenvalues at or below d eps max|eig|, the
     floor eigvalsh resolves a d x d spectrum to, are zero; the rest, renormalized
-    to unit trace, make a pure state's exactly 1, so its entropy is exactly +0.0."""
+    to unit trace, make a pure state's exactly 1, so its entropy is exactly +0.0.
+    No sign is checked: entropies_at passes only Gram products and sums of their
+    principal blocks, positive semidefinite, whose rounding negatives the floor zeroes."""
     eigs = np.linalg.eigvalsh(rho)
-    lowest = eigs.min(initial=0.0)
-    if lowest < -NEGATIVE_EIG_TOL:
-        raise ValueError(f"state has negative eigenvalue {lowest:.3e}")
     floor = eigs.shape[-1] * np.finfo(float).eps * np.abs(eigs).max(-1, keepdims=True)
     eigs = np.where(eigs > floor, eigs, 0.0)
     probs = eigs / eigs.sum(axis=-1, keepdims=True)

@@ -184,11 +184,11 @@ def _walk_times(field: FieldConfig, params: ModelParams, t, entries_per_time: in
     return tuple(row.reshape(t.shape)[()] for row in out)
 
 
-def _odd_tail(v, terms: int = 18):
-    """atanh(v) / v - 1 = sum_{j=1..terms} v^(2j) / (2j+1) by Horner: terms of one
+def _odd_tail(v):
+    """atanh(v) / v - 1 = sum_{j=1..18} v^(2j) / (2j+1) by Horner: terms of one
     sign, complete to rounding for |v| <= 1/3."""
     v2, out = np.square(v), 0.0
-    for k in range(2 * terms + 1, 1, -2):
+    for k in range(37, 1, -2):
         out = v2 * (1.0 / k + out)
     return out
 

@@ -27,7 +27,9 @@ and vector_joint take theta = sqrt(m) e^{i phase} as m and phase, so
 |theta|^2 is m exactly, as the package's is.
 excited_population and atom_coherence write the atom's populations and
 coherence as Poisson sums, term by term, both exactly and under the
-substitutions that give the paper's closed form.  windowed_range is the
+substitutions that give the paper's closed form; poisson_grams writes the
+field's 4x4 Gram and the joint 2x2 Gram of the evolved states the same way,
+in O(W) per time with no state vector.  windowed_range is the
 revival detector's score by brute force: the range of the values within a
 centered time window, with no padding and no sliding view.
 """
@@ -314,6 +316,53 @@ def vector_joint(atom, field, params, t: float, phase: float = 0.0) -> np.ndarra
     return atom.lambda0 * np.outer(psi_g, psi_g.conj()) + atom.lambda1 * np.outer(
         psi_e, psi_e.conj()
     )
+
+
+def poisson_grams(atom, field, params, t) -> tuple[np.ndarray, np.ndarray]:
+    """(4x4 field Gram, 2x2 joint Gram) of the evolve_vectors states at a scalar
+    or array of times, each shaped t.shape + (r, r), as Poisson-trig sums over
+    the window in O(W) per time, with no state vector.
+
+    The field Gram's rows are sqrt(lambda_k) psi_k[a, :], index 2k + a by start
+    k (ground, excited) and atom level a, and its entry [r, q] is
+    sum_n row_r[n] conj(row_q[n]): it shares the field marginal's nonzero
+    spectrum.  The joint Gram, B^dag B's transpose with B = [sqrt(lambda0) psi_g,
+    sqrt(lambda1) psi_e], is its partial trace over a.  With the amplitudes
+    a_n of coherent_amplitudes and C_n, S_n the cos and sin of g sqrt(n+1) t
+    on each doublet {|2,n>, |1,n+1>}, every entry is one of nine sums of
+    a_n a_{n+s} (s = 0, 1, 2) times two trig factors, plus the edge terms of
+    |1,n_lo> and |2,n_max>, which stay put.
+    """
+    t = np.asarray(t, dtype=float)[..., None]
+    a = coherent_amplitudes(field.mean_photons, field.n_max, field.n_lo).real
+    lo, hi = a[:-1], a[1:]
+    phase = params.g * np.sqrt(np.arange(field.n_lo + 1.0, field.n_max + 1.0)) * t
+    c, s = np.cos(phase), np.sin(phase)
+    one = np.ones(t.shape)
+    # the cos of the doublet below and above each doublet; 1 where that is an edge
+    c_below = np.concatenate([one, c[..., :-1]], axis=-1)
+    c_above = np.concatenate([c[..., 1:], one], axis=-1)
+    first, last = a[0] ** 2, a[-1] ** 2
+    # upper triangle by (row, column): psi_g ground, psi_g excited, psi_e ground,
+    # psi_e excited
+    sums = {
+        (0, 0): first + (c * c) @ (hi * hi),
+        (1, 1): (s * s) @ (hi * hi),
+        (2, 2): (s * s) @ (lo * lo),
+        (3, 3): (c * c) @ (lo * lo) + last,
+        (0, 1): 1j * ((c_below * s) @ (lo * hi)),
+        (0, 2): 1j * ((c * s) @ (lo * hi)),
+        (0, 3): (c_below * c) @ (lo * lo) + last * c[..., -1],
+        (1, 2): (s[..., :-1] * s[..., 1:]) @ (a[:-2] * a[2:]),
+        (1, 3): -1j * ((s * c) @ (lo * hi)),
+        (2, 3): -1j * ((s * c_above) @ (lo * hi)),
+    }
+    gram = np.empty(t.shape[:-1] + (4, 4), dtype=complex)
+    for (r, q), value in sums.items():
+        gram[..., r, q], gram[..., q, r] = value, np.conj(value)
+    root = np.sqrt([atom.lambda0, atom.lambda0, atom.lambda1, atom.lambda1])
+    gram *= np.outer(root, root)
+    return gram, gram[..., ::2, ::2] + gram[..., 1::2, 1::2]
 
 
 def partial_trace(

@@ -170,6 +170,16 @@ def test_oracles_reach_no_private_or_entropy_code():
         "amplitudes", "weights"]
 
 
+def test_the_40_digit_generator_imports_only_the_standard_library_and_mpmath():
+    # tests/data/reference_40digit.json arbitrates the package only while its
+    # generator shares no code with it
+    tree = ast.parse((TESTS / "make_reference_40.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert sorted(imported) == ["json", "mpmath", "pathlib"]
+
+
 def phase_reads(source: str) -> list[str]:
     """Each .angle or .theta attribute that source reads."""
     return [node.attr for node in ast.walk(ast.parse(source))

@@ -378,6 +378,23 @@ def test_revival_report_lines(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "t,c_closed,c_exact"
 
 
+@pytest.mark.parametrize("g, t_max, dt", [("1e5", "0.0002", "1e-6"),
+                                         ("1e-300", "1.5e301", "1e300")])
+def test_revival_report_lines_keep_four_digits_at_extreme_couplings(
+        g, t_max, dt, tmp_path, capsys):
+    # with four decimals the first argv printed t_collapse=0.0000 and T1=0.0001,
+    # and the second T1 with 302 digits
+    assert main(["revival", "--g", g, "--t-max", t_max, "--dt", dt,
+                 "--out-csv", str(tmp_path / "rev.csv")]) == 0
+    printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines()
+                   if "=" in line)
+    assert max(len(value) for value in printed.values()) <= 10
+    assert float(printed["t_collapse"]) == pytest.approx(1.0 / float(g), rel=1e-3)
+    for k in (1, 2, 3):
+        exact = 2.0 * math.pi * k * math.sqrt(5.0) / float(g)
+        assert float(printed[f"T{k}"]) == pytest.approx(exact, rel=1e-3)
+
+
 def test_outputs_are_byte_deterministic(tmp_path):
     paths = []
     for tag in ("a", "b"):

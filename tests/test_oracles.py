@@ -1,5 +1,7 @@
-"""Tests for the dense linear-algebra oracles of tests/oracles.py: tensor
-products, the partial trace and the full eigensystem."""
+"""Tests for the linear-algebra oracles of tests/oracles.py: tensor
+products, the partial trace, the full eigensystem and the Poisson-sum Grams."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +10,15 @@ from oracles import (
     EigenSystem,
     atom_matrix,
     coherent_state,
+    evolve_vectors,
     hermitian_eigensystem,
     initial_joint_state,
     partial_trace,
+    poisson_grams,
 )
 
-from jcdem.model import AtomState, FieldConfig
+from jcdem.analysis import revival_period
+from jcdem.model import AtomState, FieldConfig, ModelParams
 
 
 def random_density(rng, dim):
@@ -160,3 +165,21 @@ def test_eigensystem_symmetrizes_round_off():
     perturbed = m + 1e-13 * rng.normal(size=(5, 5))
     w, _ = hermitian_eigensystem(perturbed)
     assert np.allclose(w, hermitian_eigensystem(m).eigenvalues, atol=1e-11)
+
+
+@pytest.mark.parametrize("m", [5.0, 50.0, 200.0, 1e3, 1e4, 1e6])
+def test_poisson_grams_match_the_grams_of_the_evolved_vectors(m):
+    # both sides are O(W) per time, so the check reaches m = 1e6 (W = 14 510);
+    # lambda0 = 0.3 weighs the two starts apart, so every entry's weight shows.
+    # Measured gap at most 4.4e-16 (field) and 5.6e-16 (joint) over lambda0 in
+    # {0.3, 0.7}
+    field, params, lam = FieldConfig(m), ModelParams(), 0.3
+    t1 = revival_period(field, params)
+    times = np.array([0.0, 0.75, 0.5 * t1, t1, 37.15])
+    psi_g, psi_e = evolve_vectors(field, params, times)
+    b = np.stack([math.sqrt(lam) * psi_g, math.sqrt(1.0 - lam) * psi_e], axis=-1)
+    # rows sqrt(lambda_k) psi_k[a, :] by start k, then atom level a
+    rows = b.reshape(len(times), 2, -1, 2).transpose(0, 3, 1, 2).reshape(len(times), 4, -1)
+    field_gram, joint_gram = poisson_grams(AtomState(lam), field, params, times)
+    assert np.abs(field_gram - rows @ rows.conj().swapaxes(-1, -2)).max() <= 1e-15
+    assert np.abs(joint_gram - b.swapaxes(-1, -2) @ b.conj()).max() <= 1.5e-15
