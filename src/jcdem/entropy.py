@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AtomState, FieldConfig, ModelParams, _rotation, _walk_times, _xlogx
+from .model import AtomState, FieldConfig, ModelParams, _walk_times, _xlogx
 
 AL_SLACK = 1e-8
 
@@ -76,25 +76,24 @@ def entropies_at(
     |psi_e><psi_e|, psi_g and psi_e the interaction-picture states evolved
     from |1,theta> and |2,theta>, theta = sqrt(m), on levels n_lo..n_max, as
     sqrt(p_n) renormalized there (the free phases are local unitaries no
-    entropy sees).  Each doublet {|2,n>, |1,n+1>} rotates by _rotation's
-    cos and sin of g sqrt(n+1) t; the edges |1,n_lo> and
-    |2,n_max>, whose partners lie outside the window, stay put (at n_lo = 0
-    the lower edge |1,0> is exact).  Per chunk of T times the amplitudes
-    sqrt(lambda_k) psi_k[a, n] fill b, shaped (T, 2, W, 2) by time, atom
-    level a, photon n - n_lo and start k: the joint state is B B^dag with
-    B = b as (T, 2W, 2), the rank <= 4 field marginal shares its nonzero
-    spectrum with the 4x4 Gram of b's (a, k) rows, and the atom marginal is
-    that Gram's partial trace over k.  One eigvalsh call per chunk per kind
-    of matrix.  Every field of the report has the shape of t, and
-    al_margins holds two such arrays; a scalar t gives scalars.
+    entropy sees).  Each doublet {|2,n>, |1,n+1>} rotates by the cos and
+    sin of g sqrt(n+1) t that _walk_times hands each chunk; the edges
+    |1,n_lo> and |2,n_max>, whose partners lie outside the window, stay put
+    (at n_lo = 0 the lower edge |1,0> is exact).  Per chunk of T times the
+    amplitudes sqrt(lambda_k) psi_k[a, n] fill b, shaped (T, 2, W, 2) by
+    time, atom level a, photon n - n_lo and start k: the joint state is
+    B B^dag with B = b as (T, 2W, 2), the rank <= 4 field marginal shares
+    its nonzero spectrum with the 4x4 Gram of b's (a, k) rows, and the atom
+    marginal is that Gram's partial trace over k.  One eigvalsh call per
+    chunk per kind of matrix.  Every field of the report has the shape of
+    t, and al_margins holds two such arrays; a scalar t gives scalars.
     """
     width, amps = field.n_levels, np.sqrt(field.weights)
     amps /= np.linalg.norm(amps)
     weights = np.sqrt([atom.lambda0, atom.lambda1])
-    def entropies(times):
-        cos, sin = (part[:, :-1] for part in _rotation(field, params, times))
-        off = -1j * sin
-        b = np.zeros((len(times), 2, width, 2), dtype=complex)
+    def entropies(cos, sin):
+        cos, off = cos[:, :-1], -1j * sin[:, :-1]
+        b = np.zeros((len(cos), 2, width, 2), dtype=complex)
         b[:, 0, 0, 0] = amps[0]
         b[:, 0, 1:, 0] = cos * amps[1:]
         b[:, 1, :-1, 0] = off * amps[1:]

@@ -166,21 +166,28 @@ def time_chunks(n_times: int, entries_per_time: int) -> list[slice]:
 
 def _walk_times(field: FieldConfig, params: ModelParams, t, entries_per_time: int,
                 rows: int, fill) -> tuple:
-    """The kernels' one walk: fill's `rows` values per time of t, chunk by time_chunks
-    chunk, in rows shaped like t ([()] unwraps 0-d).  Before the first chunk, in Python
-    floats, ValueError unless 2 g sqrt(n_max + 1) max|t|, twice the largest phase
-    _rotation forms, is finite, or if one time needs more than MAX_TIME_BYTES."""
+    """The kernels' one walk, and the one place a Rabi phase g sqrt(n+1) t is formed:
+    fill(cos, sin) gets each time_chunks chunk's cos and sin of those phases on
+    n_lo..n_max, shaped (chunk, W), and returns its `rows` values per time, set in rows
+    shaped like t ([()] unwraps 0-d).  Before the first chunk, in Python floats,
+    ValueError unless 2 g sqrt(n_max + 1) max|t|, twice the largest phase, is finite,
+    or if one time needs more than MAX_TIME_BYTES."""
     t = np.asarray(t, dtype=float)
     t_abs = float(np.abs(t).max(initial=0.0))
-    if not math.isfinite(2.0 * (params.g * math.sqrt(field.n_max + 1.0) * t_abs)):
+    root = np.sqrt(np.arange(field.n_lo, field.n_max + 1) + 1.0)
+    if not math.isfinite(2.0 * (params.g * float(root[-1]) * t_abs)):
         raise ValueError("times must be finite, and so must the phase 2 g sqrt(n_max"
                          f" + 1) t: got g={params.g:g}, |t| up to {t_abs:g}")
     if (need := 16 * entries_per_time) > MAX_TIME_BYTES:
         raise ValueError(f"one time needs {need >> 20} MiB > {MAX_TIME_BYTES >> 20}"
                          " MiB: lower --mean-photons or raise --tail-tol")
+    omega = params.g * root
     out = np.empty((rows, t.size))
     for sl in time_chunks(t.size, entries_per_time):
-        out[:, sl] = fill(t.reshape(-1)[sl])
+        phase = np.multiply.outer(t.reshape(-1)[sl], omega)
+        # cos overwrites the phases, so a chunk holds just its cos and sin
+        sin = np.sin(phase)
+        out[:, sl] = fill(np.cos(phase, out=phase), sin)
     return tuple(row.reshape(t.shape)[()] for row in out)
 
 
@@ -259,15 +266,6 @@ def _window(mean_photons: float, tail_tol: float) -> tuple[int, np.ndarray]:
     return n_lo, weights
 
 
-def _rotation(field: FieldConfig, params: ModelParams, t) -> tuple[np.ndarray, ...]:
-    """(cos, sin) of g sqrt(n+1) t on n_lo..n_max, each shaped t.shape + (W,): the Rabi
-    rotation of each doublet {|2,n>, |1,n+1>}, for entropies_at's evolved states and
-    closed_form_coeffs' sums, on times whose phases _walk_times has checked."""
-    omega = params.g * np.sqrt(np.arange(field.n_lo, field.n_max + 1) + 1.0)
-    phase = np.multiply.outer(t, omega)
-    return np.cos(phase), np.sin(phase)
-
-
 def closed_form_coeffs(
     atom: AtomState, field: FieldConfig, params: ModelParams, t
 ) -> ClosedFormCoeffs:
@@ -285,8 +283,7 @@ def closed_form_coeffs(
     same sum as the truncated evolution gives it (entropies_at).
     """
     w = field.weights
-    def sums(times):
-        cos, sin = _rotation(field, params, times)
+    def sums(cos, sin):
         return cos**2 @ w, 2.0 * ((sin * cos) @ w), sin[:, -1] ** 2
     # each time holds the W cosines, sines, cos^2 and one W-wide product
     c, sin2, edge_sin2 = _walk_times(field, params, t, 4 * len(w), 3, sums)

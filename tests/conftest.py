@@ -17,7 +17,6 @@ import pytest
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
-import jcdem.entropy  # noqa: E402
 import jcdem.model  # noqa: E402
 
 CRITERION_LINES = []
@@ -36,33 +35,18 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture
-def chunk_starts(monkeypatch):
-    """The start of every chunk but the first that the kernels' walk,
-    model._walk_times, hands out during the test, in call order: the real
-    chunk edges."""
-    starts = []
+def walk_chunks(monkeypatch):
+    """Every chunk of times that the kernels' walk, model._walk_times, hands out
+    during the test, in call order, each as the range of flat time indices it
+    covers: the real chunk edges, and one entry per chunk whose cos and sin
+    the walk evaluates."""
+    chunks = []
     original = jcdem.model.time_chunks
 
     def record(n_times, entries_per_time):
-        chunks = original(n_times, entries_per_time)
-        starts.extend(sl.start for sl in chunks[1:])
-        return chunks
+        slices = original(n_times, entries_per_time)
+        chunks.extend(range(n_times)[sl] for sl in slices)
+        return slices
 
     monkeypatch.setattr(jcdem.model, "time_chunks", record)
-    return starts
-
-
-@pytest.fixture
-def rotation_calls(monkeypatch):
-    """The size of each chunk of times the kernels hand model._rotation during
-    the test, in call order: one call per chunk they evaluate."""
-    calls = []
-    original = jcdem.model._rotation
-
-    def record(field, params, t):
-        calls.append(t.size)
-        return original(field, params, t)
-
-    for module in (jcdem.model, jcdem.entropy):
-        monkeypatch.setattr(module, "_rotation", record)
-    return calls
+    return chunks

@@ -1,10 +1,11 @@
-"""Write tests/data/reference_40digit.json: every column of the scan-time CSV
+"""Write tests/data/reference_40digit.json: the columns of the scan-time CSV
 (c_closed, c_exact, dem_exact, dem_closed, s_atom, s_field, s_joint) of the
 truncated model at a fixed set of points, evaluated with mpmath at 40
 significant digits.
 
 Nothing here comes from jcdem.  The Poisson weights come from the ratio
-recursion p_{n+1} = p_n m / (n + 1) in 40 digits, and the photon window from
+recursion p_{n+1} = p_n m / (n + 1) in 40 digits, started from
+e^-m m^n / n! at the lowest level summed, and the photon window from
 the package's documented rule, re-derived: n_max is the smallest k whose
 upper tail sum_{n>k} p_n is below the tail tolerance, plus 5 guard levels;
 n_lo is the largest k whose lower tail sum_{n<k} p_n is below the tolerance
@@ -19,11 +20,21 @@ psi_k[a, :], of its partial trace over the start k (the atom marginal) and
 of its partial trace over the atom level a (the joint Gram).  The closed
 forms are the paper's Poisson sums over the same window, not renormalized.
 
-Each point stores its m, lambda0 and t (t as the double the package is
-given; every phase is formed from it exactly), the window edges and each
-column to 30 significant digits.  At g = 1 and tail tolerance 1e-12 the
-points are m in {5, 50, 200, 1e3}, lambda0 in {0.3, 0.7} and
-t in {T1/2, T1, 37.15}, T1 = 2 pi sqrt(m) / g.  Run from the repository root:
+Each point stores its m, lambda0, t and g (t as the double the package is
+given; every phase is formed from it exactly), the window edges and each of
+its columns to 30 significant digits.  At tail tolerance 1e-12, with
+T1 = 2 pi sqrt(m) / g and T3 = 3 T1, the points are:
+
+- every column at g = 1 for m in {0.5, 5, 50, 200}, lambda0 in
+  {0, 0.3, 0.7, 1} and t in {0, T1/2, T1, T3, 37.15};
+- every column at g = 1 for m = 1e3, lambda0 in {0.3, 0.7} and
+  t in {T1/2, T1, 37.15};
+- every column at g = 1.3 for m = 5, lambda0 in {0, 0.3, 0.7, 1} and
+  t in {0, T1/2, T1, T3, 37.15};
+- the closed forms alone (c_closed, c_exact, dem_closed) at g = 1 for
+  m in {1e4, 1e5, 1e6}, lambda0 in {0.3, 0.7} and t in {T1, T3}.
+
+Run from the repository root (about 10 s):
 
     python tests/make_reference_40.py
 """
@@ -37,36 +48,47 @@ DPS = 40
 DIGITS = 30
 TAIL_TOL = 1e-12
 GUARD_LEVELS = 5
-G = 1.0
-MEANS = (5.0, 50.0, 200.0, 1e3)
-LAMBDAS = (0.3, 0.7)
 GENERIC_T = 37.15
 COLUMNS = ("c_closed", "c_exact", "dem_exact", "dem_closed", "s_atom", "s_field", "s_joint")
+CLOSED_COLUMNS = ("c_closed", "c_exact", "dem_closed")
+ALL_LAMBDAS = (0.0, 0.3, 0.7, 1.0)
+# (means, lambda0s, kinds of time, g, whether the entropies are computed)
+SECTIONS = (
+    ((0.5, 5.0, 50.0, 200.0), ALL_LAMBDAS, ("0", "T1/2", "T1", "T3", "generic"), 1.0, True),
+    ((1e3,), (0.3, 0.7), ("T1/2", "T1", "generic"), 1.0, True),
+    ((5.0,), ALL_LAMBDAS, ("0", "T1/2", "T1", "T3", "generic"), 1.3, True),
+    ((1e4, 1e5, 1e6), (0.3, 0.7), ("T1", "T3"), 1.0, False),
+)
 OUT = Path(__file__).parent / "data" / "reference_40digit.json"
 
 
 def poisson_window(m: float) -> tuple[int, list]:
     """(n_lo, the Poisson weights p_n on n_lo..n_max) by the window rule above.
 
-    Levels beyond m + 40 sqrt(m) + 100 are left out of every sum: at every m
-    here each weighs below 1e-200, and so does their sum."""
+    Levels outside m -+ (40 sqrt(m) + 100) are left out of every sum: at every
+    m here each weighs below 1e-200, and so does their sum.  The first kept
+    level's weight is e^-m m^n / n! by mpmath.loggamma; the rest follow by the
+    ratio recursion."""
     m = mpf(m)
-    top = int(m + 40 * mp.sqrt(m) + 100)
-    weights = [mp.exp(-m)]
-    for n in range(top):
+    spread = 40 * mp.sqrt(m) + 100
+    bottom, top = max(int(m - spread), 0), int(m + spread)
+    weights = [mp.exp(-m + bottom * mp.log(m) - mp.loggamma(bottom + 1))]
+    for n in range(bottom, top):
         weights.append(weights[-1] * m / (n + 1))
-    # upper[k] = sum_{n>k} p_n and lower[k] = sum_{n<k} p_n, each from its own end
-    upper = [mpf(0)] * (top + 1)
-    for k in range(top - 1, -1, -1):
+    # upper[k] = sum_{n>k} p_n and lower[k] = sum_{n<k} p_n over the levels
+    # kept, k counted from bottom, each summed from its own end
+    size = top - bottom + 1
+    upper = [mpf(0)] * size
+    for k in range(size - 2, -1, -1):
         upper[k] = upper[k + 1] + weights[k + 1]
-    lower = [mpf(0)] * (top + 1)
-    for k in range(1, top + 1):
+    lower = [mpf(0)] * size
+    for k in range(1, size):
         lower[k] = lower[k - 1] + weights[k - 1]
     tol = mpf(TAIL_TOL)
-    n_max = next(k for k in range(top + 1) if upper[k] < tol) + GUARD_LEVELS
+    n_max = next(k for k in range(size) if upper[k] < tol) + GUARD_LEVELS
     budget = tol - upper[n_max]
-    n_lo = max(max(k for k in range(top + 1) if lower[k] < budget) - GUARD_LEVELS, 0)
-    return n_lo, weights[n_lo:n_max + 1]
+    n_lo = max(max(k for k in range(size) if lower[k] < budget) - GUARD_LEVELS, 0)
+    return bottom + n_lo, weights[n_lo:n_max + 1]
 
 
 def xlogx(x):
@@ -78,14 +100,16 @@ def entropy(matrix) -> mpf:
     return -mp.fsum(xlogx(p) for p in mp.eigsy(matrix, eigvals_only=True))
 
 
-def reference_point(m: float, lambda0: float, t: float) -> dict:
-    """Every column, the window edges and the inputs of one point, the columns
-    as strings of DIGITS significant digits."""
+def reference_point(m: float, lambda0: float, t: float, g: float,
+                    entropies: bool = True) -> dict:
+    """The window edges, the inputs and the columns of one point, every column
+    or, without entropies, CLOSED_COLUMNS, as strings of DIGITS significant
+    digits."""
     with mp.workdps(DPS):
         n_lo, p = poisson_window(m)
         total = mp.fsum(p)
         amps = [mp.sqrt(x / total) for x in p]
-        phases = [mpf(G) * mp.sqrt(n + 1) * mpf(t) for n in range(n_lo, n_lo + len(p))]
+        phases = [mpf(g) * mp.sqrt(n + 1) * mpf(t) for n in range(n_lo, n_lo + len(p))]
         cos, sin = [mp.cos(x) for x in phases], [mp.sin(x) for x in phases]
         lam0 = mpf(lambda0)
         lam1 = 1 - lam0
@@ -98,6 +122,11 @@ def reference_point(m: float, lambda0: float, t: float) -> dict:
         e2 = abs(lam1 - lam0) * abs(sin2) / 2
         dem_closed = -xlogx(e1) - xlogx(e4) + 2 * xlogx(e2)
         c_exact = (c + p[-1] * sin[-1] ** 2) / total
+        inputs = {"m": m, "lambda0": lambda0, "t": t, "g": g, "n_lo": n_lo,
+                  "n_max": n_lo + len(p) - 1}
+        if not entropies:
+            return {**inputs, **{name: mp.nstr(v, DIGITS) for name, v in zip(
+                CLOSED_COLUMNS, (c, c_exact, dem_closed))}}
         # rows sqrt(lambda_k) psi_k[a, :] by start k and atom level a, real
         # in the rotated frame; the doublet of level n rotates by cos/sin[n]
         zero = mpf(0)
@@ -117,22 +146,23 @@ def reference_point(m: float, lambda0: float, t: float) -> dict:
         s_atom, s_field, s_joint = entropy(atom), entropy(gram), entropy(joint)
         values = (c, c_exact, max(s_atom + s_field - s_joint, zero), dem_closed,
                   s_atom, s_field, s_joint)
-        return {"m": m, "lambda0": lambda0, "t": t, "n_lo": n_lo,
-                "n_max": n_lo + len(p) - 1,
-                **{name: mp.nstr(v, DIGITS) for name, v in zip(COLUMNS, values)}}
+        return {**inputs, **{name: mp.nstr(v, DIGITS) for name, v in zip(COLUMNS, values)}}
 
 
-def reference_times(m: float) -> list[float]:
-    """T1/2, T1 and GENERIC_T as doubles, T1 = 2 pi sqrt(m) / g rounded once."""
+def reference_time(kind: str, m: float, g: float) -> float:
+    """The time of one kind as a double: 0, T1/2, T1 or T3, each from
+    T1 = 2 pi sqrt(m) / g rounded once, or GENERIC_T."""
     with mp.workdps(DPS):
-        t1 = 2 * mp.pi * mp.sqrt(mpf(m)) / mpf(G)
-        return [float(t1 / 2), float(t1), GENERIC_T]
+        t1 = 2 * mp.pi * mp.sqrt(mpf(m)) / mpf(g)
+        return {"0": 0.0, "T1/2": float(t1 / 2), "T1": float(t1), "T3": float(3 * t1),
+                "generic": GENERIC_T}[kind]
 
 
 def main() -> None:
-    points = [reference_point(m, lam, t) for m in MEANS for lam in LAMBDAS
-              for t in reference_times(m)]
-    header = {"dps": DPS, "g": G, "tail_tol": TAIL_TOL, "columns": list(COLUMNS)}
+    points = [reference_point(m, lam, reference_time(kind, m, g), g, entropies)
+              for means, lambdas, kinds, g, entropies in SECTIONS
+              for m in means for lam in lambdas for kind in kinds]
+    header = {"dps": DPS, "tail_tol": TAIL_TOL, "columns": list(COLUMNS)}
     OUT.write_text(json.dumps({**header, "points": points}, indent=1) + "\n",
                    encoding="utf-8")
     print(f"wrote {len(points)} points to {OUT}")

@@ -158,8 +158,9 @@ def poisson_terms(mean_photons: float, n_max: int) -> np.ndarray:
     """Poisson weights p_0..p_{n_max} by the ratio recursion outward from the mode.
 
     p_{n+1} = p_n m / (n + 1) upward and p_{n-1} = p_n n / m downward, both
-    from 1 at floor(m), run until the upper terms fall below 1e-30 of the
-    mode and then divided by the sum over every level computed.
+    from 1 at floor(m), each run until its terms fall below 1e-30 of the mode
+    (upward at least to n_max, downward at most to 0), then divided by the
+    sum over every level computed; the levels below the downward run are 0.
     """
     m = float(mean_photons)
     if m == 0:
@@ -169,10 +170,10 @@ def poisson_terms(mean_photons: float, n_max: int) -> np.ndarray:
     while up[-1] > 1e-30 or mode + len(up) <= n_max:
         up.append(up[-1] * m / (mode + len(up)))
     down = [1.0]
-    for n in range(mode, 0, -1):
-        down.append(down[-1] * n / m)
-    terms = np.array(down[::-1] + up[1:])
-    return terms[: n_max + 1] / math.fsum(terms)
+    while down[-1] > 1e-30 and len(down) <= mode:
+        down.append(down[-1] * (mode + 1 - len(down)) / m)
+    terms = down[::-1] + up[1:]
+    return np.pad(terms, (mode + 1 - len(down), 0))[: n_max + 1] / math.fsum(terms)
 
 
 def coherent_amplitudes(

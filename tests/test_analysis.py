@@ -136,8 +136,8 @@ def test_scan_transition_memory_is_bounded_on_long_grids():
 
 
 def test_closed_form_chunks_count_each_times_footprint(monkeypatch):
-    # each time in a chunk holds about 4 W entries: the W phases, their cos^2
-    # and the two W-wide temporaries of a sin term
+    # each time in a chunk holds about 4 W entries: the W cosines, written
+    # over the phases, the W sines, their cos^2 and one W-wide sin cos product
     field = FieldConfig(50.0)
     monkeypatch.setattr(jcdem.model, "CHUNK_ELEMENTS", 1 << 30)
     whole = scan_transition(field, PARAMS, 30.0, 0.05).columns
@@ -164,12 +164,12 @@ def test_closed_form_chunks_count_each_times_footprint(monkeypatch):
 
 
 def test_scan_time_refuses_a_time_beyond_the_memory_limit_before_any_work(
-        rotation_calls):
+        walk_chunks):
     # at m = 1e5 one time of the dense entropies needs 2527 MiB: entropies_at
     # refuses it before the closed forms walk their 143 chunks of the grid
     with pytest.raises(ValueError, match="one time needs 2527 MiB > 1024 MiB"):
         scan_time(AtomState(0.7), FieldConfig(1e5), PARAMS, 50.0, 0.05)
-    assert rotation_calls == []
+    assert walk_chunks == []
 
 
 def test_scan_time_joint_entropy_constant(mixed_series):

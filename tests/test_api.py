@@ -255,6 +255,16 @@ def test_only_the_time_walk_and_the_plot_call_time_chunks():
     assert callers(probe, "m", ("time_chunks",)) == ["m.kernel", "m.<module>"]
 
 
+def test_only_the_time_walk_evaluates_a_rabi_phase():
+    # model._walk_times forms every phase g sqrt(n+1) t, refuses an overflowing
+    # one before its first chunk and hands each chunk its cos and sin: a kernel
+    # taking its own would skip that refusal
+    assert set(package_callers(("cos", "sin"), PACKAGE)) == {"model._walk_times"}
+    probe = ("def walk(x):\n    return np.cos(x, out=x), np.sin(x)\n"
+             "def kernel(t):\n    return sin(t) @ w\n")
+    assert callers(probe, "m", ("cos", "sin")) == ["m.walk", "m.walk", "m.kernel"]
+
+
 def test_only_the_bench_spells_a_record_through_its_alias():
     # FieldConfig(m, tail_tol) and AtomState(lambda0) are the one way to build
     # each record; the two aliases stay only for bench/, and one test each

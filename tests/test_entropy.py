@@ -168,11 +168,15 @@ def test_dem_of_product_state_is_zero():
 
 
 def test_dem_is_clipped_at_zero_and_its_margin_kept_raw():
-    # at t = 0 the state is a product, where rounding leaves the unclipped
-    # sum at -1.1e-16 at the CLI defaults (m = 5, lambda0 = 0.7)
-    field = FieldConfig(5.0)
-    product = entropies_at(AtomState(0.7), field, ModelParams(), 0.0)
-    assert product.al_margins[1] < 0.0 and product.dem == 0.0
+    # a product state whose joint entropy rounds one ulp above the atom's, as
+    # entropies_at's 2W-dim joint spectrum leaves it at t = 0 (m = 5, lambda0
+    # = 0.7; a 2x2 joint Gram gives exactly 0): the unclipped sum is -1.1e-16,
+    # the DEM 0 and the raw margin within AL_SLACK
+    s_atom = -(0.7 * math.log(0.7) + 0.3 * math.log(0.3))
+    product = EntropyReport(s_atom=s_atom, s_field=0.0,
+                            s_joint=math.nextafter(s_atom, 1.0))
+    assert -2e-16 < product.al_margins[1] < 0.0 and product.dem == 0.0
+    assert product.araki_lieb_ok
     series = scan_time(AtomState(0.7), FieldConfig(200.0),
                        ModelParams(), 100.0, 5.0)
     assert np.all(series.columns["dem_exact"] >= 0.0)
@@ -353,7 +357,7 @@ def test_joint_entropy_is_that_of_the_two_state_gram(m):
         assert np.abs(gram - kernel).max() <= 2e-15, lam
 
 
-def test_entropies_at_keeps_the_shape_of_t(chunk_starts):
+def test_entropies_at_keeps_the_shape_of_t(walk_chunks):
     field = FieldConfig(2.0)
     atom = AtomState(0.7)
     times = np.linspace(0.0, 9.0, 6).reshape(2, 3)
@@ -370,9 +374,9 @@ def test_entropies_at_keeps_the_shape_of_t(chunk_starts):
     # first two edges match the single-time call bit for bit
     field = FieldConfig(5.0)
     times = np.arange(1001) * 0.05
-    chunk_starts.clear()
+    walk_chunks.clear()
     grid = entropies_at(atom, field, ModelParams(), times)
-    first, second = chunk_starts[:2]
+    first, second = (chunk.start for chunk in walk_chunks[1:3])
     for i in (0, first - 1, first, second - 1, second, 1000):
         assert grid.dem[i] == entropies_at(atom, field, ModelParams(), times[i]).dem
 

@@ -411,16 +411,16 @@ def test_kernels_reject_non_finite_times(g, t):
 @pytest.mark.parametrize("kernel, zeros", [(closed_form_coeffs, 200_000),
                                            (entropies_at, 3_000)])
 def test_kernels_refuse_an_overflowing_phase_before_any_chunk(kernel, zeros,
-                                                              rotation_calls):
+                                                              walk_chunks):
     # the one overflowing time comes last: a check per chunk would first
     # evaluate the 202 closed-form or 201 entropy chunks of zeros before it
     field, params, atom = default_field(), ModelParams(), AtomState(0.7)
     times = np.append(np.zeros(zeros), 1e308)
     with pytest.raises(ValueError, match="times must be finite.*phase"):
         kernel(atom, field, params, times)
-    assert rotation_calls == []
+    assert walk_chunks == []
     kernel(atom, field, params, 1.0)
-    assert rotation_calls == [1]
+    assert walk_chunks == [range(1)]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -514,14 +514,14 @@ def test_closed_form_coeffs_vectorised_matches_scalar_calls():
             assert abs(getattr(grid, name)[i] - getattr(point, name)) <= 1e-15
 
 
-def test_closed_form_coeffs_over_chunks_match_scalar_calls(chunk_starts):
+def test_closed_form_coeffs_over_chunks_match_scalar_calls(walk_chunks):
     # 1000 times at m = 200 split into chunks: probe both sides of the
     # first two edges the kernel's own time_chunks call hands out
     field = FieldConfig(200.0)
     atom = AtomState(0.7)
     times = np.linspace(0.0, 100.0, 1000)
     grid = closed_form_coeffs(atom, field, ModelParams(), times)
-    first, second = chunk_starts[:2]
+    first, second = (chunk.start for chunk in walk_chunks[1:3])
     for i in (0, first - 1, first, second - 1, second, 999):
         point = closed_form_coeffs(atom, field, ModelParams(), times[i])
         for name in grid._fields:
