@@ -101,7 +101,7 @@ def entropy(matrix) -> mpf:
 
 
 def reference_point(m: float, lambda0: float, t: float, g: float,
-                    entropies: bool = True) -> dict:
+                    entropies: bool) -> dict:
     """The window edges, the inputs and the columns of one point, every column
     or, without entropies, CLOSED_COLUMNS, as strings of DIGITS significant
     digits."""
