@@ -22,7 +22,6 @@ from .analysis import (
 )
 from .model import (
     DEFAULT_G,
-    DEFAULT_OMEGA0,
     DEFAULT_TAIL_TOL,
     AtomState,
     FieldConfig,
@@ -53,24 +52,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, help_text in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--g", type=float, default=DEFAULT_G,
-                         help="coupling constant (default 1)")
-        cmd.add_argument("--omega0", type=float, default=DEFAULT_OMEGA0,
-                         help="resonance frequency (default 1)")
         cmd.add_argument("--mean-photons", type=float, default=5.0,
                          help="coherent-field mean photon number (default 5)")
         cmd.add_argument("--lambda0", type=float, default=0.7,
                          help="initial ground-level weight (default 0.7)")
-        cmd.add_argument("--t-max", type=float, default=50.0,
-                         help="time-grid end (default 50)")
-        cmd.add_argument("--dt", type=float, default=0.05,
-                         help="time-grid step (default 0.05)")
         cmd.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL,
                          help="photon-tail truncation tolerance (default 1e-12)")
-        cmd.add_argument("--log-base", choices=("e", "2"), default="e",
-                         help="entropy logarithm base (default e)")
-        cmd.add_argument("--lambda-points", type=int, default=21,
-                         help="lambda0 grid size for scan-lambda (default 21)")
+        if name == "scan-lambda":
+            cmd.add_argument("--lambda-points", type=int, default=21,
+                             help="lambda0 grid size (default 21)")
+        else:
+            cmd.add_argument("--g", type=float, default=DEFAULT_G,
+                             help="coupling constant (default 1)")
+            cmd.add_argument("--t-max", type=float, default=50.0,
+                             help="time-grid end (default 50)")
+            cmd.add_argument("--dt", type=float, default=0.05,
+                             help="time-grid step (default 0.05)")
+        if name in ("scan-time", "scan-lambda"):
+            cmd.add_argument("--log-base", choices=("e", "2"), default="e",
+                             help="entropy logarithm base (default e)")
         cmd.add_argument("--out-csv", default=f"jc_{name.replace('-', '_')}.csv",
                          help="CSV output path (default jc_<command>.csv)")
         cmd.add_argument("--out-svg", default=None,
@@ -88,7 +88,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 2 <= args.lambda_points <= MAX_GRID_POINTS:
+    if args.command == "scan-lambda" and not 2 <= args.lambda_points <= MAX_GRID_POINTS:
         parser.error(f"--lambda-points must lie in [2, {MAX_GRID_POINTS}], "
                      f"got {args.lambda_points}")
     if "" in (args.out_csv, args.out_svg):
@@ -96,7 +96,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     if args.out_svg and realpath(args.out_svg) == realpath(args.out_csv):
         parser.error(f"--out-csv and --out-svg name the same file: {args.out_csv}")
     try:
-        args.params = ModelParams(g=args.g, omega0=args.omega0)
+        args.params = ModelParams(getattr(args, "g", DEFAULT_G))
         args.field = FieldConfig(args.mean_photons, args.tail_tol)
         args.atom = AtomState(args.lambda0)
     except ValueError as exc:
@@ -121,7 +121,7 @@ def run(args: argparse.Namespace) -> int:
 
     A ValueError while the table is computed, before anything is written, is
     an input a scan refuses to evaluate, a time grid included: a usage error,
-    exit code 2.  scan-lambda reads neither --t-max nor --dt."""
+    exit code 2."""
     params, field = args.params, args.field
     flags, lines = {}, []
     try:
@@ -153,7 +153,7 @@ def run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         build_parser().error(str(exc))
 
-    if args.log_base == "2":
+    if getattr(args, "log_base", "e") == "2":
         columns = {name: col * BITS_PER_NAT if name.startswith(("dem_", "s_")) else col
                    for name, col in columns.items()}
     _write_csv(args.out_csv, x_name, x, {**columns, **flags})

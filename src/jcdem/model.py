@@ -43,8 +43,8 @@ STIRLING_MIN = 16
 class ModelParams:
     """Coupling strength and resonance frequency, both in units of 1/time.
 
-    omega0 sets only the free phases, which no output depends on.
-    """
+    omega0 sets only the free phases, so the CLI takes no flag for it; it stays
+    for the dense reference Hamiltonians that show no output depends on it."""
 
     g: float = DEFAULT_G
     omega0: float = DEFAULT_OMEGA0

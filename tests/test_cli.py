@@ -41,23 +41,23 @@ def test_parse_args_defaults():
     assert config.command == "scan-time"
     assert config.out_csv == "jc_scan_time.csv"
     assert config.g == 1.0
-    assert config.omega0 == 1.0
     assert config.mean_photons == 5.0
     assert config.lambda0 == 0.7
     assert config.t_max == 50.0
     assert config.dt == 0.05
     assert config.tail_tol == 1e-12
     assert config.log_base == "e"
-    assert config.lambda_points == 21
     assert config.out_svg is None
+    assert "omega0" not in config and "lambda_points" not in config
+    assert parse_args(["scan-lambda"]).lambda_points == 21
 
 
 def test_parse_args_overrides():
     config = parse_args(
         [
             "scan-lambda",
-            "--g", "2.0",
             "--mean-photons", "3.0",
+            "--tail-tol", "1e-6",
             "--lambda-points", "11",
             "--log-base", "2",
             "--out-csv", "custom.csv",
@@ -65,8 +65,8 @@ def test_parse_args_overrides():
         ]
     )
     assert config.command == "scan-lambda"
-    assert config.g == 2.0
     assert config.mean_photons == 3.0
+    assert config.tail_tol == 1e-6
     assert config.lambda_points == 11
     assert config.log_base == "2"
     assert config.out_csv == "custom.csv"
@@ -108,7 +108,7 @@ def test_parse_args_default_csv_name_follows_command():
         ["scan-time", "--dt", "0"],
         ["scan-time", "--t-max", "0.01"],
         ["scan-time", "--tail-tol", "2"],
-        ["scan-time", "--omega0", "-1"],
+        ["scan-time", "--omega0", "1"],
         ["scan-time", "--mean-photons", "-1"],
         ["scan-lambda", "--lambda-points", "1"],
         ["scan-time", "--log-base", "10"],
@@ -116,7 +116,7 @@ def test_parse_args_default_csv_name_follows_command():
         ["no-such-command"],
         [],
         ["transition", "--g", "inf"],
-        ["transition", "--omega0", "inf"],
+        ["transition", "--log-base", "2"],
         ["transition", "--t-max", "inf"],
         ["transition", "--out-csv", "same.out", "--out-svg", "./same.out"],
         ["transition", "--t-max", "1e308", "--dt", "1e-10"],
@@ -134,18 +134,58 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
 
 
 def test_scan_lambda_reads_no_time_grid(tmp_path, capsys):
-    # scan-lambda samples T1..T3 alone, so a grid transition refuses is no
-    # error for it
-    plain = tmp_path / "plain.csv"
-    assert main(["scan-lambda", "--out-csv", str(plain)]) == 0
+    # scan-lambda samples T1..T3 alone, so it takes no grid flags at all
+    csv = tmp_path / "flags.csv"
     for flags in (["--dt", "100"], ["--t-max", "1e308", "--dt", "1e-10"]):
-        csv = tmp_path / "flags.csv"
-        assert main(["scan-lambda", *flags, "--out-csv", str(csv)]) == 0
-        assert csv.read_bytes() == plain.read_bytes()
+        assert main(["scan-lambda", *flags, "--out-csv", str(csv)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not csv.exists()
     assert main(["transition", "--t-max", "1e308", "--dt", "1e-10",
                  "--out-csv", str(tmp_path / "tr.csv")]) == 2
     assert "usage" in capsys.readouterr().err
     assert not (tmp_path / "tr.csv").exists()
+
+
+def _options(command):
+    """The flags command takes, --help aside."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {action.option_strings[0] for action in sub.choices[command]._actions
+            if action.dest != "help"}
+
+
+# A valid value other than the default for each flag but the output paths,
+# --omega0, which no command takes, included
+ANOTHER_VALUE = {"--g": "1.3", "--omega0": "2", "--mean-photons": "4",
+                 "--lambda0": "0.4", "--t-max": "30", "--dt": "0.1",
+                 "--tail-tol": "1e-4", "--log-base": "2", "--lambda-points": "5"}
+# transition and revival start from the excited atom and scan-lambda scans
+# its own lambda0 grid, yet the benchmark passes --lambda0 to all four
+IGNORED = {("transition", "--lambda0"), ("revival", "--lambda0"),
+           ("scan-lambda", "--lambda0")}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_flag_a_command_takes_changes_its_output(command, tmp_path, capsys):
+    def outputs(*flags):
+        csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+        assert main([command, *flags, "--out-csv", str(csv), "--out-svg", str(svg)]) == 0
+        return csv.read_bytes(), svg.read_bytes(), capsys.readouterr().out
+
+    own = _options(command) - {"--out-csv", "--out-svg"}
+    assert own <= set(ANOTHER_VALUE)
+    plain = outputs()
+    for flag, value in ANOTHER_VALUE.items():
+        if flag in own:
+            changed = outputs(flag, value) != plain
+            assert changed == ((command, flag) not in IGNORED), flag
+            continue
+        # a flag the command no longer takes is a usage error that writes nothing
+        argv = [command, flag, value, "--out-csv", str(tmp_path / "removed.csv"),
+                "--out-svg", str(tmp_path / "removed.svg")]
+        assert main(argv) == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.svg"]
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -177,9 +217,11 @@ FLAG_VALUES = {
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(flags=st.fixed_dictionaries(FLAG_VALUES))
 def test_every_command_exits_0_with_a_finite_table_or_2_with_usage(command, flags):
+    own = _options(command)
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / "out.csv"
-        argv = [command, *(f"{name}={value}" for name, value in flags.items()),
+        argv = [command, *(f"{name}={value}" for name, value in flags.items()
+                           if name in own),
                 "--out-csv", str(csv)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -296,13 +338,13 @@ def test_help_states_each_default_the_parser_holds():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(COMMANDS)
-    stated_count = 0
+    stated_count = dict.fromkeys(COMMANDS, 0)
     for name, cmd in sub.choices.items():
         for action in cmd._actions:
             found = re.search(r"\(default (\S+)\)", action.help or "")
             if found is None:
                 continue
-            stated_count += 1
+            stated_count[name] += 1
             stated = found.group(1)
             if action.type in (int, float):
                 assert action.type(stated) == action.default, (name, action.dest)
@@ -311,7 +353,9 @@ def test_help_states_each_default_the_parser_holds():
                 assert resolved == parse_args([name]).out_csv, name
             else:
                 assert stated == action.default, (name, action.dest)
-    assert stated_count == 10 * len(COMMANDS)
+    # every flag but --out-svg states its default
+    assert stated_count == {"transition": 7, "scan-time": 8, "scan-lambda": 6,
+                            "revival": 7}
 
 
 def test_help_exits_0(capsys):
@@ -509,7 +553,8 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["revival", "scan-lambda"])
 def test_unwritable_output_prints_no_report(command, tmp_path, capsys):
     bad = tmp_path / "missing" / "out.csv"
-    assert main([command, "--lambda-points", "3", "--out-csv", str(bad)]) == 1
+    small = ["--lambda-points", "3"] if command == "scan-lambda" else []
+    assert main([command, *small, "--out-csv", str(bad)]) == 1
     assert capsys.readouterr().out == ""
 
 
@@ -534,9 +579,10 @@ def test_non_finite_results_exit_1_without_writing(tmp_path, capsys, monkeypatch
     assert not csv.exists() and list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", ["revival", "scan-time", "transition"])
 def test_overflowing_phases_are_a_usage_error(command, tmp_path, capsys):
-    # g sqrt(n_max + 1) t overflows at g = 1e308, for scan-lambda at T3 too
+    # g sqrt(n_max + 1) t overflows at g = 1e308; scan-lambda takes no --g, and
+    # its largest phase, 12 pi m at T3, is about 4e7 even at m = 1e6
     csv = tmp_path / "out.csv"
     argv = [command, "--g", "1e308", "--t-max", "1", "--dt", "0.5",
             "--out-csv", str(csv)]
@@ -717,7 +763,9 @@ def _csv_columns(path):
     ],
 )
 def test_log_base_2_writes_entropies_in_bits(tmp_path, command, entropies):
-    argv = [command, "--t-max", "4", "--dt", "0.1", "--lambda-points", "5"]
+    grid = {"scan-time": ["--t-max", "4", "--dt", "0.1"],
+            "scan-lambda": ["--lambda-points", "5"]}
+    argv = [command, *grid[command]]
     nats, bits = tmp_path / "nats.csv", tmp_path / "bits.csv"
     assert main([*argv, "--out-csv", str(nats)]) == 0
     assert main([*argv, "--log-base", "2", "--out-csv", str(bits)]) == 0
